@@ -425,7 +425,7 @@ def run_converge(config: RunConfig) -> int:
               "fitted_order": order}
     (outdir / "report.json").write_text(json.dumps(report, indent=2) + "\n")
     manifest.add_file("report.json")
-    ok_low = manifest.check("order_lower", order, 1.7, larger_ok=True)
+    manifest.check("order_lower", order, 1.7, larger_ok=True)
     manifest.check("order_upper", order, 2.3)
     return manifest.write(outdir)
 

@@ -13,6 +13,18 @@ terms on nodes) and then conjugated by the diagonal square-root Jacobian
 similarity, which yields a matrix that is Hermitian in the plain weighted
 inner product of the grid.
 
+The form is linear in its face and node coefficient arrays, so the sparsity
+pattern of the conjugated matrix and a sparse linear map from the stacked
+coefficients to its ``data`` array are built once per (grid, boundary
+realization) and cached on the grid, with the Dirichlet restriction and the
+naive-Neumann boundary term folded in.  Each time slice then evaluates the
+coefficients once per point set, applies that map, scales by the square
+root Jacobian, and wraps the result in the cached CSR index arrays; on 1D
+grids the tridiagonal bands are a fixed scatter of the same ``data``.  One
+path serves every dimension; :func:`assemble_form` with
+:func:`_conjugate_and_restrict` is the sparse-product reference it is tested
+against.
+
 Boundary realizations:
 
 * ``dirichlet``      - interior degrees of freedom only, zero trace;
@@ -26,7 +38,7 @@ Boundary realizations:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 import scipy.sparse as sp
@@ -67,9 +79,11 @@ class CoefficientSet:
     alpha: float = 1.0
 
     def check_ellipticity(self, t: float, pts: np.ndarray) -> None:
-        D = np.asarray(self.diffusion(t, pts), dtype=float)
-        sym_err = float(np.max(np.abs(D - np.swapaxes(D, -1, -2))))
-        if sym_err > 1e-12 * max(1.0, float(np.max(np.abs(D)))):
+        self._check_diffusion(np.asarray(self.diffusion(t, pts), dtype=float))
+
+    def _check_diffusion(self, D: np.ndarray) -> None:
+        sym_err = float(abs(D - np.swapaxes(D, -1, -2)).max())
+        if sym_err > 1e-12 * max(1.0, float(abs(D).max())):
             raise EllipticityViolatedError(
                 f"diffusion matrix is not symmetric (residual {sym_err:.3e})")
         smin = _smallest_singular_value(D)
@@ -79,11 +93,43 @@ class CoefficientSet:
                 f"{np.sqrt(self.alpha):.6g}")
 
 
+def _matmul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """A @ B over stacks of small matrices, written out entry by entry.
+
+    numpy's stacked matmul and solve take about a millisecond for 4k 2x2
+    products, twenty times the cost of these elementwise sums.
+    """
+    rows, inner, cols = A.shape[-2], A.shape[-1], B.shape[-1]
+    if rows == inner == cols == 1:
+        return A * B
+    out = np.empty(np.broadcast_shapes(A.shape[:-2], B.shape[:-2]) + (rows, cols))
+    for i in range(rows):
+        for k in range(cols):
+            acc = A[..., i, 0] * B[..., 0, k]
+            for j in range(1, inner):
+                acc = acc + A[..., i, j] * B[..., j, k]
+            out[..., i, k] = acc
+    return out
+
+
+def _solve(M: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """x with M x = b over stacks; closed forms in one and two dimensions."""
+    dim = M.shape[-1]
+    if dim == 1:
+        return b / M[..., 0, 0][..., None]
+    if dim == 2:
+        det = M[..., 0, 0] * M[..., 1, 1] - M[..., 0, 1] * M[..., 1, 0]
+        return np.stack([M[..., 1, 1] * b[..., 0] - M[..., 0, 1] * b[..., 1],
+                         M[..., 0, 0] * b[..., 1] - M[..., 1, 0] * b[..., 0]],
+                        axis=-1) / det[..., None]
+    return np.linalg.solve(M, b[..., None])[..., 0]
+
+
 def _smallest_singular_value(D: np.ndarray) -> float:
     n = D.shape[-1]
     if n == 1:
         return float(np.min(np.abs(D[..., 0, 0])))
-    S = np.swapaxes(D, -1, -2) @ D
+    S = _matmul(np.swapaxes(D, -1, -2), D)
     tr = S[..., 0, 0] + S[..., 1, 1]
     det = S[..., 0, 0] * S[..., 1, 1] - S[..., 0, 1] * S[..., 1, 0]
     lam_min = 0.5 * (tr - np.sqrt(np.maximum(tr * tr - 4 * det, 0.0)))
@@ -123,8 +169,8 @@ def free_coefficients(dim: int) -> CoefficientSet:
 class EffectivePotentials:
     """Motion-corrected magnetic and electric coefficients.
 
-    ``pulled_*`` evaluators take reference points y; ``moving_*`` evaluators
-    take points x on the moving domain (and need the inverse map).
+    ``pulled_*`` evaluators take reference points y; the ``moving_*``
+    evaluator takes points x on the moving domain (and needs the inverse map).
     """
 
     family: DiffeoFamily
@@ -135,45 +181,35 @@ class EffectivePotentials:
         """(h* A_h)(y) = -(1/2) dh/dt (t, y)."""
         return -0.5 * self.family.velocity(self.t, y)
 
-    def _pulled_parts(self, y: np.ndarray):
-        x = np.asarray(self.family.map(self.t, y), dtype=float)
-        D = np.asarray(self.coeffs.diffusion(self.t, x), dtype=float)
+    def pulled_pair(self, y: np.ndarray, x: Optional[np.ndarray] = None,
+                    D: Optional[np.ndarray] = None):
+        """(A~_h, V~_h) at reference points, sharing one evaluation.
+
+        ``x = h(t, y)`` and ``D = diffusion(t, x)`` are evaluated here unless
+        the caller already has them.
+        """
+        if x is None:
+            x = np.asarray(self.family.map(self.t, y), dtype=float)
+        if D is None:
+            D = np.asarray(self.coeffs.diffusion(self.t, x), dtype=float)
         A = np.asarray(self.coeffs.magnetic(self.t, x), dtype=float)
         V = np.asarray(self.coeffs.electric(self.t, x), dtype=float)
-        ah = self.pulled_motion_potential(y)
-        dim = D.shape[-1]
-        if dim == 1:
-            dit_ah = ah / D[..., 0, 0][..., None]
-        else:
-            dit_ah = np.linalg.solve(np.swapaxes(D, -1, -2), ah[..., None])[..., 0]
-        return A, V, dit_ah
-
-    def pulled_pair(self, y: np.ndarray):
-        """(A~_h, V~_h) at reference points, sharing one evaluation."""
-        A, V, dit_ah = self._pulled_parts(y)
+        dit_ah = _solve(np.swapaxes(D, -1, -2), self.pulled_motion_potential(y))
         atil = A + dit_ah
-        vtil = V - np.sum(dit_ah * dit_ah, axis=-1) - 2 * np.sum(dit_ah * A, axis=-1)
+        vtil = V - (dit_ah * (dit_ah + 2 * A)).sum(axis=-1)
         return atil, vtil
 
     def pulled_magnetic(self, y: np.ndarray) -> np.ndarray:
         """A~_h = A + (D^-1)^t A_h, at reference points."""
-        A, _, dit_ah = self._pulled_parts(y)
-        return A + dit_ah
+        return self.pulled_pair(y)[0]
 
     def pulled_electric(self, y: np.ndarray) -> np.ndarray:
         """V~_h = V - |(D^-1)^t A_h|^2 - 2 <(D^-1)^t A_h | A>."""
-        A, V, dit_ah = self._pulled_parts(y)
-        return V - np.sum(dit_ah * dit_ah, axis=-1) - 2 * np.sum(dit_ah * A, axis=-1)
+        return self.pulled_pair(y)[1]
 
     def moving_motion_potential(self, x: np.ndarray) -> np.ndarray:
         y = self.family.inverse_map(self.t, x)
         return self.pulled_motion_potential(y)
-
-    def moving_magnetic(self, x: np.ndarray) -> np.ndarray:
-        return self.pulled_magnetic(self.family.inverse_map(self.t, x))
-
-    def moving_electric(self, x: np.ndarray) -> np.ndarray:
-        return self.pulled_electric(self.family.inverse_map(self.t, x))
 
 
 def magnetic_potential(family: DiffeoFamily, t: float, grid: ReferenceGrid):
@@ -199,7 +235,8 @@ class DiscreteHamiltonian:
     The matrix acts on weighted samples ``v~ = sqrt(w) v`` restricted to the
     dof set, which makes the quadrature inner product of grid functions the
     plain Euclidean one; for the Dirichlet and magnetic Neumann realizations
-    the matrix is then Hermitian entrywise.
+    the matrix is then Hermitian entrywise.  ``banded`` holds the same matrix
+    in LAPACK (1, 1) band storage when it is tridiagonal (1D grids), else None.
     """
 
     matrix: sp.csr_matrix
@@ -207,6 +244,7 @@ class DiscreteHamiltonian:
     t: float
     grid: ReferenceGrid
     dofs: np.ndarray
+    banded: Optional[np.ndarray] = None
 
     def __post_init__(self):
         self._sqrt_w = np.sqrt(self.grid.weights[self.dofs])
@@ -236,46 +274,68 @@ class DiscreteHamiltonian:
         return float(vals[0])
 
 
+class _FormPieces(NamedTuple):
+    """Face and node coefficient arrays of the pulled-back form at one time.
+
+    ``boundary_flux`` is the density <(J^-1)^t nu0 | A~> det on the boundary
+    nodes, the flux term that separates the naive from the magnetic Neumann
+    realization (None for the other two); ``det_n`` is det J on the nodes.
+    """
+
+    diag_metric: list
+    cross_metric: dict
+    cross_vector: list
+    node_diag: np.ndarray
+    det_n: np.ndarray
+    boundary_flux: Optional[np.ndarray]
+
+
+def _cross_keys(dim: int) -> list:
+    return [(b, c) for b in range(dim) for c in range(dim) if b != c]
+
+
 def _form_pieces(grid: ReferenceGrid, family: DiffeoFamily,
-                 coeffs: CoefficientSet, t: float):
-    """Per-face metric and magnetic arrays of the pulled-back form."""
-    dim = grid.dim
+                 coeffs: CoefficientSet, t: float, bc: str) -> _FormPieces:
+    """Per-face metric and magnetic arrays of the pulled-back form.
+
+    The map, Jacobian and coefficients are evaluated in one pass over the
+    faces of every axis and the nodes, stacked.  The boundary flux is only
+    computed for the naive-Neumann realization, the one that uses it.
+    """
+    faces = [face_coords(grid, a) for a in range(grid.dim)]
+    pts = np.concatenate(faces + [grid.nodes])
+    _, det, Jinv = jacobian_field(family, t, pts)
+    x = np.asarray(family.map(t, pts), dtype=float)
+    D = np.asarray(coeffs.diffusion(t, x), dtype=float)
+    C = _matmul(D, np.swapaxes(Jinv, -1, -2))
+    theta = _matmul(np.swapaxes(C, -1, -2), C)
+    atil, vtil = EffectivePotentials(family, coeffs, t).pulled_pair(pts, x, D)
+
     diag_metric, cross_vector = [], []
-    for a in range(dim):
-        pts = face_coords(grid, a)
-        J, det, Jinv = jacobian_field(family, t, pts)
-        x = np.asarray(family.map(t, pts), dtype=float)
-        D = np.asarray(coeffs.diffusion(t, x), dtype=float)
-        C = D @ np.swapaxes(Jinv, -1, -2)
-        mu = face_weights(grid, a) * det
-        theta = np.swapaxes(C, -1, -2) @ C
-        diag_metric.append(mu * theta[..., a, a])
+    start = 0
+    for a, face_pts in enumerate(faces):
+        f = slice(start, start + len(face_pts))
+        start = f.stop
+        mu = face_weights(grid, a) * det[f]
+        diag_metric.append(mu * theta[f, a, a])
+        cross_vector.append(mu * (C[f, :, a] * atil[f]).sum(axis=-1))
 
-        pot = EffectivePotentials(family, coeffs, t)
-        atil = pot.pulled_magnetic(pts)
-        r = mu * np.einsum("...ba,...b->...a", C, atil)[..., a]
-        cross_vector.append(r)
+    n = slice(start, None)
+    coeffs._check_diffusion(D[n])
+    det_n, atil_n = det[n], atil[n]
+    mass = grid.weights * det_n
+    node_diag = mass * ((atil_n * atil_n).sum(axis=-1) + vtil[n])
+    cross_metric = {(b, c): mass * theta[n, b, c]
+                    for b, c in _cross_keys(grid.dim)}
 
-    pot = EffectivePotentials(family, coeffs, t)
-    nodes = grid.nodes
-    _, det_n, Jinv_n = jacobian_field(family, t, nodes)
-    coeffs.check_ellipticity(t, np.asarray(family.map(t, nodes), dtype=float))
-    atil_n = pot.pulled_magnetic(nodes)
-    vtil_n = pot.pulled_electric(nodes)
-    node_diag = grid.weights * det_n * (np.sum(atil_n * atil_n, axis=-1) + vtil_n)
-
-    cross_metric = None
-    if dim > 1:
-        x_n = np.asarray(family.map(t, nodes), dtype=float)
-        D_n = np.asarray(coeffs.diffusion(t, x_n), dtype=float)
-        C_n = D_n @ np.swapaxes(Jinv_n, -1, -2)
-        theta_n = np.swapaxes(C_n, -1, -2) @ C_n
-        cross_metric = {}
-        for b in range(dim):
-            for c in range(dim):
-                if b != c:
-                    cross_metric[(b, c)] = grid.weights * det_n * theta_n[..., b, c]
-    return diag_metric, cross_metric, cross_vector, node_diag, det_n
+    boundary_flux = None
+    if bc == NAIVE_NEUMANN:
+        b_idx = grid.boundary_indices
+        conormal = np.einsum("nji,nj->ni", Jinv[n][b_idx], grid.boundary_normals)
+        boundary_flux = (grid.boundary_weights * det_n[b_idx]
+                         * (conormal * atil_n[b_idx]).sum(axis=-1))
+    return _FormPieces(diag_metric, cross_metric, cross_vector, node_diag,
+                      det_n, boundary_flux)
 
 
 def assemble_form(grid: ReferenceGrid, diag_metric, cross_metric,
@@ -287,6 +347,9 @@ def assemble_form(grid: ReferenceGrid, diag_metric, cross_metric,
     ``cross_vector[a]``: real face_a array r with the magnetic cross term
     i (G^t diag(r) Avg - Avg^t diag(r) G);
     ``node_diag``: node array multiplying |g|^2.
+
+    This is the sparse-product reference of the cached scatter that
+    :func:`assemble_hamiltonian` uses.
     """
     dim = grid.dim
     F_real = sp.csr_matrix((grid.n_nodes, grid.n_nodes))
@@ -326,123 +389,145 @@ def _conjugate_and_restrict(grid: ReferenceGrid, F: sp.spmatrix,
     return DiscreteHamiltonian(matrix=H.tocsr(), bc=bc, t=t, grid=grid, dofs=dofs)
 
 
+# -- cached assembly pattern ---------------------------------------------------
+
+def _coefficient_blocks(pieces: _FormPieces, bc: str) -> list:
+    """The form's coefficient arrays, in the order of :func:`_operator_blocks`."""
+    dim = len(pieces.diag_metric)
+    blocks = list(pieces.diag_metric)
+    blocks += [pieces.cross_metric[key] for key in _cross_keys(dim)]
+    blocks += list(pieces.cross_vector)
+    blocks.append(pieces.node_diag)
+    if bc == NAIVE_NEUMANN:
+        blocks.append(pieces.boundary_flux)
+    return blocks
+
+
+def _operator_blocks(grid: ReferenceGrid, bc: str) -> list:
+    """Per coefficient block c, the triples (G, K, w) with which it enters
+    the form as the sum of w G^t diag(c) K."""
+    G = [face_difference(grid, a) for a in range(grid.dim)]
+    eye = sp.identity(grid.n_nodes, format="csr")
+    blocks = [[(G[a], G[a], 1.0)] for a in range(grid.dim)]
+    for b, c in _cross_keys(grid.dim):
+        blocks.append([(face_to_node(grid, b) @ G[b],
+                        face_to_node(grid, c) @ G[c], 1.0)])
+    for a in range(grid.dim):
+        Avg = face_average(grid, a)
+        blocks.append([(G[a], Avg, 1j), (Avg, G[a], -1j)])
+    blocks.append([(eye, eye, 1.0)])
+    if bc == NAIVE_NEUMANN:
+        trace = eye[grid.boundary_indices]
+        blocks.append([(trace, trace, -1j)])
+    return blocks
+
+
+def _outer_entries(G: sp.csr_matrix, K: sp.csr_matrix):
+    """Entries of G^t diag(c) K as (row, col, k, value), one per product
+    G[k, row] K[k, col]; the entry is value * c[k]."""
+    ng, nk = np.diff(G.indptr), np.diff(K.indptr)
+    counts = ng * nk
+    k = np.repeat(np.arange(G.shape[0]), counts)
+    j = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+    gi = G.indptr[k] + j // nk[k]
+    ki = K.indptr[k] + j % nk[k]
+    return G.indices[gi], K.indices[ki], k, G.data[gi] * K.data[ki]
+
+
+@dataclass(frozen=True)
+class _FormPattern:
+    """CSR pattern of the conjugated Hamiltonian for one (grid, bc).
+
+    ``weights`` maps the stacked coefficient blocks to the unscaled ``data``
+    array; ``rows``/``cols`` are the node indices of each entry (for the
+    square-root Jacobian similarity); ``band_pos`` places each entry in
+    flattened (3, n) band storage when the pattern is tridiagonal.
+    """
+
+    dofs: np.ndarray
+    indptr: np.ndarray
+    indices: np.ndarray
+    weights: sp.csr_matrix
+    rows: np.ndarray
+    cols: np.ndarray
+    band_pos: Optional[np.ndarray]
+
+
+def _form_pattern(grid: ReferenceGrid, bc: str) -> _FormPattern:
+    """Build once per (grid, bc) and cache on the grid.
+
+    The Dirichlet restriction is folded in by dropping every entry outside
+    the interior block, the naive-Neumann boundary term by its own block.
+    """
+    key = ("form_pattern", bc)
+    if key in grid._cache:
+        return grid._cache[key]
+    rows, cols, coeff, vals = [], [], [], []
+    offset = 0
+    for products in _operator_blocks(grid, bc):
+        for G, K, w in products:
+            r, c, k, v = _outer_entries(G, K)
+            rows.append(r)
+            cols.append(c)
+            coeff.append(k + offset)
+            vals.append(w * v)
+        offset += products[0][0].shape[0]
+    rows, cols = np.concatenate(rows), np.concatenate(cols)
+    coeff, vals = np.concatenate(coeff), np.concatenate(vals)
+
+    dofs = grid.interior_indices if bc == DIRICHLET else np.arange(grid.n_nodes)
+    n = dofs.size
+    local = np.full(grid.n_nodes, -1)
+    local[dofs] = np.arange(n)
+    r, c = local[rows], local[cols]
+    keep = (r >= 0) & (c >= 0)
+    entry, slot = np.unique(r[keep] * n + c[keep], return_inverse=True)
+    weights = sp.csr_matrix((vals[keep], (slot, coeff[keep])),
+                            shape=(entry.size, offset))
+    # entries that cancel exactly (the diagonal of K - K^t) leave the pattern
+    weights.eliminate_zeros()
+    live = np.diff(weights.indptr) > 0
+    weights, entry = weights[live], entry[live]
+
+    r, c = entry // n, entry % n
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(np.bincount(r, minlength=n), out=indptr[1:])
+    band_pos = None
+    if np.all(np.abs(r - c) <= 1):
+        band_pos = (1 + r - c) * n + c
+    pattern = _FormPattern(dofs=dofs, indptr=indptr,
+                           indices=c.astype(np.int32), weights=weights,
+                           rows=dofs[r], cols=dofs[c], band_pos=band_pos)
+    grid._cache[key] = pattern
+    return pattern
+
+
 def assemble_hamiltonian(family: DiffeoFamily, coeffs: CoefficientSet,
                          t: float, grid: ReferenceGrid,
                          bc: str = DIRICHLET) -> DiscreteHamiltonian:
-    """Discrete conjugated Hamiltonian at one time slice."""
+    """Discrete conjugated Hamiltonian at one time slice.
+
+    One path for every dimension: the form's coefficient arrays go through
+    the cached linear map of :func:`_form_pattern` into the pattern's
+    ``data``, which the square-root Jacobian similarity then scales.
+    """
     if bc not in _BCS:
         raise ValueError(f"unknown boundary condition {bc!r}; use one of {_BCS}")
     family.check_time(t)
-    if grid.dim == 1:
-        return _assemble_1d(family, coeffs, t, grid, bc)
-    return _assemble_nd(family, coeffs, t, grid, bc)
-
-
-def _assemble_nd(family: DiffeoFamily, coeffs: CoefficientSet, t: float,
-                 grid: ReferenceGrid, bc: str) -> DiscreteHamiltonian:
-    diag_metric, cross_metric, cross_vector, node_diag, det_n = _form_pieces(
-        grid, family, coeffs, t)
-    F = assemble_form(grid, diag_metric, cross_metric, cross_vector, node_diag)
-    if bc == NAIVE_NEUMANN:
-        F = F - 1j * _magnetic_boundary_diag(grid, family, coeffs, t)
-    return _conjugate_and_restrict(grid, F, det_n, bc, t)
-
-
-def _assemble_1d(family: DiffeoFamily, coeffs: CoefficientSet, t: float,
-                 grid: ReferenceGrid, bc: str) -> DiscreteHamiltonian:
-    """Tridiagonal closed form of the same assembly (hot-loop path)."""
-    m = grid.shape[0]
-    dy = grid.spacing[0]
-    pot = EffectivePotentials(family, coeffs, t)
-
-    pts_f = face_coords(grid, 0)
-    J_f, det_f, _ = jacobian_field(family, t, pts_f)
-    x_f = np.asarray(family.map(t, pts_f), dtype=float)
-    D_f = np.asarray(coeffs.diffusion(t, x_f), dtype=float)[..., 0, 0]
-    C_f = D_f / J_f[..., 0, 0]
-    mu_f = face_weights(grid, 0) * det_f
-    theta = mu_f * C_f * C_f
-    atil_f = pot.pulled_magnetic(pts_f)[:, 0]
-    r = mu_f * C_f * atil_f
-
-    nodes = grid.nodes
-    _, det_n, _ = jacobian_field(family, t, nodes)
-    coeffs.check_ellipticity(t, np.asarray(family.map(t, nodes), dtype=float))
-    atil_pair, vtil_n = pot.pulled_pair(nodes)
-    atil_n = atil_pair[:, 0]
-    node_diag = grid.weights * det_n * (atil_n * atil_n + vtil_n)
-
-    main = np.zeros(m, dtype=complex)
-    main[:-1] += theta / dy ** 2
-    main[1:] += theta / dy ** 2
-    main += node_diag
-    upper = -theta / dy ** 2 - 1j * r / dy
-    lower = -theta / dy ** 2 + 1j * r / dy
-    if bc == NAIVE_NEUMANN:
-        main[0] -= 1j * (-atil_n[0]) * grid.boundary_weights[0]
-        main[-1] -= 1j * (+atil_n[-1]) * grid.boundary_weights[-1]
-
-    s = 1.0 / np.sqrt(grid.weights * det_n)
-    main *= s * s
-    upper = upper * s[:-1] * s[1:]
-    lower = lower * s[:-1] * s[1:]
-    if bc == DIRICHLET:
-        dofs = grid.interior_indices
-        main, upper, lower = main[1:-1], upper[1:-1], lower[1:-1]
-    else:
-        dofs = np.arange(m)
-    H = _tridiag_csr(grid, main, upper, lower)
-    out = DiscreteHamiltonian(matrix=H, bc=bc, t=t, grid=grid, dofs=dofs)
-    ab = np.zeros((3, main.size), dtype=complex)
-    ab[0, 1:] = upper
-    ab[1, :] = main
-    ab[2, :-1] = lower
-    out.banded = ab
-    return out
-
-
-def _tridiag_csr(grid: ReferenceGrid, main, upper, lower) -> sp.csr_matrix:
-    """CSR tridiagonal with cached sparsity structure."""
-    n = main.size
-    key = ("tridiag", n)
-    if key not in grid._cache:
-        indptr = np.empty(n + 1, dtype=np.int32)
-        indptr[0] = 0
-        counts = np.full(n, 3, dtype=np.int32)
-        counts[0] = counts[-1] = 2
-        np.cumsum(counts, out=indptr[1:])
-        indices = np.empty(3 * n - 2, dtype=np.int32)
-        indices[0:2] = [0, 1]
-        base = np.arange(1, n - 1, dtype=np.int32)
-        indices[2:-2:3] = base - 1
-        indices[3:-2:3] = base
-        indices[4:-1:3] = base + 1
-        indices[-2:] = [n - 2, n - 1]
-        grid._cache[key] = (indptr, indices)
-    indptr, indices = grid._cache[key]
-    data = np.empty(3 * n - 2, dtype=complex)
-    data[0], data[1] = main[0], upper[0]
-    data[2:-2:3] = lower[:-1]
-    data[3:-2:3] = main[1:-1]
-    data[4:-1:3] = upper[1:]
-    data[-2], data[-1] = lower[-1], main[-1]
-    return sp.csr_matrix((data, indices, indptr), shape=(n, n))
-
-
-def _magnetic_boundary_diag(grid: ReferenceGrid, family: DiffeoFamily,
-                            coeffs: CoefficientSet, t: float) -> sp.dia_matrix:
-    """Boundary mass with density <(J^-1)^t nu0 | A~> det, the flux term
-    that separates the naive from the magnetic Neumann realization."""
-    pot = EffectivePotentials(family, coeffs, t)
-    b_idx = grid.boundary_indices
-    pts = grid.nodes[b_idx]
-    _, det_b, Jinv_b = jacobian_field(family, t, pts)
-    atil = pot.pulled_magnetic(pts)
-    conormal = np.einsum("nji,nj->ni", Jinv_b, grid.boundary_normals)
-    density = grid.boundary_weights * det_b * np.sum(conormal * atil, axis=-1)
-    diag = np.zeros(grid.n_nodes)
-    diag[b_idx] = density
-    return sp.diags(diag)
+    pieces = _form_pieces(grid, family, coeffs, t, bc)
+    pattern = _form_pattern(grid, bc)
+    scale = 1.0 / np.sqrt(grid.weights * pieces.det_n)
+    data = pattern.weights @ np.concatenate(_coefficient_blocks(pieces, bc))
+    data *= scale[pattern.rows] * scale[pattern.cols]
+    n = pattern.dofs.size
+    H = sp.csr_matrix((data, pattern.indices, pattern.indptr), shape=(n, n))
+    banded = None
+    if pattern.band_pos is not None:
+        banded = np.zeros(3 * n, dtype=complex)
+        banded[pattern.band_pos] = data
+        banded = banded.reshape(3, n)
+    return DiscreteHamiltonian(matrix=H, bc=bc, t=t, grid=grid,
+                               dofs=pattern.dofs, banded=banded)
 
 
 def neumann_flux_coefficient(family: DiffeoFamily, t: float,
@@ -480,9 +565,7 @@ def coercivity_bounds(family: DiffeoFamily, coeffs: CoefficientSet, t: float,
                       grid: ReferenceGrid) -> tuple:
     """Discrete constants (gamma, kappa) with
     <H v, v> >= gamma <H0 v, v> - kappa ||v||^2, H0 the pure-metric operator."""
-    pot = EffectivePotentials(family, coeffs, t)
-    atil = pot.pulled_magnetic(grid.nodes)
-    vtil = pot.pulled_electric(grid.nodes)
+    atil, vtil = EffectivePotentials(family, coeffs, t).pulled_pair(grid.nodes)
     a2 = np.sum(atil * atil, axis=-1)
     gamma = coeffs.alpha / 2.0
     # face-average mass versus nodal mass can exceed 1 by a quadrature factor

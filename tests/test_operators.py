@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from schrodeform.errors import EllipticityViolatedError, NonRealEnergyError
 from schrodeform.geometry import GridFunction, ReferenceGrid, identity_family
@@ -8,7 +9,9 @@ from schrodeform.operators import (
     MAGNETIC_NEUMANN,
     NAIVE_NEUMANN,
     CoefficientSet,
-    _assemble_nd,
+    _conjugate_and_restrict,
+    _form_pieces,
+    assemble_form,
     assemble_hamiltonian,
     coercivity_bounds,
     eigenpairs,
@@ -86,16 +89,39 @@ def test_2d_hermiticity_with_cross_metric():
 
 
 def test_1d_fast_path_matches_generic(moving_interval):
-    grid = ReferenceGrid.interval(80)
-    coeffs = isotropic_coefficients(
+    # the cached-pattern scatter against the sparse-product reference
+    from schrodeform.scenarios.families import warped_2d_family
+
+    coeffs_1d = isotropic_coefficients(
         1, electric=lambda t, x: 0.4 * x[..., 0] ** 2,
         magnetic=lambda t, x: 0.2 * np.ones_like(x))
-    for bc in (DIRICHLET, MAGNETIC_NEUMANN, NAIVE_NEUMANN):
-        fast = assemble_hamiltonian(moving_interval, coeffs, 0.6, grid, bc)
-        generic = _assemble_nd(moving_interval, coeffs, 0.6, grid, bc)
-        diff = fast.matrix - generic.matrix
-        scale = np.max(np.abs(generic.matrix.data))
-        assert (np.max(np.abs(diff.data)) if diff.nnz else 0.0) <= 1e-13 * scale
+    coeffs_2d = isotropic_coefficients(
+        2, electric=lambda t, x: 0.4 * x[..., 0] ** 2 - x[..., 1],
+        magnetic=lambda t, x: np.stack([0.3 * x[..., 1], -0.2 * x[..., 0]],
+                                       axis=-1))
+    square = ((-0.5, 0.5), (-0.5, 0.5))
+    cases = [
+        (moving_interval, coeffs_1d, ReferenceGrid.interval(80)),
+        (warped_2d_family(), coeffs_2d, ReferenceGrid.rectangle(12)),
+        (rotation_family(1.3), coeffs_2d, ReferenceGrid.rectangle(10, square)),
+    ]
+    for fam, coeffs, grid in cases:
+        for bc in (DIRICHLET, MAGNETIC_NEUMANN, NAIVE_NEUMANN):
+            fast = assemble_hamiltonian(fam, coeffs, 0.6, grid, bc)
+            pieces = _form_pieces(grid, fam, coeffs, 0.6, bc)
+            F = assemble_form(grid, pieces.diag_metric, pieces.cross_metric,
+                              pieces.cross_vector, pieces.node_diag)
+            if bc == NAIVE_NEUMANN:
+                flux = np.zeros(grid.n_nodes)
+                flux[grid.boundary_indices] = pieces.boundary_flux
+                F = F - 1j * sp.diags(flux)
+            generic = _conjugate_and_restrict(grid, F, pieces.det_n, bc, 0.6)
+            diff = fast.matrix - generic.matrix
+            scale = np.max(np.abs(generic.matrix.data))
+            assert (np.max(np.abs(diff.data)) if diff.nnz else 0.0) <= 1e-13 * scale
+            # the pattern is built once per (grid, bc) and shared by later steps
+            again = assemble_hamiltonian(fam, coeffs, 0.7, grid, bc)
+            assert np.shares_memory(again.matrix.indices, fast.matrix.indices)
 
 
 def test_effective_coefficients_static_reduction():

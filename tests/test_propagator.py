@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
-from schrodeform.errors import SnapshotMissingError
+from schrodeform.errors import SnapshotMissingError, SolverDivergenceError
 from schrodeform.geometry import GridFunction, ReferenceGrid, identity_family
 from schrodeform.operators import (
     DIRICHLET,
     MAGNETIC_NEUMANN,
+    DiscreteHamiltonian,
     assemble_hamiltonian,
     eigenpairs,
     free_coefficients,
@@ -18,7 +20,7 @@ from schrodeform.propagator import (
     step,
     transport_solution,
 )
-from schrodeform.scenarios.families import interval_family
+from schrodeform.scenarios.families import diagonal_family, interval_family
 
 
 @pytest.fixture(scope="module")
@@ -218,3 +220,35 @@ def test_trace_invariants():
         PropagatorConfig(dt=-1.0, t_start=0.0, t_end=1.0)
     with pytest.raises(ValueError):
         PropagatorConfig(dt=1e-2, t_start=1.0, t_end=0.0)
+
+
+def test_non_finite_velocity_raises_typed_error_1d():
+    # a NaN velocity used to escape the banded solve as a raw ValueError
+    fam = interval_family(lambda t: 1 + 0.5 * t, lambda t: np.nan)
+    grid = ReferenceGrid.interval(32)
+    v0 = GridFunction(grid, np.sin(np.pi * grid.nodes[:, 0]).astype(complex))
+    config = PropagatorConfig(dt=1e-2, t_start=0.0, t_end=0.05)
+    with pytest.raises(SolverDivergenceError):
+        evolve(fam, free_coefficients(1), DIRICHLET, v0, config)
+
+
+def test_non_finite_velocity_raises_typed_error_2d():
+    # ... and the sparse LU as a raw "Factor is exactly singular" RuntimeError
+    fam = diagonal_family((lambda t: 1 + 0.5 * t, lambda t: 1.0),
+                          (lambda t: np.nan, lambda t: 0.0))
+    grid = ReferenceGrid.rectangle(8)
+    v0 = GridFunction.constant(grid, 1.0 + 0j)
+    config = PropagatorConfig(dt=1e-2, t_start=0.0, t_end=0.05)
+    with pytest.raises(SolverDivergenceError):
+        evolve(fam, free_coefficients(2), MAGNETIC_NEUMANN, v0, config)
+
+
+def test_singular_cayley_factor_raises_typed_error():
+    # 1 + (i dt / 2) (4i) = 0 for dt = 0.5: the Cayley matrix is exactly zero
+    grid = ReferenceGrid.rectangle(4)
+    n = grid.n_nodes
+    H = DiscreteHamiltonian(matrix=sp.identity(n, format="csr") * 4j,
+                            bc=MAGNETIC_NEUMANN, t=0.0, grid=grid,
+                            dofs=np.arange(n))
+    with pytest.raises(SolverDivergenceError):
+        step(np.ones(n, dtype=complex), H, 0.5)
