@@ -6,7 +6,8 @@ ladders), ``list`` (available scenarios).  Runs read an optional JSON config
 file, apply flag overrides, and write ``trace.csv``, optional
 ``snapshots/NNNN.csv``, ``manifest.json`` and ``report.json`` into the
 output directory.  Exit codes: 0 success, 1 runtime error, 2 invariant
-failure (the manifest is still written), 3 configuration error.
+failure (the manifest is still written in both cases), 3 configuration
+error.
 """
 
 from __future__ import annotations
@@ -223,7 +224,8 @@ class Manifest:
         self.doc[key] = value
 
     def write(self, outdir: Path) -> int:
-        self.doc["passed"] = all(e["passed"] for e in self.doc["summary"])
+        self.doc["passed"] = ("error" not in self.doc
+                              and all(e["passed"] for e in self.doc["summary"]))
         for entry in self.doc["summary"]:
             if not np.isfinite(entry["value"]):
                 self.doc["passed"] = False
@@ -236,11 +238,21 @@ class Manifest:
 
 # -- subcommands ----------------------------------------------------------------
 
+def _check_span(config: RunConfig, scenario) -> None:
+    lo, hi = scenario.family.window
+    t0, t1 = float(config["t_start"]), float(config["t_end"])
+    if not lo <= t0 <= t1 <= hi:
+        raise ConfigError(
+            f"time span [{t0:g}, {t1:g}] is not an ordered span inside the "
+            f"{scenario.name} window [{lo:g}, {hi:g}]")
+
+
 def run_scenario(config: RunConfig) -> int:
     outdir = Path(config["output"])
     manifest = Manifest(config, "run")
     registry = _scenario_registry()
     scenario = registry[config["scenario"]](config["params"])
+    _check_span(config, scenario)
     bc = config["bc"] or scenario.bc
     grid = scenario.grid(int(config["grid"]))
     v0 = scenario.build_initial(grid, float(config["t_start"]))
@@ -380,6 +392,7 @@ def run_converge(config: RunConfig) -> int:
         # from rest, so the eigenstate initial data matches the generator
         scenario = moving_interval_scenario(
             l0=scenario.metadata["l0"], l1=scenario.metadata["l1"], smooth=True)
+    _check_span(config, scenario)
     rows = []
     if mode == "temporal":
         grid = scenario.grid(int(config["grid"]))
@@ -497,6 +510,9 @@ def main(argv=None) -> int:
         return 3
     except SchrodeformError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        manifest = Manifest(config, args.command)
+        manifest.note("error", {"type": type(exc).__name__, "message": str(exc)})
+        manifest.write(Path(config["output"]))
         return 1
 
 

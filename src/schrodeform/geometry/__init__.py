@@ -9,8 +9,6 @@ from .calculus import (
     pulled_laplacian,
     pushforward,
     pushforward_sharp,
-    sharp_values,
-    unsharp_values,
 )
 from .diffeo import (
     DiffeoFamily,
@@ -40,6 +38,4 @@ __all__ = [
     "pulled_laplacian",
     "pushforward",
     "pushforward_sharp",
-    "sharp_values",
-    "unsharp_values",
 ]

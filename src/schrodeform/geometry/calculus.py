@@ -76,20 +76,6 @@ def pushforward_sharp(family: DiffeoFamily, t: float, g: GridFunction):
     return field
 
 
-def sharp_values(family: DiffeoFamily, t: float, grid: ReferenceGrid,
-                 u_values: np.ndarray) -> np.ndarray:
-    """Apply h-sharp to values already sampled at the image nodes h(t, nodes)."""
-    _, det, _ = jacobian_field(family, t, grid.nodes)
-    return np.sqrt(det) * np.asarray(u_values, dtype=complex)
-
-
-def unsharp_values(family: DiffeoFamily, t: float, grid: ReferenceGrid,
-                   v_values: np.ndarray) -> np.ndarray:
-    """Values of h_sharp^{-1} v at the image nodes h(t, nodes)."""
-    _, det, _ = jacobian_field(family, t, grid.nodes)
-    return np.asarray(v_values, dtype=complex) / np.sqrt(det)
-
-
 def pulled_gradient(family: DiffeoFamily, t: float, g: GridFunction) -> GridFunction:
     """(h* grad_x h_*) g = (J^{-1})^t grad_y g, nodewise."""
     family.check_time(t)

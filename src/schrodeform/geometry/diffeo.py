@@ -30,13 +30,9 @@ class JacobianData:
     inv_t: np.ndarray
 
 
-@dataclass
+@dataclass(frozen=True)
 class DiffeoFamily:
-    """Family of diffeomorphisms ``h(t, .)`` with derivative evaluators.
-
-    Treated as immutable after construction; scenario constructors may attach
-    extra read-only metadata attributes (paths, rates) before handing it out.
-    """
+    """Family of diffeomorphisms ``h(t, .)`` with derivative evaluators."""
 
     map: Callable
     dmap_dt: Optional[Callable] = None

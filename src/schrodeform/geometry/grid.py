@@ -127,12 +127,11 @@ class ReferenceGrid:
         """View a flat nodal array in tensor shape (extra axes trail)."""
         return values.reshape(self.shape + values.shape[1:])
 
-    def point_in_closure(self, pts: np.ndarray, tol: float = 0.0) -> np.ndarray:
-        pts = np.atleast_2d(pts)
-        ok = np.ones(pts.shape[0], dtype=bool)
-        for a, (lo, hi) in enumerate(self.bounds):
-            ok &= (pts[:, a] >= lo - tol) & (pts[:, a] <= hi + tol)
-        return ok
+    def cached(self, key, build):
+        """Per-grid cache: the value stored under `key`, from `build()` once."""
+        if key not in self._cache:
+            self._cache[key] = build()
+        return self._cache[key]
 
     def __repr__(self):
         return f"ReferenceGrid(cells={self.cells}, bounds={self.bounds})"

@@ -110,39 +110,33 @@ def _along_axis(shape: tuple, op1d: sp.spmatrix, axis: int) -> sp.csr_matrix:
     return out.tocsr()
 
 
-def _cached(grid: ReferenceGrid, key, builder):
-    if key not in grid._cache:
-        grid._cache[key] = builder()
-    return grid._cache[key]
-
-
 def node_derivative(grid: ReferenceGrid, axis: int) -> sp.csr_matrix:
     """Collocated d/dy_axis on all nodes."""
-    return _cached(grid, ("node_d", axis), lambda: _along_axis(
+    return grid.cached(("node_d", axis), lambda: _along_axis(
         grid.shape, _node_derivative_1d(grid.shape[axis], grid.spacing[axis]), axis))
 
 
 def face_difference(grid: ReferenceGrid, axis: int) -> sp.csr_matrix:
     """Nodes -> axis faces, exact midpoint derivative."""
-    return _cached(grid, ("face_d", axis), lambda: _along_axis(
+    return grid.cached(("face_d", axis), lambda: _along_axis(
         grid.shape, _face_difference_1d(grid.shape[axis], grid.spacing[axis]), axis))
 
 
 def face_average(grid: ReferenceGrid, axis: int) -> sp.csr_matrix:
     """Nodes -> axis faces, midpoint average."""
-    return _cached(grid, ("face_avg", axis), lambda: _along_axis(
+    return grid.cached(("face_avg", axis), lambda: _along_axis(
         grid.shape, _face_average_1d(grid.shape[axis]), axis))
 
 
 def face_to_node(grid: ReferenceGrid, axis: int) -> sp.csr_matrix:
     """Axis faces -> nodes, midpoint average with extrapolated ends."""
-    return _cached(grid, ("face_to_node", axis), lambda: _along_axis(
+    return grid.cached(("face_to_node", axis), lambda: _along_axis(
         grid.shape, _face_to_node_1d(grid.shape[axis]), axis))
 
 
 def mimetic_divergence(grid: ReferenceGrid, axis: int) -> sp.csr_matrix:
     """Axis faces -> nodes, staggered divergence with half-cell closures."""
-    return _cached(grid, ("mimetic_div", axis), lambda: _along_axis(
+    return grid.cached(("mimetic_div", axis), lambda: _along_axis(
         grid.shape, _mimetic_divergence_1d(grid.shape[axis], grid.spacing[axis]), axis))
 
 
@@ -160,7 +154,7 @@ def face_coords(grid: ReferenceGrid, axis: int) -> np.ndarray:
         pts = np.stack([m.reshape(-1) for m in mesh], axis=-1)
         pts.setflags(write=False)
         return pts
-    return _cached(grid, ("face_coords", axis), build)
+    return grid.cached(("face_coords", axis), build)
 
 
 def face_weights(grid: ReferenceGrid, axis: int) -> np.ndarray:
@@ -180,7 +174,7 @@ def face_weights(grid: ReferenceGrid, axis: int) -> np.ndarray:
         w = w.reshape(-1)
         w.setflags(write=False)
         return w
-    return _cached(grid, ("face_w", axis), build)
+    return grid.cached(("face_w", axis), build)
 
 
 def lateral_face_mask(grid: ReferenceGrid, axis: int) -> np.ndarray:
@@ -195,7 +189,7 @@ def lateral_face_mask(grid: ReferenceGrid, axis: int) -> np.ndarray:
             mask |= (idx[a] == 0) | (idx[a] == m - 1)
         mask.setflags(write=False)
         return mask
-    return _cached(grid, ("lateral_mask", axis), build)
+    return grid.cached(("lateral_mask", axis), build)
 
 
 def node_gradient(grid: ReferenceGrid, values: np.ndarray) -> np.ndarray:

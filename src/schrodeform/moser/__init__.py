@@ -9,7 +9,7 @@ from .maps import (
     nodal_determinant,
     nodal_jacobian,
 )
-from .pipeline import moser_combined, normalize_diffeo
+from .pipeline import NormalizedFamily, moser_combined, normalize_diffeo
 from .right_inverse import (
     DivergenceRightInverse,
     ZeroTraceField,
@@ -20,6 +20,7 @@ __all__ = [
     "DensityFamily",
     "DivergenceRightInverse",
     "MoserMap",
+    "NormalizedFamily",
     "ZeroTraceField",
     "build_divergence_right_inverse",
     "identity_moser_map",

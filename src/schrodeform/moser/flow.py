@@ -11,6 +11,7 @@ re-anchored density ratio.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 
@@ -145,10 +146,9 @@ def moser_flow(density: DensityFamily, grid: ReferenceGrid, time_samples,
     maps = []
     for k, tk in enumerate(time_samples):
         if k == 0:
-            maps.append(build_moser_map(
+            maps.append(replace(build_moser_map(
                 grid, tk, anchor.values, anchor.inverse_values,
-                density(tk, grid.nodes), method="flow"))
-            maps[-1].flow_consistency = 0.0
+                density(tk, grid.nodes), method="flow"), flow_consistency=0.0))
             continue
         # phi-tilde(t_k) composed with the anchor: integrate backward from the
         # anchor image points, so the composition needs no interpolation.
@@ -158,9 +158,8 @@ def moser_flow(density: DensityFamily, grid: ReferenceGrid, time_samples,
         mm = build_moser_map(grid, tk, back, inverse,
                              density(tk, grid.nodes), method="flow")
         ratio = velocity.ratio(tk, forward[k])
-        mm.flow_consistency = float(np.max(np.abs(
-            nodal_determinant(grid, forward[k]) * ratio - 1.0)))
-        maps.append(mm)
+        maps.append(replace(mm, flow_consistency=float(np.max(np.abs(
+            nodal_determinant(grid, forward[k]) * ratio - 1.0)))))
     return maps
 
 

@@ -68,7 +68,11 @@ class DensityFamily:
 
 @dataclass
 class MoserMap:
-    """Diffeomorphism of the reference domain with prescribed determinant."""
+    """Diffeomorphism of the reference domain with prescribed determinant.
+
+    ``flow_consistency`` is set on maps built by the flow method: the largest
+    deviation of det D psi * f(t, .) / f(t0, .) from 1 along the forward flow.
+    """
 
     grid: ReferenceGrid
     t: float
@@ -79,6 +83,7 @@ class MoserMap:
     method: str
     iterations: int = 0
     step_deltas: list = field(default_factory=list)
+    flow_consistency: Optional[float] = None
 
     def __post_init__(self):
         self._interp = None

@@ -20,6 +20,9 @@ bound for grid-resolvable densities.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from typing import Callable
+
 import numpy as np
 from scipy.ndimage import gaussian_filter
 
@@ -152,8 +155,22 @@ def moser_combined(density: DensityFamily, grid: ReferenceGrid, time_samples,
         f"combined pipeline failed after {retries + 1} attempts: {last_failure}")
 
 
+@dataclass(frozen=True, kw_only=True)
+class NormalizedFamily(DiffeoFamily):
+    """Volume-normalized family, with the data it was built from.
+
+    ``moser_maps`` are the correction maps at the sample times,
+    ``base_family`` is the family h that was normalized, and
+    ``volume_ratio(t)`` is meas(Omega(t)) / meas(Omega0).
+    """
+
+    moser_maps: list
+    base_family: DiffeoFamily
+    volume_ratio: Callable
+
+
 def normalize_diffeo(family: DiffeoFamily, grid: ReferenceGrid, time_samples,
-                     **kwargs) -> DiffeoFamily:
+                     **kwargs) -> NormalizedFamily:
     """Reparametrize a family so its Jacobian determinant is constant in space.
 
     Returns h-tilde = h o phi^{-1} with det D h-tilde(t, .) equal to the
@@ -223,16 +240,14 @@ def normalize_diffeo(family: DiffeoFamily, grid: ReferenceGrid, time_samples,
             out = _blend(t, fwd_interp)(pts)
             return out.reshape(np.asarray(x, dtype=float).shape)
 
-    result = DiffeoFamily(
+    return NormalizedFamily(
         map=new_map,
         jacobian=box_fd_jacobian(new_map, grid.bounds, grid.min_spacing / 8.0),
         inverse=inverse,
         window=(samples[0], samples[-1]),
         fd_step=grid.min_spacing / 8.0,
         name=f"{family.name}/volume-normalized",
+        moser_maps=maps,
+        base_family=family,
+        volume_ratio=lambda t: volume(t) / meas0,
     )
-    result.moser_maps = maps
-    result.sample_times = time_samples
-    result.base_family = family
-    result.volume_ratio = lambda t: volume(t) / meas0
-    return result

@@ -43,7 +43,6 @@ from ..geometry.stencils import (
     lateral_face_mask,
     mimetic_divergence,
     mimetic_null_vector_1d,
-    node_derivative,
 )
 
 
@@ -100,9 +99,6 @@ class ZeroTraceField:
         if self._interp is None:
             self._interp = vector_interpolator(self.grid, self.node_values.real)
         return self._interp(pts)
-
-    def as_gridfunction(self) -> GridFunction:
-        return GridFunction(self.grid, self.node_values.astype(complex))
 
 
 def _face_h1_metric(grid: ReferenceGrid, axis: int, mask: np.ndarray) -> sp.csr_matrix:
@@ -167,7 +163,6 @@ class DivergenceRightInverse:
             _along_axis(grid.shape, _zero_trace_face_to_node_1d(grid.shape[a]), a)
             for a in range(grid.dim)
         ]
-        self._stencil = [node_derivative(grid, a) for a in range(grid.dim)]
 
     def _project(self, values: np.ndarray) -> np.ndarray:
         """Subtract the constant that makes the rhs exactly solvable."""
@@ -197,13 +192,6 @@ class DivergenceRightInverse:
             offset += cnt
         return faces, residual, corner
 
-    def stencil_divergence(self, node_values: np.ndarray) -> np.ndarray:
-        """Collocated divergence of nodal vector samples (diagnostic)."""
-        out = np.zeros(self.grid.n_nodes)
-        for a in range(self.grid.dim):
-            out += self._stencil[a] @ np.asarray(node_values, dtype=float)[:, a]
-        return out
-
     def apply(self, v) -> ZeroTraceField:
         """Mean-adjusted scalar samples -> nodal vector field u with div u = v."""
         if isinstance(v, GridFunction):
@@ -220,6 +208,4 @@ class DivergenceRightInverse:
 
 def build_divergence_right_inverse(grid: ReferenceGrid) -> DivergenceRightInverse:
     """Factorized right-inverse, cached per grid."""
-    if "right_inverse" not in grid._cache:
-        grid._cache["right_inverse"] = DivergenceRightInverse(grid)
-    return grid._cache["right_inverse"]
+    return grid.cached("right_inverse", lambda: DivergenceRightInverse(grid))

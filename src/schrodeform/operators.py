@@ -78,9 +78,6 @@ class CoefficientSet:
     electric: Callable
     alpha: float = 1.0
 
-    def check_ellipticity(self, t: float, pts: np.ndarray) -> None:
-        self._check_diffusion(np.asarray(self.diffusion(t, pts), dtype=float))
-
     def _check_diffusion(self, D: np.ndarray) -> None:
         sym_err = float(abs(D - np.swapaxes(D, -1, -2)).max())
         if sym_err > 1e-12 * max(1.0, float(abs(D).max())):
@@ -199,14 +196,6 @@ class EffectivePotentials:
         vtil = V - (dit_ah * (dit_ah + 2 * A)).sum(axis=-1)
         return atil, vtil
 
-    def pulled_magnetic(self, y: np.ndarray) -> np.ndarray:
-        """A~_h = A + (D^-1)^t A_h, at reference points."""
-        return self.pulled_pair(y)[0]
-
-    def pulled_electric(self, y: np.ndarray) -> np.ndarray:
-        """V~_h = V - |(D^-1)^t A_h|^2 - 2 <(D^-1)^t A_h | A>."""
-        return self.pulled_pair(y)[1]
-
     def moving_motion_potential(self, x: np.ndarray) -> np.ndarray:
         y = self.family.inverse_map(self.t, x)
         return self.pulled_motion_potential(y)
@@ -219,11 +208,6 @@ def magnetic_potential(family: DiffeoFamily, t: float, grid: ReferenceGrid):
     """
     pot = EffectivePotentials(family, free_coefficients(grid.dim), t)
     return pot.moving_motion_potential, pot.pulled_motion_potential(grid.nodes)
-
-
-def effective_coefficients(coeffs: CoefficientSet, family: DiffeoFamily,
-                           t: float) -> EffectivePotentials:
-    return EffectivePotentials(family, coeffs, t)
 
 
 # -- discrete Hamiltonian -----------------------------------------------------
@@ -454,14 +438,11 @@ class _FormPattern:
 
 
 def _form_pattern(grid: ReferenceGrid, bc: str) -> _FormPattern:
-    """Build once per (grid, bc) and cache on the grid.
+    """Build the pattern; :func:`assemble_hamiltonian` caches it per grid.
 
     The Dirichlet restriction is folded in by dropping every entry outside
     the interior block, the naive-Neumann boundary term by its own block.
     """
-    key = ("form_pattern", bc)
-    if key in grid._cache:
-        return grid._cache[key]
     rows, cols, coeff, vals = [], [], [], []
     offset = 0
     for products in _operator_blocks(grid, bc):
@@ -495,11 +476,9 @@ def _form_pattern(grid: ReferenceGrid, bc: str) -> _FormPattern:
     band_pos = None
     if np.all(np.abs(r - c) <= 1):
         band_pos = (1 + r - c) * n + c
-    pattern = _FormPattern(dofs=dofs, indptr=indptr,
-                           indices=c.astype(np.int32), weights=weights,
-                           rows=dofs[r], cols=dofs[c], band_pos=band_pos)
-    grid._cache[key] = pattern
-    return pattern
+    return _FormPattern(dofs=dofs, indptr=indptr,
+                        indices=c.astype(np.int32), weights=weights,
+                        rows=dofs[r], cols=dofs[c], band_pos=band_pos)
 
 
 def assemble_hamiltonian(family: DiffeoFamily, coeffs: CoefficientSet,
@@ -515,7 +494,7 @@ def assemble_hamiltonian(family: DiffeoFamily, coeffs: CoefficientSet,
         raise ValueError(f"unknown boundary condition {bc!r}; use one of {_BCS}")
     family.check_time(t)
     pieces = _form_pieces(grid, family, coeffs, t, bc)
-    pattern = _form_pattern(grid, bc)
+    pattern = grid.cached(("form_pattern", bc), lambda: _form_pattern(grid, bc))
     scale = 1.0 / np.sqrt(grid.weights * pieces.det_n)
     data = pattern.weights @ np.concatenate(_coefficient_blocks(pieces, bc))
     data *= scale[pattern.rows] * scale[pattern.cols]

@@ -18,7 +18,8 @@ import scipy.sparse.linalg as spla
 from scipy.linalg import solve_banded
 
 from .errors import InverseUnavailableError, SnapshotMissingError, SolverDivergenceError
-from .geometry.calculus import jacobian_field
+# jacobian_field is not called here, but perfbench/spans.py traces it by this name
+from .geometry.calculus import jacobian_field, pushforward_sharp  # noqa: F401
 from .geometry.diffeo import DiffeoFamily
 from .geometry.fields import GridFunction
 from .geometry.grid import ReferenceGrid
@@ -181,14 +182,11 @@ def transport_solution(trace: EvolutionTrace, family: DiffeoFamily):
 
     def u(t: float, x: np.ndarray) -> np.ndarray:
         snap = trace.snapshot_at(t)
-        interp = snap.interpolator()
         if family.inverse is None and family.jacobian is None:
             raise InverseUnavailableError(
                 "transporting a snapshot needs an inverse map (or Jacobian "
                 "data for Newton inversion)")
-        y = family.inverse_map(t, x)
-        _, det, _ = jacobian_field(family, t, y)
-        return interp(y) / np.sqrt(det)
+        return pushforward_sharp(family, t, snap)(x)
 
     return u
 

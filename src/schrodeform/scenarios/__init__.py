@@ -20,6 +20,7 @@ from .library import (
     gauge_equivalence_check,
     homothety_scenario,
     moving_interval_scenario,
+    rotation_magnetic_coefficients,
     rotation_scenario,
     translation_scenario,
 )
@@ -44,6 +45,7 @@ __all__ = [
     "moving_interval_scenario",
     "ramp_interval_family",
     "rotation_family",
+    "rotation_magnetic_coefficients",
     "rotation_scenario",
     "slowed_family",
     "smoothstep",

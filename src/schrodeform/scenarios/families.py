@@ -16,7 +16,7 @@ def _asfloat(y):
     return np.asarray(y, dtype=float)
 
 
-def translation_family(path, velocity, accel=None, dim: int = 1,
+def translation_family(path, velocity, dim: int = 1,
                        window=(0.0, 1.0)) -> DiffeoFamily:
     """h(t, y) = y + D(t) for a smooth displacement path D."""
 
@@ -33,7 +33,7 @@ def translation_family(path, velocity, accel=None, dim: int = 1,
             out[..., i, i] = 1.0
         return out
 
-    fam = DiffeoFamily(
+    return DiffeoFamily(
         map=lambda t, y: _asfloat(y) + shift(t),
         dmap_dt=lambda t, y: np.broadcast_to(vel(t), _asfloat(y).shape).copy(),
         jacobian=eye,
@@ -42,10 +42,6 @@ def translation_family(path, velocity, accel=None, dim: int = 1,
         window=window,
         name="translation",
     )
-    fam.path = path
-    fam.velocity_path = velocity
-    fam.accel_path = accel
-    return fam
 
 
 def rotation_family(omega: float, window=(0.0, 1.0)) -> DiffeoFamily:
@@ -59,7 +55,7 @@ def rotation_family(omega: float, window=(0.0, 1.0)) -> DiffeoFamily:
         c, s = np.cos(omega * t), np.sin(omega * t)
         return omega * np.array([[-s, -c], [c, -s]])
 
-    fam = DiffeoFamily(
+    return DiffeoFamily(
         map=lambda t, y: _asfloat(y) @ rot(t).T,
         dmap_dt=lambda t, y: _asfloat(y) @ drot(t).T,
         jacobian=lambda t, y: np.broadcast_to(
@@ -70,11 +66,9 @@ def rotation_family(omega: float, window=(0.0, 1.0)) -> DiffeoFamily:
         window=window,
         name="rotation",
     )
-    fam.omega = omega
-    return fam
 
 
-def diagonal_family(scales, dscales, ddscales=None, window=(0.0, 1.0),
+def diagonal_family(scales, dscales, window=(0.0, 1.0),
                     name: str = "diagonal") -> DiffeoFamily:
     """h(t, y) = (f_i(t) y_i) for positive scale functions f_i."""
     dim = len(scales)
@@ -101,7 +95,7 @@ def diagonal_family(scales, dscales, ddscales=None, window=(0.0, 1.0),
             out[..., i, i] = df[i]
         return out
 
-    fam = DiffeoFamily(
+    return DiffeoFamily(
         map=lambda t, y: _asfloat(y) * fvec(t),
         dmap_dt=lambda t, y: _asfloat(y) * dfvec(t),
         jacobian=jac,
@@ -110,29 +104,19 @@ def diagonal_family(scales, dscales, ddscales=None, window=(0.0, 1.0),
         window=window,
         name=name,
     )
-    fam.scales = scales
-    fam.dscales = dscales
-    fam.ddscales = ddscales
-    return fam
 
 
-def interval_family(length, dlength, ddlength=None, window=(0.0, 1.0)) -> DiffeoFamily:
+def interval_family(length, dlength, window=(0.0, 1.0)) -> DiffeoFamily:
     """Moving interval (0, l(t)) as the 1D diagonal family h = l(t) y."""
-    return diagonal_family((length,), (dlength,),
-                           None if ddlength is None else (ddlength,),
-                           window=window, name="moving_interval")
+    return diagonal_family((length,), (dlength,), window=window,
+                           name="moving_interval")
 
 
-def homothety_family(scale, dscale, ddscale=None, dim: int = 1,
+def homothety_family(scale, dscale, dim: int = 1,
                      window=(0.0, 1.0)) -> DiffeoFamily:
     """Equal scaling of every axis, h(t, y) = f(t) y."""
-    fam = diagonal_family((scale,) * dim, (dscale,) * dim,
-                          None if ddscale is None else (ddscale,) * dim,
-                          window=window, name="homothety")
-    fam.scale = scale
-    fam.dscale = dscale
-    fam.ddscale = ddscale
-    return fam
+    return diagonal_family((scale,) * dim, (dscale,) * dim, window=window,
+                           name="homothety")
 
 
 def warped_2d_family(a: float = 0.2, b: float = 0.3, c: float = 0.1,
@@ -255,6 +239,4 @@ def ramp_interval_family(l0: float, l1: float, window=(0.0, 1.0)) -> DiffeoFamil
     def dlength(t):
         return (l1 - l0) * smoothstep_d((t - t0) / span) / span
 
-    fam = interval_family(length, dlength, window=window)
-    fam.name_hint = "ramp_interval"
-    return fam
+    return interval_family(length, dlength, window=window)

@@ -26,7 +26,6 @@ from ..operators import (
     _conjugate_and_restrict,
     free_coefficients,
     isotropic_coefficients,
-    neumann_flux_coefficient,
 )
 from ..geometry.stencils import face_coords, face_weights
 from ..geometry.diffeo import jacobian_field
@@ -57,7 +56,7 @@ class ReducedFormulation:
     phase_rate: Optional[Callable] = None
 
 
-@dataclass
+@dataclass(frozen=True)
 class ScenarioDef:
     """A runnable moving-domain configuration."""
 
@@ -130,7 +129,7 @@ def translation_scenario(path=None, velocity=None, accel=None,
         accel = lambda t: np.array([1.0] + [0.0] * (dim - 1))
     if velocity is None or accel is None:
         raise ValueError("translation scenario needs velocity and accel paths")
-    fam = translation_family(path, velocity, accel, dim=dim, window=window)
+    fam = translation_family(path, velocity, dim=dim, window=window)
 
     def vvec(t):
         return np.atleast_1d(np.asarray(velocity(t), dtype=float))
@@ -161,15 +160,12 @@ def translation_scenario(path=None, velocity=None, accel=None,
     )
 
 
-def rotation_scenario(omega: float = 1.0, window=(0.0, 1.0)) -> ScenarioDef:
-    """Rotating planar domain (centered square reference).
+def rotation_magnetic_coefficients(omega: float) -> CoefficientSet:
+    """Fixed-frame coefficients of the rotating domain, on the reference.
 
-    Carries the two equivalent fixed-domain assemblers: the transport form
-    (-Lap + i w <y_perp | grad .>, symmetrized) and the magnetic-square form
-    (-(grad - i w/2 y_perp)^2 - w^2 |y|^2 / 4); because the rotation
-    generator is divergence-free the two matrices are identical.
+    The magnetic-square form -(grad - i w/2 y_perp)^2 - w^2 |y|^2 / 4:
+    A = -(w/2) y_perp and V = -w^2 |y|^2 / 4 with the identity family.
     """
-    fam = rotation_family(omega, window=window)
 
     def a_field(t, y):
         y = np.asarray(y, dtype=float)
@@ -180,49 +176,50 @@ def rotation_scenario(omega: float = 1.0, window=(0.0, 1.0)) -> ScenarioDef:
         y = np.asarray(y, dtype=float)
         return -(omega ** 2 / 4.0) * (y[..., 0] ** 2 + y[..., 1] ** 2)
 
-    magnetic_coeffs = isotropic_coefficients(2, electric=v_field,
-                                             magnetic=a_field)
+    return isotropic_coefficients(2, electric=v_field, magnetic=a_field)
+
+
+def rotation_scenario(omega: float = 1.0, window=(0.0, 1.0)) -> ScenarioDef:
+    """Rotating planar domain (centered square reference).
+
+    Its self-test compares two equivalent fixed-domain assemblies: the
+    transport form (-Lap + i w <y_perp | grad .>, symmetrized) and the
+    magnetic-square form of :func:`rotation_magnetic_coefficients`; because
+    the rotation generator is divergence-free the two matrices are identical.
+    """
+    fam = rotation_family(omega, window=window)
+    magnetic_coeffs = rotation_magnetic_coefficients(omega)
 
     def make_grid(n):
         return ReferenceGrid.rectangle(n, ((-0.5, 0.5), (-0.5, 0.5)))
 
-    def assemble_magnetic(t, grid, bc=DIRICHLET):
-        return assemble_hamiltonian(identity_family(2, window), magnetic_coeffs,
-                                    t, grid, bc)
-
-    def assemble_transport(t, grid, bc=DIRICHLET):
-        # -div grad + (i w / 2)(b . grad - div(b .)) with b = y_perp,
-        # through the same face machinery as the magnetic assembly
+    def self_test(cells: int = 64, t: float = 0.0) -> dict:
+        grid = make_grid(cells)
         fam_id = identity_family(2, window)
+        Hm = assemble_hamiltonian(fam_id, magnetic_coeffs, t, grid, DIRICHLET)
+        # transport form -div grad + (i w / 2)(b . grad - div(b .)) with
+        # b = y_perp, through the same face machinery as the magnetic assembly
         diag_metric, cross_vector = [], []
         for a in range(2):
             pts = face_coords(grid, a)
             _, det_f, _ = jacobian_field(fam_id, t, pts)
             mu = face_weights(grid, a) * det_f
             diag_metric.append(mu * 1.0)
-            cross_vector.append(mu * a_field(t, pts)[..., a])
+            cross_vector.append(mu * magnetic_coeffs.magnetic(t, pts)[..., a])
         _, det_n, _ = jacobian_field(fam_id, t, grid.nodes)
         F = assemble_form(grid, diag_metric, None, cross_vector,
                           np.zeros(grid.n_nodes))
-        return _conjugate_and_restrict(grid, F, det_n, bc, t)
-
-    def self_test(cells: int = 64, t: float = 0.0) -> dict:
-        grid = make_grid(cells)
-        Hm = assemble_magnetic(t, grid)
-        Ht = assemble_transport(t, grid)
+        Ht = _conjugate_and_restrict(grid, F, det_n, DIRICHLET, t)
         diff = Hm.matrix - Ht.matrix
         resid = float(np.max(np.abs(diff.data))) if diff.nnz else 0.0
         return {"matrix_identity": resid,
                 "hermiticity": Hm.hermiticity_residual()}
 
-    scen = ScenarioDef(
+    return ScenarioDef(
         name="rotation", dim=2, family=fam, coeffs=free_coefficients(2),
         bc=DIRICHLET, make_grid=make_grid, self_test=self_test,
         metadata={"omega": omega},
     )
-    scen.assemble_magnetic = assemble_magnetic
-    scen.assemble_transport = assemble_transport
-    return scen
 
 
 def _numeric_time_map(scale, window, samples: int = 4001):
@@ -257,7 +254,7 @@ def homothety_scenario(scale=None, dscale=None, ddscale=None, dim: int = 1,
         ddscale = lambda t: 0.0
     if dscale is None:
         raise ValueError("homothety scenario needs the scale derivative")
-    fam = homothety_family(scale, dscale, ddscale, dim=dim, window=window)
+    fam = homothety_family(scale, dscale, dim=dim, window=window)
 
     def rate(t):
         return dscale(t) / scale(t)
@@ -287,14 +284,11 @@ def homothety_scenario(scale=None, dscale=None, ddscale=None, dim: int = 1,
 
     make_grid = (ReferenceGrid.interval if dim == 1
                  else lambda n: ReferenceGrid.rectangle(n))
-    scen = ScenarioDef(
+    return ScenarioDef(
         name="homothety", dim=dim, family=fam, coeffs=free_coefficients(dim),
         bc=DIRICHLET, make_grid=make_grid, gauge=gauge, reduced=reduced,
         metadata={"tau_end": tau_of_t(window[1])},
     )
-    scen.tau_of_t = tau_of_t
-    scen.t_of_tau = t_of_tau
-    return scen
 
 
 def cylinder_scenario(length=None, dlength=None, window=(0.0, 1.0)) -> ScenarioDef:
@@ -308,19 +302,12 @@ def cylinder_scenario(length=None, dlength=None, window=(0.0, 1.0)) -> ScenarioD
         length = lambda t: 1.0 + 0.3 * t
         dlength = lambda t: 0.3
     fam = interval_family(length, dlength, window=window)
-
-    def flux_coefficients(grid: ReferenceGrid, t: float) -> dict:
-        return {int(i): neumann_flux_coefficient(fam, t, grid, int(i))
-                for i in grid.boundary_indices}
-
-    scen = ScenarioDef(
+    return ScenarioDef(
         name="cylinder", dim=1, family=fam, coeffs=free_coefficients(1),
         bc=MAGNETIC_NEUMANN, make_grid=ReferenceGrid.interval,
         initial_state=1,  # the constant (index 0) is preserved; track a mode
         metadata={"reduction": "axial"},
     )
-    scen.flux_coefficients = flux_coefficients
-    return scen
 
 
 # -- twin-evolution cross validation -------------------------------------------

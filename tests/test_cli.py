@@ -177,3 +177,29 @@ def test_run_naive_neumann_diagnostic(tmp_path):
     mrows = (out / "magnetic_trace.csv").read_text().splitlines()[1:]
     mnorms = [float(r.split(",")[1]) for r in mrows]
     assert max(abs(n - mnorms[0]) for n in mnorms) <= 1e-8
+
+
+def test_t_end_outside_window_exit_3(tmp_path, capsys):
+    code = main(["run", "--grid", "16", "--dt", "0.05", "--t-end", "2",
+                 "--output", str(tmp_path / "late")])
+    assert code == 3
+    assert "window" in capsys.readouterr().err
+    cfg = tmp_path / "span.json"
+    cfg.write_text(json.dumps({"t_start": -0.5, "ladder": [8e-3, 4e-3]}))
+    assert main(["converge", "--config", str(cfg),
+                 "--output", str(tmp_path / "early")]) == 3
+
+
+def test_runtime_error_writes_failed_manifest(tmp_path):
+    # l1 < 0 makes the interval length, and so det J, reach zero mid-run
+    out = tmp_path / "degenerate"
+    cfg = tmp_path / "neg.json"
+    cfg.write_text(json.dumps({"scenario": "moving_interval",
+                               "params": {"l1": -0.5}}))
+    code = main(["run", "--config", str(cfg), "--grid", "16", "--dt", "0.05",
+                 "--output", str(out)])
+    assert code == 1
+    manifest = _manifest(out)
+    assert manifest["passed"] is False
+    assert manifest["error"]["type"] == "DegenerateJacobianError"
+    assert "det J" in manifest["error"]["message"]

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -234,6 +236,9 @@ def test_normalize_1d_matches_affine_oracle():
 def test_normalize_2d_relative_residual():
     grid = ReferenceGrid.rectangle(32)
     tilde = normalize_diffeo(stretch_warp_family(), grid, [0.0, 1.0])
+    # the construction data are declared fields of the returned family
+    declared = {f.name for f in dataclasses.fields(tilde)}
+    assert {"moser_maps", "base_family", "volume_ratio"} <= declared
     det = np.linalg.det(tilde.jacobian_matrix(1.0, grid.nodes))
     target = tilde.volume_ratio(1.0)
     assert np.max(np.abs(det - target)) / target <= 1e-3

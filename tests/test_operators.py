@@ -9,13 +9,13 @@ from schrodeform.operators import (
     MAGNETIC_NEUMANN,
     NAIVE_NEUMANN,
     CoefficientSet,
+    EffectivePotentials,
     _conjugate_and_restrict,
     _form_pieces,
     assemble_form,
     assemble_hamiltonian,
     coercivity_bounds,
     eigenpairs,
-    effective_coefficients,
     energy_form,
     free_coefficients,
     isotropic_coefficients,
@@ -129,27 +129,27 @@ def test_effective_coefficients_static_reduction():
     coeffs = isotropic_coefficients(
         1, electric=lambda t, x: np.cos(x[..., 0]),
         magnetic=lambda t, x: 0.3 * x)
-    pot = effective_coefficients(coeffs, fam, 0.4)
     pts = np.linspace(0, 1, 7)[:, None]
-    assert np.array_equal(pot.pulled_magnetic(pts), 0.3 * pts)
-    assert np.array_equal(pot.pulled_electric(pts), np.cos(pts[:, 0]))
+    atil, vtil = EffectivePotentials(fam, coeffs, 0.4).pulled_pair(pts)
+    assert np.array_equal(atil, 0.3 * pts)
+    assert np.array_equal(vtil, np.cos(pts[:, 0]))
 
 
 def test_effective_coefficients_pure_motion(moving_interval):
     # D = I, A = 0, V = 0: A~ = A_h and V~ = -|A_h|^2
-    pot = effective_coefficients(free_coefficients(1), moving_interval, 0.5)
+    pot = EffectivePotentials(moving_interval, free_coefficients(1), 0.5)
     pts = np.array([[0.25], [0.75]])
     ah = pot.pulled_motion_potential(pts)
     assert np.allclose(ah, -0.25 * pts)  # -(1/2) l'(t) y with l' = 0.5
-    assert np.allclose(pot.pulled_magnetic(pts), ah)
-    assert np.allclose(pot.pulled_electric(pts), -np.sum(ah * ah, axis=-1))
+    atil, vtil = pot.pulled_pair(pts)
+    assert np.allclose(atil, ah)
+    assert np.allclose(vtil, -np.sum(ah * ah, axis=-1))
 
 
 def test_effective_coefficients_rotation_repulsive_potential():
     fam = rotation_family(1.2)
-    pot = effective_coefficients(free_coefficients(2), fam, 0.3)
     pts = np.array([[0.2, -0.4], [0.1, 0.5]])
-    vt = pot.pulled_electric(pts)
+    _, vt = EffectivePotentials(fam, free_coefficients(2), 0.3).pulled_pair(pts)
     r2 = np.sum(fam.map(0.3, pts) ** 2, axis=-1)
     assert np.allclose(vt, -1.2 ** 2 * r2 / 4, atol=1e-14)
 

@@ -20,6 +20,7 @@ from schrodeform.scenarios import (
     gauge_equivalence_check,
     homothety_scenario,
     moving_interval_scenario,
+    rotation_magnetic_coefficients,
     rotation_scenario,
     slowed_family,
     spectral_projector,
@@ -83,7 +84,7 @@ def test_translation_twin_fidelity_quick():
 def test_homothety_trivial_scale_is_free_equation():
     scen = homothety_scenario(scale=lambda t: 1.0, dscale=lambda t: 0.0,
                               ddscale=lambda t: 0.0)
-    assert scen.tau_of_t(0.7) == pytest.approx(0.7, abs=1e-9)
+    assert scen.reduced.time_map(0.7) == pytest.approx(0.7, abs=1e-9)
     pts = np.array([[0.4]])
     assert scen.reduced.coeffs.electric(0.5, pts)[0] == pytest.approx(0.0)
 
@@ -119,7 +120,9 @@ def test_rotation_zero_speed_plain_laplacian():
     rep = scen.self_test(cells=24)
     assert rep["matrix_identity"] <= 1e-15
     grid = scen.grid(24)
-    Hm = scen.assemble_magnetic(0.0, grid)
+    Hm = assemble_hamiltonian(identity_family(2),
+                              rotation_magnetic_coefficients(0.0), 0.0, grid,
+                              DIRICHLET)
     Hp = assemble_hamiltonian(identity_family(2), free_coefficients(2), 0.0,
                               grid, DIRICHLET)
     diff = Hm.matrix - Hp.matrix
@@ -145,7 +148,9 @@ def test_rotation_conjugated_assembly_consistent():
     # up to roundoff amplified by the stiffness scale
     scen = rotation_scenario(1.0)
     grid = scen.grid(32)
-    Hm = scen.assemble_magnetic(0.3, grid)
+    Hm = assemble_hamiltonian(identity_family(2),
+                              rotation_magnetic_coefficients(1.0), 0.3, grid,
+                              DIRICHLET)
     Hc = assemble_hamiltonian(scen.family, scen.coeffs, 0.3, grid, DIRICHLET)
     diff = Hm.matrix - Hc.matrix
     scale = np.max(np.abs(Hm.matrix.data))
@@ -158,8 +163,8 @@ def test_cylinder_flux_coefficients():
     scen = cylinder_scenario(length=lambda t: 1.0 + 0.3 * t,
                              dlength=lambda t: 0.3)
     grid = scen.grid(32)
-    flux = scen.flux_coefficients(grid, 0.5)
-    fixed, moving = flux[0], flux[grid.n_nodes - 1]
+    fixed = neumann_flux_coefficient(scen.family, 0.5, grid, 0)
+    moving = neumann_flux_coefficient(scen.family, 0.5, grid, grid.n_nodes - 1)
     assert fixed == pytest.approx(0.0, abs=1e-14)
     assert moving == pytest.approx(-0.15j, abs=1e-12)
 
@@ -167,8 +172,9 @@ def test_cylinder_flux_coefficients():
 def test_cylinder_static_is_homogeneous_neumann():
     scen = cylinder_scenario(length=lambda t: 1.2, dlength=lambda t: 0.0)
     grid = scen.grid(16)
-    flux = scen.flux_coefficients(grid, 0.4)
-    assert all(abs(c) <= 1e-14 for c in flux.values())
+    flux = [neumann_flux_coefficient(scen.family, 0.4, grid, int(i))
+            for i in grid.boundary_indices]
+    assert all(abs(c) <= 1e-14 for c in flux)
 
 
 def test_cylinder_lateral_wall_flux_vanishes_in_2d():
