@@ -99,7 +99,8 @@ class RunConfig:
         unknown = set(data) - set(merged)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        merged.update({k: v for k, v in data.items() if v is not None})
+        self.given = frozenset(k for k, v in data.items() if v is not None)
+        merged.update({k: data[k] for k in self.given})
         self.data = merged
         self._validate()
 
@@ -293,6 +294,9 @@ def run_scenario(config: RunConfig) -> int:
 
 
 def run_adiabatic(config: RunConfig) -> int:
+    if config.given & {"t_start", "t_end"}:
+        raise ConfigError("adiabatic takes no t_start/t_end: each sweep spans "
+                          "the scenario window scaled by 1/epsilon")
     outdir = Path(config["output"])
     manifest = Manifest(config, "adiabatic")
     scenario = _scenario_registry()[config["scenario"]](config["params"])

@@ -78,7 +78,6 @@ def pushforward_sharp(family: DiffeoFamily, t: float, g: GridFunction):
 
 def pulled_gradient(family: DiffeoFamily, t: float, g: GridFunction) -> GridFunction:
     """(h* grad_x h_*) g = (J^{-1})^t grad_y g, nodewise."""
-    family.check_time(t)
     if g.is_vector:
         raise ValueError("pulled_gradient expects a scalar field")
     grid = g.grid
@@ -91,7 +90,6 @@ def pulled_gradient(family: DiffeoFamily, t: float, g: GridFunction) -> GridFunc
 
 def pulled_divergence(family: DiffeoFamily, t: float, A: GridFunction) -> GridFunction:
     """(h* div_x h_*) A = div_y(|J| J^{-1} A) / |J|, nodewise flux form."""
-    family.check_time(t)
     if not A.is_vector:
         raise ValueError("pulled_divergence expects a vector field")
     grid = A.grid

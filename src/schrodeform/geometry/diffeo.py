@@ -18,6 +18,7 @@ from typing import Callable, Optional, Tuple
 import numpy as np
 
 from ..errors import DegenerateJacobianError, InverseUnavailableError
+from . import smallmat
 
 
 @dataclass(frozen=True)
@@ -94,8 +95,7 @@ class DiffeoFamily:
             res = np.asarray(self.map(t, y)) - x
             if np.max(np.abs(res)) <= tol:
                 break
-            J = self.jacobian_matrix(t, y)
-            y -= np.linalg.solve(J, res[..., None])[..., 0]
+            y -= smallmat.solve(self.jacobian_matrix(t, y), res)
         else:
             raise InverseUnavailableError(
                 f"Newton inversion did not converge at t={t}")
@@ -180,7 +180,7 @@ def identity_family(dim: int, window=(0.0, 1.0)) -> DiffeoFamily:
         map=lambda t, y: np.asarray(y, dtype=float).copy(),
         dmap_dt=lambda t, y: np.zeros_like(np.asarray(y, dtype=float)),
         jacobian=eye,
-        jacobian_dt=_zero_matrix_like,
+        jacobian_dt=lambda t, y: _zero_matrix_like(y),
         inverse=lambda t, x: np.asarray(x, dtype=float).copy(),
         window=window,
         name="identity",
@@ -189,41 +189,19 @@ def identity_family(dim: int, window=(0.0, 1.0)) -> DiffeoFamily:
 
 def jacobian_at(family: DiffeoFamily, t: float, y: np.ndarray) -> JacobianData:
     """Jacobian bundle at one point; raises on non-positive determinant."""
-    family.check_time(t)
-    y = np.asarray(y, dtype=float)
-    J = family.jacobian_matrix(t, y)
-    det = float(np.linalg.det(J))
-    if det <= 0.0:
-        raise DegenerateJacobianError(t, y, det)
-    inv = np.linalg.inv(J)
-    return JacobianData(matrix=J, det=det, inv=inv, inv_t=inv.T.copy())
+    J, det, inv = jacobian_field(family, t, np.asarray(y, dtype=float)[None])
+    return JacobianData(J[0], float(det[0]), inv[0], inv[0].T.copy())
 
 
 def jacobian_field(family: DiffeoFamily, t: float, pts: np.ndarray):
     """Vectorized (J, det, J^{-1}) over many points; det must stay positive."""
     family.check_time(t)
     J = family.jacobian_matrix(t, pts)
-    dim = J.shape[-1]
-    if dim == 1:
-        det = J[..., 0, 0].copy()
-    elif dim == 2:
-        det = J[..., 0, 0] * J[..., 1, 1] - J[..., 0, 1] * J[..., 1, 0]
-    else:
-        det = np.linalg.det(J)
+    det = smallmat.det(J)
     if np.min(det) <= 0.0:
         k = int(np.argmin(det))
         raise DegenerateJacobianError(t, np.atleast_2d(pts)[k], float(det.flat[k]))
-    if dim == 1:
-        inv = (1.0 / det)[..., None, None]
-    elif dim == 2:
-        inv = np.empty_like(J)
-        inv[..., 0, 0] = J[..., 1, 1] / det
-        inv[..., 1, 1] = J[..., 0, 0] / det
-        inv[..., 0, 1] = -J[..., 0, 1] / det
-        inv[..., 1, 0] = -J[..., 1, 0] / det
-    else:
-        inv = np.linalg.inv(J)
-    return J, det, inv
+    return J, det, smallmat.inv(J)
 
 
 def validate_family(family: DiffeoFamily, grid, times, inverse_tol: float = 1e-8) -> None:
@@ -245,14 +223,13 @@ def validate_family(family: DiffeoFamily, grid, times, inverse_tol: float = 1e-8
 
 def jacobian_log_derivative(family: DiffeoFamily, t: float, y: np.ndarray):
     """d/dt log|det J| = Tr(J^{-1} dJ/dt), vectorized over points."""
-    family.check_time(t)
-    y = np.asarray(y, dtype=float)
-    J = family.jacobian_matrix(t, y)
-    det = np.linalg.det(J)
-    if np.min(det) <= 0.0:
-        k = int(np.argmin(np.atleast_1d(det)))
-        raise DegenerateJacobianError(t, np.atleast_2d(y)[k], float(np.atleast_1d(det)[k]))
-    Jdot = family.jacobian_matrix_dt(t, y)
-    Minv = np.linalg.inv(J)
-    out = np.einsum("...ij,...ji->...", Minv, Jdot)
+    out = det_and_log_derivative(family, t, y)[1]
     return out if out.shape else float(out)
+
+
+def det_and_log_derivative(family: DiffeoFamily, t: float, y: np.ndarray):
+    """(det J, Tr(J^{-1} dJ/dt)) over points, from one Jacobian evaluation."""
+    y = np.asarray(y, dtype=float)
+    _, det, Jinv = jacobian_field(family, t, y)
+    return det, np.einsum("...ij,...ji->...", Jinv,
+                          family.jacobian_matrix_dt(t, y))

@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ContractionBoundExceededError, NoConvergenceError
+from ..geometry import smallmat
 from ..geometry.fields import GridFunction
 from ..geometry.grid import ReferenceGrid
 from .maps import MoserMap, build_moser_map, nodal_jacobian
@@ -21,11 +22,8 @@ from .right_inverse import build_divergence_right_inverse
 def q_residual(M: np.ndarray) -> np.ndarray:
     """det(I + M) - 1 - tr(M), elementwise over stacked square matrices."""
     M = np.asarray(M, dtype=float)
-    dim = M.shape[-1]
-    eye = np.eye(dim)
-    det = np.linalg.det(eye + M)
-    tr = np.trace(M, axis1=-2, axis2=-1)
-    out = det - 1.0 - tr
+    out = (smallmat.det(np.eye(M.shape[-1]) + M) - 1.0
+           - np.trace(M, axis1=-2, axis2=-1))
     return out if out.shape else float(out)
 
 

@@ -14,6 +14,7 @@ from typing import Callable, Optional, Tuple
 import numpy as np
 
 from ..errors import NonPositiveDensityError
+from ..geometry import smallmat
 from ..geometry.grid import ReferenceGrid
 from ..geometry.interp import real_interpolator, vector_interpolator
 from ..geometry.stencils import node_derivative
@@ -31,7 +32,7 @@ def nodal_jacobian(grid: ReferenceGrid, values: np.ndarray) -> np.ndarray:
 
 
 def nodal_determinant(grid: ReferenceGrid, values: np.ndarray) -> np.ndarray:
-    return np.linalg.det(nodal_jacobian(grid, values))
+    return smallmat.det(nodal_jacobian(grid, values))
 
 
 @dataclass
@@ -108,8 +109,7 @@ class MoserMap:
             res = self(y) - pts
             if np.max(np.abs(res)) <= newton_tol:
                 break
-            step = np.linalg.solve(jac(y), res[..., None])[..., 0]
-            y = _clip_to_box(y - step, self.grid)
+            y = _clip_to_box(y - smallmat.solve(jac(y), res), self.grid)
         return y
 
     def _jacobian_interp(self):

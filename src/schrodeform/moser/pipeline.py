@@ -5,7 +5,7 @@ density into ``f1`` (renormalized to unit average), (ii) transports the
 identity along the flow of ``f1`` starting from a static anchor at the first
 sample time, and (iii) corrects each sample with a fixed-point map for the
 remaining ratio ``f / f1`` composed through the flow inverse.  If the ratio
-exceeds the contraction bound the smoothing width is doubled and the
+exceeds the contraction bound the smoothing width is halved and the
 pipeline retries.
 
 The static anchor itself is a flow along the linear pseudo-time
@@ -27,7 +27,9 @@ import numpy as np
 from scipy.ndimage import gaussian_filter
 
 from ..errors import ContractionBoundExceededError, PipelineFailedError
-from ..geometry.diffeo import DiffeoFamily, box_fd_jacobian
+from ..geometry import smallmat
+from ..geometry.diffeo import (DiffeoFamily, box_fd_jacobian,
+                               det_and_log_derivative)
 from ..geometry.grid import ReferenceGrid
 from ..geometry.interp import real_interpolator, vector_interpolator
 from .fixed_point import moser_fixed_point
@@ -169,6 +171,36 @@ class NormalizedFamily(DiffeoFamily):
     volume_ratio: Callable
 
 
+def _volume_density(family: DiffeoFamily, grid: ReferenceGrid):
+    """The density f = meas0 det J(t, .) / vol(t) of a family, and vol.
+
+    With L = d/dt log det J, the rate of f is f (L - dvol/vol).  vol and
+    dvol are node quadratures of det J and det J L, computed once per t.
+    """
+    meas0 = grid.measure
+    cache: dict = {}
+
+    def nodal(t):
+        key = round(float(t), 12)
+        if key not in cache:
+            det, log_rate = det_and_log_derivative(family, t, grid.nodes)
+            cache[key] = (float(np.sum(grid.weights * det)),
+                          float(np.sum(grid.weights * det * log_rate)))
+        return cache[key]
+
+    def f_eval(t, pts):
+        det = smallmat.det(family.jacobian_matrix(t, pts))
+        return meas0 / nodal(t)[0] * det
+
+    def f_rate(t, pts):
+        det, log_rate = det_and_log_derivative(family, t, pts)
+        vol, dvol = nodal(t)
+        return meas0 / vol * det * (log_rate - dvol / vol)
+
+    return (DensityFamily(f_eval, f_rate, window=family.window),
+            lambda t: nodal(t)[0])
+
+
 def normalize_diffeo(family: DiffeoFamily, grid: ReferenceGrid, time_samples,
                      **kwargs) -> NormalizedFamily:
     """Reparametrize a family so its Jacobian determinant is constant in space.
@@ -179,35 +211,7 @@ def normalize_diffeo(family: DiffeoFamily, grid: ReferenceGrid, time_samples,
     correction map piecewise-linearly in time between them.
     """
     time_samples = [float(t) for t in time_samples]
-    meas0 = grid.measure
-    vol_cache: dict = {}
-
-    def volume(t):
-        key = round(float(t), 12)
-        if key not in vol_cache:
-            det = np.linalg.det(family.jacobian_matrix(t, grid.nodes))
-            vol_cache[key] = float(np.sum(grid.weights * det))
-        return vol_cache[key]
-
-    def f_eval(t, pts):
-        det = np.linalg.det(family.jacobian_matrix(t, pts))
-        return meas0 / volume(t) * det
-
-    def f_rate(t, pts):
-        J = family.jacobian_matrix(t, pts)
-        Jdot = family.jacobian_matrix_dt(t, pts)
-        det = np.linalg.det(J)
-        trace = np.einsum("...ij,...ji->...", np.linalg.inv(J), Jdot)
-        ddet = det * trace
-        Jn = family.jacobian_matrix(t, grid.nodes)
-        Jdotn = family.jacobian_matrix_dt(t, grid.nodes)
-        detn = np.linalg.det(Jn)
-        dvol = float(np.sum(grid.weights * detn * np.einsum(
-            "...ij,...ji->...", np.linalg.inv(Jn), Jdotn)))
-        vol = volume(t)
-        return meas0 * (ddet * vol - det * dvol) / vol ** 2
-
-    density = DensityFamily(f_eval, f_rate, window=family.window)
+    density, volume = _volume_density(family, grid)
     maps = moser_combined(density, grid, time_samples, **kwargs)
 
     inv_interp = [vector_interpolator(grid, m.inverse_values) for m in maps]
@@ -249,5 +253,5 @@ def normalize_diffeo(family: DiffeoFamily, grid: ReferenceGrid, time_samples,
         name=f"{family.name}/volume-normalized",
         moser_maps=maps,
         base_family=family,
-        volume_ratio=lambda t: volume(t) / meas0,
+        volume_ratio=lambda t: volume(t) / grid.measure,
     )

@@ -44,7 +44,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import EllipticityViolatedError, NonRealEnergyError
-from .geometry.diffeo import DiffeoFamily, jacobian_field
+from .geometry import smallmat
+from .geometry.diffeo import DiffeoFamily, identity_family, jacobian_field
 from .geometry.fields import GridFunction
 from .geometry.grid import ReferenceGrid
 from .geometry.stencils import (
@@ -90,45 +91,12 @@ class CoefficientSet:
                 f"{np.sqrt(self.alpha):.6g}")
 
 
-def _matmul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """A @ B over stacks of small matrices, written out entry by entry.
-
-    numpy's stacked matmul and solve take about a millisecond for 4k 2x2
-    products, twenty times the cost of these elementwise sums.
-    """
-    rows, inner, cols = A.shape[-2], A.shape[-1], B.shape[-1]
-    if rows == inner == cols == 1:
-        return A * B
-    out = np.empty(np.broadcast_shapes(A.shape[:-2], B.shape[:-2]) + (rows, cols))
-    for i in range(rows):
-        for k in range(cols):
-            acc = A[..., i, 0] * B[..., 0, k]
-            for j in range(1, inner):
-                acc = acc + A[..., i, j] * B[..., j, k]
-            out[..., i, k] = acc
-    return out
-
-
-def _solve(M: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """x with M x = b over stacks; closed forms in one and two dimensions."""
-    dim = M.shape[-1]
-    if dim == 1:
-        return b / M[..., 0, 0][..., None]
-    if dim == 2:
-        det = M[..., 0, 0] * M[..., 1, 1] - M[..., 0, 1] * M[..., 1, 0]
-        return np.stack([M[..., 1, 1] * b[..., 0] - M[..., 0, 1] * b[..., 1],
-                         M[..., 0, 0] * b[..., 1] - M[..., 1, 0] * b[..., 0]],
-                        axis=-1) / det[..., None]
-    return np.linalg.solve(M, b[..., None])[..., 0]
-
-
 def _smallest_singular_value(D: np.ndarray) -> float:
     n = D.shape[-1]
     if n == 1:
         return float(np.min(np.abs(D[..., 0, 0])))
-    S = _matmul(np.swapaxes(D, -1, -2), D)
-    tr = S[..., 0, 0] + S[..., 1, 1]
-    det = S[..., 0, 0] * S[..., 1, 1] - S[..., 0, 1] * S[..., 1, 0]
+    S = smallmat.matmul(np.swapaxes(D, -1, -2), D)
+    tr, det = S[..., 0, 0] + S[..., 1, 1], smallmat.det(S)
     lam_min = 0.5 * (tr - np.sqrt(np.maximum(tr * tr - 4 * det, 0.0)))
     return float(np.sqrt(np.maximum(lam_min.min(), 0.0)))
 
@@ -138,20 +106,14 @@ def isotropic_coefficients(dim: int, electric: Optional[Callable] = None,
                            alpha: float = 1.0) -> CoefficientSet:
     """Identity diffusion with optional scalar potential / magnetic field."""
 
-    def diffusion(t, x):
-        x = np.asarray(x, dtype=float)
-        out = np.zeros(x.shape[:-1] + (dim, dim))
-        for i in range(dim):
-            out[..., i, i] = 1.0
-        return out
-
     def zero_vec(t, x):
         return np.zeros(np.asarray(x, dtype=float).shape)
 
     def zero_scal(t, x):
         return np.zeros(np.asarray(x, dtype=float).shape[:-1])
 
-    return CoefficientSet(diffusion, magnetic or zero_vec,
+    # D = I, which is also the Jacobian of the identity map at every point
+    return CoefficientSet(identity_family(dim).jacobian, magnetic or zero_vec,
                           electric or zero_scal, alpha=alpha)
 
 
@@ -191,7 +153,8 @@ class EffectivePotentials:
             D = np.asarray(self.coeffs.diffusion(self.t, x), dtype=float)
         A = np.asarray(self.coeffs.magnetic(self.t, x), dtype=float)
         V = np.asarray(self.coeffs.electric(self.t, x), dtype=float)
-        dit_ah = _solve(np.swapaxes(D, -1, -2), self.pulled_motion_potential(y))
+        dit_ah = smallmat.solve(np.swapaxes(D, -1, -2),
+                                self.pulled_motion_potential(y))
         atil = A + dit_ah
         vtil = V - (dit_ah * (dit_ah + 2 * A)).sum(axis=-1)
         return atil, vtil
@@ -291,8 +254,8 @@ def _form_pieces(grid: ReferenceGrid, family: DiffeoFamily,
     _, det, Jinv = jacobian_field(family, t, pts)
     x = np.asarray(family.map(t, pts), dtype=float)
     D = np.asarray(coeffs.diffusion(t, x), dtype=float)
-    C = _matmul(D, np.swapaxes(Jinv, -1, -2))
-    theta = _matmul(np.swapaxes(C, -1, -2), C)
+    C = smallmat.matmul(D, np.swapaxes(Jinv, -1, -2))
+    theta = smallmat.matmul(np.swapaxes(C, -1, -2), C)
     atil, vtil = EffectivePotentials(family, coeffs, t).pulled_pair(pts, x, D)
 
     diag_metric, cross_vector = [], []

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..geometry.diffeo import DiffeoFamily
+from ..geometry.diffeo import DiffeoFamily, identity_family
 
 
 def _asfloat(y):
@@ -26,18 +26,12 @@ def translation_family(path, velocity, dim: int = 1,
     def vel(t):
         return np.atleast_1d(np.asarray(velocity(t), dtype=float))
 
-    def eye(t, y):
-        y = _asfloat(y)
-        out = np.zeros(y.shape[:-1] + (dim, dim))
-        for i in range(dim):
-            out[..., i, i] = 1.0
-        return out
-
+    rigid = identity_family(dim)
     return DiffeoFamily(
         map=lambda t, y: _asfloat(y) + shift(t),
         dmap_dt=lambda t, y: np.broadcast_to(vel(t), _asfloat(y).shape).copy(),
-        jacobian=eye,
-        jacobian_dt=lambda t, y: np.zeros(_asfloat(y).shape[:-1] + (dim, dim)),
+        jacobian=rigid.jacobian,
+        jacobian_dt=rigid.jacobian_dt,
         inverse=lambda t, x: _asfloat(x) - shift(t),
         window=window,
         name="translation",

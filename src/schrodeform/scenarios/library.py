@@ -123,6 +123,7 @@ def translation_scenario(path=None, velocity=None, accel=None,
     2 grad phi = h_* dh/dt forces the derivative of the path here);
     reduced equation: -Lap + (1/2) <D''(t) | y>.
     """
+    path_name = "t^2/2" if path is None else "custom"
     if path is None:
         path = lambda t: np.array([t ** 2 / 2] + [0.0] * (dim - 1))
         velocity = lambda t: np.array([t] + [0.0] * (dim - 1))
@@ -156,7 +157,7 @@ def translation_scenario(path=None, velocity=None, accel=None,
         name="translation", dim=dim, family=fam,
         coeffs=free_coefficients(dim), bc=DIRICHLET, make_grid=make_grid,
         gauge=gauge, reduced=reduced,
-        metadata={"path": "t^2/2" if accel is not None else "custom"},
+        metadata={"path": path_name},
     )
 
 

@@ -131,6 +131,17 @@ def test_adiabatic_single_epsilon(tmp_path):
     assert float(rows[1].split(",")[1]) >= 0.99
 
 
+def test_adiabatic_rejects_time_span(tmp_path, capsys):
+    code = main(["adiabatic", "--grid", "20", "--dt", "0.01", "--epsilon",
+                 "0.5", "--t-end", "5", "--output", str(tmp_path / "a")])
+    assert code == 3
+    assert "t_end" in capsys.readouterr().err
+    cfg = tmp_path / "span.json"
+    cfg.write_text(json.dumps({"t_start": 0.0}))
+    assert main(["adiabatic", "--config", str(cfg), "--grid", "20",
+                 "--epsilon", "0.5", "--output", str(tmp_path / "b")]) == 3
+
+
 def test_converge_temporal(tmp_path):
     out = tmp_path / "conv"
     cfg = tmp_path / "conv.json"

@@ -23,6 +23,9 @@ def test_jacobian_identity():
     data = jacobian_at(identity_family(2), 0.3, np.array([0.4, 0.7]))
     assert np.allclose(data.matrix, np.eye(2))
     assert data.det == pytest.approx(1.0)
+    pts = np.array([[0.4, 0.7], [0.1, 0.2]])
+    assert np.array_equal(identity_family(2).jacobian_matrix_dt(0.3, pts),
+                          np.zeros((2, 2, 2)))
 
 
 def test_jacobian_translation_is_identity():

@@ -21,6 +21,7 @@ from schrodeform.moser import (
     normalize_diffeo,
     q_residual,
 )
+from schrodeform.moser.pipeline import _volume_density
 from schrodeform.scenarios.families import diagonal_family, stretch_warp_family
 
 
@@ -200,6 +201,16 @@ def test_combined_reports_pipeline_failure():
 
 
 # -- volume normalization -----------------------------------------------------
+
+def test_volume_density_rate_matches_fd_oracle():
+    # rate built from d/dt log det J and the cached volume rate, against a
+    # centered difference of the density itself in time with step 1e-4
+    grid = ReferenceGrid.rectangle(12)
+    density, _ = _volume_density(stretch_warp_family(), grid)
+    t, dt = 0.5, 1e-4
+    oracle = (density(t + dt, grid.nodes) - density(t - dt, grid.nodes)) / (2 * dt)
+    assert np.max(np.abs(density.rate(t, grid.nodes) - oracle)) <= 1e-6
+
 
 def test_normalize_constant_determinant_family_is_untouched():
     grid = ReferenceGrid.rectangle(16)

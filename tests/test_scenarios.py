@@ -113,6 +113,14 @@ def test_static_gauge_check_is_exact():
     assert report["fidelity"] >= 1 - 1e-12
 
 
+def test_translation_metadata_names_the_path():
+    assert translation_scenario().metadata["path"] == "t^2/2"
+    scen = translation_scenario(path=lambda t: [0.1 * t],
+                                velocity=lambda t: [0.1],
+                                accel=lambda t: [0.0])
+    assert scen.metadata["path"] == "custom"
+
+
 # -- rotation -----------------------------------------------------------------
 
 def test_rotation_zero_speed_plain_laplacian():
