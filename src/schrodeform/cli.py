@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -129,12 +130,15 @@ class RunConfig:
         d = self.data
         if int(d["grid"]) < 4:
             raise ConfigError("grid resolution must be at least 4 cells")
-        if float(d["dt"]) <= 0:
+        for key in ("dt", "t_start", "t_end", "amplitude"):
+            if not math.isfinite(float(d[key])):
+                raise ConfigError(f"{key} must be finite, got {d[key]!r}")
+        if not float(d["dt"]) > 0:
             raise ConfigError("dt must be positive")
         if d["bc"] is not None and d["bc"] not in _BCS:
             raise ConfigError(f"bc must be one of {_BCS}")
-        if any(float(e) <= 0 for e in d["epsilon"]):
-            raise ConfigError("epsilons must be positive")
+        if not all(0 < float(e) < math.inf for e in d["epsilon"]):
+            raise ConfigError("epsilons must be positive and finite")
         if d["scenario"] not in _scenario_registry():
             raise ConfigError(
                 f"unknown scenario {d['scenario']!r}; available: "

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .grid import ReferenceGrid
-from .interp import complex_interpolator
+from .interp import nodal_spline
 
 
 class GridFunction:
@@ -58,7 +58,7 @@ class GridFunction:
         """Spline interpolant of the samples over the closed domain."""
         if self.is_vector:
             raise ValueError("interpolator() expects a scalar field")
-        return complex_interpolator(self.grid, self.values)
+        return nodal_spline(self.grid, self.values)
 
     def __repr__(self):
         kind = "vector" if self.is_vector else "scalar"

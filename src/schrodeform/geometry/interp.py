@@ -1,67 +1,44 @@
 """Interpolation of nodal samples over the closed reference domain.
 
-Uses genuinely interpolatory splines (CubicSpline / RectBivariateSpline),
-which reproduce the nodal values to machine precision; SciPy's
-RegularGridInterpolator "cubic" does not, and several round-trip
-invariants in this package rely on node exactness.
+One builder serves every nodal field, scalar or not, real or complex: a
+tensor-product not-a-knot B-spline of degree min(3, n_a - 1) on each axis,
+evaluated by a single ``NdBSpline`` call for all channels at once (de Boor,
+*A Practical Guide to Splines*, 2001, on tensor-product splines).  It is
+genuinely interpolatory, so the nodal values are reproduced to machine
+precision; SciPy's RegularGridInterpolator "cubic" does not, and several
+round-trip invariants in this package rely on node exactness.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.interpolate import CubicSpline, RectBivariateSpline
+from scipy.interpolate import NdBSpline, make_interp_spline
 
 from .grid import ReferenceGrid
 
 
-def real_interpolator(grid: ReferenceGrid, values: np.ndarray):
-    """Spline interpolant of flat real nodal values; returns pts -> values."""
-    values = np.asarray(values, dtype=float)
-    shaped = grid.reshape(values)
-    if grid.dim == 1:
-        if grid.shape[0] >= 4:
-            spline = CubicSpline(grid.axes[0], shaped)
-        else:
-            axis, data = grid.axes[0], shaped
+def _axis_factors(grid: ReferenceGrid):
+    """Per-axis knots, degrees and inverse collocation matrices.
 
-            def spline(q):
-                return np.interp(q, axis, data)
-
-        def evaluate(pts):
-            pts = np.atleast_2d(np.asarray(pts, dtype=float))
-            return np.asarray(spline(pts[:, 0]))
-
-        return evaluate
-
-    kx = min(3, grid.shape[0] - 1)
-    ky = min(3, grid.shape[1] - 1)
-    spline2 = RectBivariateSpline(grid.axes[0], grid.axes[1], shaped,
-                                  kx=kx, ky=ky, s=0)
-
-    def evaluate2(pts):
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        return spline2.ev(pts[:, 0], pts[:, 1])
-
-    return evaluate2
+    Interpolating the identity gives the coefficients of each unit nodal
+    vector, so the coefficients of any nodal data are one product per axis.
+    """
+    units = [make_interp_spline(axis, np.eye(axis.size), k=min(3, axis.size - 1))
+             for axis in grid.axes]
+    return (tuple(u.t for u in units), tuple(u.k for u in units),
+            [u.c for u in units])
 
 
-def complex_interpolator(grid: ReferenceGrid, values: np.ndarray):
-    values = np.asarray(values, dtype=complex)
-    re = real_interpolator(grid, values.real)
-    im = real_interpolator(grid, values.imag)
+def nodal_spline(grid: ReferenceGrid, values: np.ndarray):
+    """Node-exact spline of (n_nodes, *channels) samples; pts -> (n_pts, *channels)."""
+    knots, degrees, inverses = grid.cached("nodal_spline",
+                                           lambda: _axis_factors(grid))
+    coef = grid.reshape(np.asarray(values))
+    for a, inverse in enumerate(inverses):
+        coef = np.moveaxis(np.tensordot(inverse, coef, axes=(1, a)), 0, a)
+    spline = NdBSpline(knots, coef, degrees)
 
     def evaluate(pts):
-        return re(pts) + 1j * im(pts)
-
-    return evaluate
-
-
-def vector_interpolator(grid: ReferenceGrid, values: np.ndarray):
-    """Componentwise interpolant of (n_nodes, dim) real samples."""
-    values = np.asarray(values, dtype=float)
-    comps = [real_interpolator(grid, values[:, a]) for a in range(values.shape[1])]
-
-    def evaluate(pts):
-        return np.stack([c(pts) for c in comps], axis=-1)
+        return spline(np.atleast_2d(np.asarray(pts, dtype=float)))
 
     return evaluate

@@ -17,7 +17,7 @@ import numpy as np
 
 from ..errors import FlowLeftDomainError
 from ..geometry.grid import ReferenceGrid
-from ..geometry.interp import vector_interpolator
+from ..geometry.interp import nodal_spline
 from .maps import (
     DensityFamily,
     MoserMap,
@@ -47,7 +47,7 @@ class _FlowField:
             self._pull_nodes = grid.nodes
         else:
             # interpolated anchor inverse is accurate enough inside RK4 stages
-            self._pull = vector_interpolator(grid, anchor.inverse_values)
+            self._pull = nodal_spline(grid, anchor.inverse_values)
             self._pull_nodes = self._pull(grid.nodes)
         self._f0_nodes = density(t0, self._pull_nodes)
         self._fields: dict = {}

@@ -16,7 +16,7 @@ import numpy as np
 from ..errors import NonPositiveDensityError
 from ..geometry import smallmat
 from ..geometry.grid import ReferenceGrid
-from ..geometry.interp import real_interpolator, vector_interpolator
+from ..geometry.interp import nodal_spline
 from ..geometry.stencils import node_derivative
 
 
@@ -58,11 +58,11 @@ class DensityFamily:
     def validate(self, grid: ReferenceGrid, times, tol: float = 1e-8) -> None:
         for t in times:
             vals = self(t, grid.nodes)
-            if np.min(vals) <= 0.0:
+            if not np.min(vals) > 0.0:
                 raise NonPositiveDensityError(
                     f"density reaches {np.min(vals):.3e} at t={t}")
             total = float(np.sum(grid.weights * vals))
-            if abs(total - grid.measure) > tol * grid.measure:
+            if not abs(total - grid.measure) <= tol * grid.measure:
                 raise NonPositiveDensityError(
                     f"density integral {total:.12f} != meas(Omega0) at t={t}")
 
@@ -93,41 +93,27 @@ class MoserMap:
 
     def __call__(self, pts: np.ndarray) -> np.ndarray:
         if self._interp is None:
-            self._interp = vector_interpolator(self.grid, self.values)
-        return self._interp(np.atleast_2d(pts))
+            self._interp = nodal_spline(self.grid, self.values)
+        return self._interp(pts)
 
     def inverse(self, pts: np.ndarray, newton_tol: float = 1e-10,
                 maxiter: int = 50) -> np.ndarray:
         """Interpolated inverse, polished by Newton on the interpolated map."""
         if self._interp_inv is None:
-            self._interp_inv = vector_interpolator(self.grid, self.inverse_values)
+            self._interp_inv = nodal_spline(self.grid, self.inverse_values)
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         y = self._interp_inv(pts)
         y = _clip_to_box(y, self.grid)
-        jac = self._jacobian_interp()
+        if self._interp_jac is None:
+            self._interp_jac = nodal_spline(
+                self.grid, nodal_jacobian(self.grid, self.values))
+        jac = self._interp_jac
         for _ in range(maxiter):
             res = self(y) - pts
             if np.max(np.abs(res)) <= newton_tol:
                 break
             y = _clip_to_box(y - smallmat.solve(jac(y), res), self.grid)
         return y
-
-    def _jacobian_interp(self):
-        if self._interp_jac is None:
-            J = nodal_jacobian(self.grid, self.values)
-            comps = [[real_interpolator(self.grid, J[:, i, j])
-                      for j in range(self.grid.dim)] for i in range(self.grid.dim)]
-
-            def evaluate(pts):
-                pts = np.atleast_2d(pts)
-                out = np.empty(pts.shape[:-1] + (self.grid.dim, self.grid.dim))
-                for i in range(self.grid.dim):
-                    for j in range(self.grid.dim):
-                        out[..., i, j] = comps[i][j](pts)
-                return out
-
-            self._interp_jac = evaluate
-        return self._interp_jac
 
     def check(self) -> None:
         """Assert the structural invariants (identity trace, positive det)."""

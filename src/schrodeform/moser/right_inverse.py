@@ -35,7 +35,7 @@ import scipy.sparse.linalg as spla
 from ..errors import SingularSystemError
 from ..geometry.fields import GridFunction
 from ..geometry.grid import ReferenceGrid
-from ..geometry.interp import vector_interpolator
+from ..geometry.interp import nodal_spline
 from ..geometry.stencils import (
     _along_axis,
     _face_difference_1d,
@@ -97,7 +97,7 @@ class ZeroTraceField:
 
     def __call__(self, pts: np.ndarray) -> np.ndarray:
         if self._interp is None:
-            self._interp = vector_interpolator(self.grid, self.node_values.real)
+            self._interp = nodal_spline(self.grid, self.node_values.real)
         return self._interp(pts)
 
 

@@ -210,7 +210,7 @@ class DiscreteHamiltonian:
         return GridFunction(self.grid, values)
 
     def hermiticity_residual(self) -> float:
-        diff = self.matrix - self.matrix.getH()
+        diff = self.matrix - self.matrix.conj().T
         scale = max(float(np.max(np.abs(self.matrix.data))), 1e-300)
         if diff.nnz == 0:
             return 0.0
@@ -546,7 +546,7 @@ def eigenpairs(H: DiscreteHamiltonian, k: int = 5):
     # generic start vector (ARPACK's default random start would make results
     # run-to-run dependent and can miss symmetry sectors)
     diag = H.matrix.diagonal().real
-    row_abs = np.abs(H.matrix).sum(axis=1).A1 - np.abs(diag)
+    row_abs = np.asarray(np.abs(H.matrix).sum(axis=1)).ravel() - np.abs(diag)
     sigma = float(np.min(diag - row_abs)) - 1.0
     v0 = np.random.default_rng(1234).standard_normal(n)
     vals, vecs = spla.eigsh(H.matrix, k=k, sigma=sigma, which="LM", v0=v0)

@@ -44,9 +44,9 @@ class PropagatorConfig:
     observables: List[GridFunction] = field(default_factory=list)
 
     def __post_init__(self):
-        if self.dt <= 0:
+        if not self.dt > 0:
             raise ValueError("dt must be positive")
-        if self.t_end < self.t_start:
+        if not self.t_end >= self.t_start:
             raise ValueError("t_end must not precede t_start")
 
     @property

@@ -120,6 +120,18 @@ def test_moser_malformed_density_exit_3(tmp_path):
     assert code == 3
 
 
+def test_run_nan_dt_exit_3(tmp_path):
+    code = main(["run", "--grid", "20", "--dt", "nan",
+                 "--output", str(tmp_path / "nan")])
+    assert code == 3
+
+
+def test_moser_nan_amplitude_exit_3(tmp_path):
+    code = main(["moser", "--grid", "16", "--amplitude", "nan",
+                 "--output", str(tmp_path / "nan")])
+    assert code == 3
+
+
 def test_adiabatic_single_epsilon(tmp_path):
     out = tmp_path / "adia"
     code = main(["adiabatic", "--scenario", "moving_interval", "--grid", "50",
