@@ -137,6 +137,11 @@ class RunConfig:
             raise ConfigError("dt must be positive")
         if d["bc"] is not None and d["bc"] not in _BCS:
             raise ConfigError(f"bc must be one of {_BCS}")
+        if not isinstance(d["params"], dict):
+            raise ConfigError("params must be a JSON object")
+        for key, val in d["params"].items():
+            if _is_non_finite_number(val):
+                raise ConfigError(f"params.{key} must be finite, got {val!r}")
         if not all(0 < float(e) < math.inf for e in d["epsilon"]):
             raise ConfigError("epsilons must be positive and finite")
         if d["scenario"] not in _scenario_registry():
@@ -150,6 +155,14 @@ class RunConfig:
 
     def __getitem__(self, key):
         return self.data[key]
+
+
+def _is_non_finite_number(value) -> bool:
+    """True for NaN or infinite numbers, also when written as strings."""
+    try:
+        return not math.isfinite(float(value))
+    except (TypeError, ValueError):
+        return False
 
 
 # -- output helpers -----------------------------------------------------------

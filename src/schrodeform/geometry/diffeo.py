@@ -2,9 +2,11 @@
 
 A family is a map ``h(t, y)`` from the closed reference domain onto the
 closed moving domain, together with its time derivative and spatial
-Jacobian.  Evaluators are vectorized over points: ``y`` has shape
-``(..., dim)`` and the map returns the same shape; the Jacobian returns
-``(..., dim, dim)`` with ``J[..., i, j] = d h_i / d y_j``.
+Jacobian.  Evaluators are vectorized over points and times: ``y`` has shape
+``(..., dim)`` and ``t`` is a float or an array that broadcasts to
+``y.shape[:-1]`` (one time per point, so one call can evaluate several time
+slices stacked along a leading axis).  The map returns the shape of ``y``;
+the Jacobian returns ``(..., dim, dim)`` with ``J[..., i, j] = d h_i / d y_j``.
 
 Analytic derivative evaluators are preferred; anything missing falls back
 to central finite differences with a configurable step.
@@ -45,22 +47,33 @@ class DiffeoFamily:
     fd_step_t: float = 1e-6
     name: str = "family"
 
-    def check_time(self, t: float) -> None:
+    def check_time(self, t) -> None:
+        """Raise ValueError naming the first time (scalar) outside the window."""
         lo, hi = self.window
         tol = 1e-12 * max(1.0, abs(hi - lo))
-        if not (lo - tol <= t <= hi + tol):
-            raise ValueError(f"t={t} outside validity window {self.window}")
+        t = np.asarray(t, dtype=float)
+        # written so that a NaN time fails the guard
+        inside = (lo - tol <= t) & (t <= hi + tol)
+        if not inside.all():
+            bad = float(t[~inside].flat[0])
+            raise ValueError(f"t={bad} outside validity window {self.window}")
 
-    def velocity(self, t: float, y: np.ndarray) -> np.ndarray:
+    def _fd_times(self, t):
+        """Central-difference probe times, clipped to the window."""
+        dt = self.fd_step_t
+        lo, hi = self.window
+        tp, tm = np.minimum(t + dt, hi), np.maximum(t - dt, lo)
+        return tp, tm, np.asarray(tp - tm)
+
+    def velocity(self, t, y: np.ndarray) -> np.ndarray:
         """Time derivative of the map at fixed reference points."""
         if self.dmap_dt is not None:
             return np.asarray(self.dmap_dt(t, y), dtype=float)
-        dt = self.fd_step_t
-        lo, hi = self.window
-        tp, tm = min(t + dt, hi), max(t - dt, lo)
-        return (np.asarray(self.map(tp, y)) - np.asarray(self.map(tm, y))) / (tp - tm)
+        tp, tm, span = self._fd_times(t)
+        return ((np.asarray(self.map(tp, y)) - np.asarray(self.map(tm, y)))
+                / span[..., None])
 
-    def jacobian_matrix(self, t: float, y: np.ndarray) -> np.ndarray:
+    def jacobian_matrix(self, t, y: np.ndarray) -> np.ndarray:
         """Spatial Jacobian, shape (..., dim, dim)."""
         if self.jacobian is not None:
             return np.asarray(self.jacobian(t, y), dtype=float)
@@ -74,14 +87,13 @@ class DiffeoFamily:
                          - np.asarray(self.map(t, y - e))) / (2 * self.fd_step))
         return np.stack(cols, axis=-1)
 
-    def jacobian_matrix_dt(self, t: float, y: np.ndarray) -> np.ndarray:
+    def jacobian_matrix_dt(self, t, y: np.ndarray) -> np.ndarray:
         """Time derivative of the Jacobian, analytic or central FD."""
         if self.jacobian_dt is not None:
             return np.asarray(self.jacobian_dt(t, y), dtype=float)
-        dt = self.fd_step_t
-        lo, hi = self.window
-        tp, tm = min(t + dt, hi), max(t - dt, lo)
-        return (self.jacobian_matrix(tp, y) - self.jacobian_matrix(tm, y)) / (tp - tm)
+        tp, tm, span = self._fd_times(t)
+        return ((self.jacobian_matrix(tp, y) - self.jacobian_matrix(tm, y))
+                / span[..., None, None])
 
     def inverse_map(self, t: float, x: np.ndarray,
                     seed: Optional[np.ndarray] = None,
@@ -129,14 +141,22 @@ def box_fd_jacobian(map_func, bounds, step: float):
 
     Centered second-order differences in the interior, switching to one-sided
     second-order stencils where a probe would leave the box (maps backed by
-    interpolants are not evaluable outside the closure).
+    interpolants are not evaluable outside the closure).  An array ``t`` is
+    masked together with the points, so each probe keeps its own time.
     """
     lo = np.array([b[0] for b in bounds])
     hi = np.array([b[1] for b in bounds])
     dim = len(bounds)
 
     def jac(t, y):
-        y = np.atleast_2d(np.asarray(y, dtype=float))
+        y = np.asarray(y, dtype=float)
+        shape = y.shape[:-1]
+        y = y.reshape(-1, dim)
+        t = np.broadcast_to(t, shape).reshape(-1) if np.ndim(t) else t
+
+        def at(mask, pts):
+            return np.asarray(map_func(t if np.ndim(t) == 0 else t[mask], pts))
+
         f0 = np.asarray(map_func(t, y), dtype=float)
         cols = []
         for j in range(dim):
@@ -148,22 +168,19 @@ def box_fd_jacobian(map_func, bounds, step: float):
             mask_c = can_m & can_p
             if np.any(mask_c):
                 pts = y[mask_c]
-                col[mask_c] = (np.asarray(map_func(t, pts + e))
-                               - np.asarray(map_func(t, pts - e))) / (2 * step)
+                col[mask_c] = (at(mask_c, pts + e) - at(mask_c, pts - e)) / (2 * step)
             mask_f = ~can_m
             if np.any(mask_f):
                 pts = y[mask_f]
-                col[mask_f] = (-3.0 * f0[mask_f]
-                               + 4.0 * np.asarray(map_func(t, pts + e))
-                               - np.asarray(map_func(t, pts + 2 * e))) / (2 * step)
+                col[mask_f] = (-3.0 * f0[mask_f] + 4.0 * at(mask_f, pts + e)
+                               - at(mask_f, pts + 2 * e)) / (2 * step)
             mask_b = can_m & ~can_p
             if np.any(mask_b):
                 pts = y[mask_b]
-                col[mask_b] = (3.0 * f0[mask_b]
-                               - 4.0 * np.asarray(map_func(t, pts - e))
-                               + np.asarray(map_func(t, pts - 2 * e))) / (2 * step)
+                col[mask_b] = (3.0 * f0[mask_b] - 4.0 * at(mask_b, pts - e)
+                               + at(mask_b, pts - 2 * e)) / (2 * step)
             cols.append(col)
-        return np.stack(cols, axis=-1)
+        return np.stack(cols, axis=-1).reshape(shape + (dim, dim))
 
     return jac
 
@@ -193,14 +210,25 @@ def jacobian_at(family: DiffeoFamily, t: float, y: np.ndarray) -> JacobianData:
     return JacobianData(J[0], float(det[0]), inv[0], inv[0].T.copy())
 
 
-def jacobian_field(family: DiffeoFamily, t: float, pts: np.ndarray):
-    """Vectorized (J, det, J^{-1}) over many points; det must stay positive."""
+def jacobian_field(family: DiffeoFamily, t, pts: np.ndarray):
+    """Vectorized (J, det, J^{-1}) over many points; det must stay positive.
+
+    ``t`` is a float or an array of times that broadcasts to the points; the
+    error names the scalar time and the point of the first entry, in
+    row-major order (so the earliest row of a time stack), where det J fails.
+    """
     family.check_time(t)
     J = family.jacobian_matrix(t, pts)
     det = smallmat.det(J)
-    if np.min(det) <= 0.0:
-        k = int(np.argmin(det))
-        raise DegenerateJacobianError(t, np.atleast_2d(pts)[k], float(det.flat[k]))
+    # written so that a NaN determinant fails the guard
+    failed = ~(det > 0.0)
+    if failed.any():
+        k = int(np.argmax(failed))
+        pts = np.asarray(pts, dtype=float)
+        point = np.broadcast_to(pts, det.shape + pts.shape[-1:]).reshape(
+            -1, pts.shape[-1])[k]
+        raise DegenerateJacobianError(float(np.broadcast_to(t, det.shape).flat[k]),
+                                      point, float(det.flat[k]))
     return J, det, smallmat.inv(J)
 
 

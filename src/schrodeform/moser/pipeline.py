@@ -224,9 +224,10 @@ def normalize_diffeo(family: DiffeoFamily, grid: ReferenceGrid, time_samples,
     hats = np.eye(len(samples))
 
     def _blend(t, spline, pts):
-        """The sample maps interpolated piecewise-linearly in time."""
-        weights = np.array([np.interp(t, samples, hat) for hat in hats])
-        return spline(pts) @ weights
+        """The sample maps interpolated piecewise-linearly in time (a float
+        or an array of times that broadcasts to the points)."""
+        weights = np.stack([np.interp(t, samples, hat) for hat in hats], axis=-1)
+        return np.sum(spline(pts) * np.expand_dims(weights, -2), axis=-1)
 
     def new_map(t, y):
         pts = np.atleast_2d(np.asarray(y, dtype=float))

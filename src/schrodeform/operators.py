@@ -17,13 +17,15 @@ The form is linear in its face and node coefficient arrays, so the sparsity
 pattern of the conjugated matrix and a sparse linear map from the stacked
 coefficients to its ``data`` array are built once per (grid, boundary
 realization) and cached on the grid, with the Dirichlet restriction and the
-naive-Neumann boundary term folded in.  Each time slice then evaluates the
-coefficients once per point set, applies that map, scales by the square
-root Jacobian, and wraps the result in the cached CSR index arrays; on 1D
-grids the tridiagonal bands are a fixed scatter of the same ``data``.  One
-path serves every dimension; :func:`assemble_form` with
-:func:`_conjugate_and_restrict` is the sparse-product reference it is tested
-against.
+naive-Neumann boundary term folded in.  :func:`hamiltonian_data` evaluates
+the coefficients of K time slices in one pass over a ``(K, n_pts)`` stack of
+the faces and nodes, turns the ``(n_coef, K)`` coefficient block into K
+``data`` rows with one sparse product, and scales them by the square-root
+Jacobian; on 1D grids the tridiagonal bands are a fixed scatter of the same
+rows.  :func:`assemble_hamiltonian` is its K = 1 case wrapped in the cached
+CSR index arrays.  One path serves every dimension; :func:`assemble_form`
+with :func:`_conjugate_and_restrict` is the sparse-product reference it is
+tested against.
 
 Boundary realizations:
 
@@ -70,7 +72,8 @@ class CoefficientSet:
 
     Evaluators are vectorized over points on the *moving* domain:
     ``diffusion(t, x) -> (..., N, N)``, ``magnetic(t, x) -> (..., N)``,
-    ``electric(t, x) -> (...)``.  ``alpha`` is the ellipticity floor:
+    ``electric(t, x) -> (...)``, with ``t`` a float or an array that
+    broadcasts to ``x.shape[:-1]``.  ``alpha`` is the ellipticity floor:
     the smallest singular value of D must stay >= sqrt(alpha).
     """
 
@@ -80,12 +83,13 @@ class CoefficientSet:
     alpha: float = 1.0
 
     def _check_diffusion(self, D: np.ndarray) -> None:
+        # both guards are written so that a NaN fails them
         sym_err = float(abs(D - np.swapaxes(D, -1, -2)).max())
-        if sym_err > 1e-12 * max(1.0, float(abs(D).max())):
+        if not sym_err <= 1e-12 * max(1.0, float(abs(D).max())):
             raise EllipticityViolatedError(
                 f"diffusion matrix is not symmetric (residual {sym_err:.3e})")
         smin = _smallest_singular_value(D)
-        if smin < np.sqrt(self.alpha) * (1 - 1e-12):
+        if not smin >= np.sqrt(self.alpha) * (1 - 1e-12):
             raise EllipticityViolatedError(
                 f"min singular value {smin:.6g} < sqrt(alpha) = "
                 f"{np.sqrt(self.alpha):.6g}")
@@ -130,11 +134,13 @@ class EffectivePotentials:
 
     ``pulled_*`` evaluators take reference points y; the ``moving_*``
     evaluator takes points x on the moving domain (and needs the inverse map).
+    ``t`` is a float or, for the pulled evaluators, an array of times that
+    broadcasts to the points.
     """
 
     family: DiffeoFamily
     coeffs: CoefficientSet
-    t: float
+    t: float | np.ndarray
 
     def pulled_motion_potential(self, y: np.ndarray) -> np.ndarray:
         """(h* A_h)(y) = -(1/2) dh/dt (t, y)."""
@@ -222,11 +228,13 @@ class DiscreteHamiltonian:
 
 
 class _FormPieces(NamedTuple):
-    """Face and node coefficient arrays of the pulled-back form at one time.
+    """Face and node coefficient arrays of the pulled-back form.
 
-    ``boundary_flux`` is the density <(J^-1)^t nu0 | A~> det on the boundary
-    nodes, the flux term that separates the naive from the magnetic Neumann
-    realization (None for the other two); ``det_n`` is det J on the nodes.
+    Every array has the shape of the ``times`` it was evaluated at as its
+    leading shape (none for one float time).  ``boundary_flux`` is the
+    density <(J^-1)^t nu0 | A~> det on the boundary nodes, the flux term that
+    separates the naive from the magnetic Neumann realization (None for the
+    other two); ``det_n`` is det J on the nodes.
     """
 
     diag_metric: list
@@ -241,46 +249,58 @@ def _cross_keys(dim: int) -> list:
     return [(b, c) for b in range(dim) for c in range(dim) if b != c]
 
 
+def form_points(grid: ReferenceGrid) -> np.ndarray:
+    """The faces of every axis, then the nodes: the points at which one time
+    slice of the form evaluates its coefficients (cached per grid)."""
+    return grid.cached("form_points", lambda: np.concatenate(
+        [face_coords(grid, a) for a in range(grid.dim)] + [grid.nodes]))
+
+
 def _form_pieces(grid: ReferenceGrid, family: DiffeoFamily,
-                 coeffs: CoefficientSet, t: float, bc: str) -> _FormPieces:
+                 coeffs: CoefficientSet, times, bc: str) -> _FormPieces:
     """Per-face metric and magnetic arrays of the pulled-back form.
 
-    The map, Jacobian and coefficients are evaluated in one pass over the
-    faces of every axis and the nodes, stacked.  The boundary flux is only
+    The map, Jacobian and coefficients are evaluated in one pass over
+    :func:`form_points` stacked once per time: a ``(K, n_pts)`` stack for K
+    times, the plain point set for one float time.  The boundary flux is only
     computed for the naive-Neumann realization, the one that uses it.
     """
-    faces = [face_coords(grid, a) for a in range(grid.dim)]
-    pts = np.concatenate(faces + [grid.nodes])
-    _, det, Jinv = jacobian_field(family, t, pts)
-    x = np.asarray(family.map(t, pts), dtype=float)
+    pts = form_points(grid)
+    times = np.asarray(times, dtype=float)
+    y = np.broadcast_to(pts, times.shape + pts.shape)
+    t = times[..., None]
+    _, det, Jinv = jacobian_field(family, t, y)
+    x = np.asarray(family.map(t, y), dtype=float)
     D = np.asarray(coeffs.diffusion(t, x), dtype=float)
     C = smallmat.matmul(D, np.swapaxes(Jinv, -1, -2))
     theta = smallmat.matmul(np.swapaxes(C, -1, -2), C)
-    atil, vtil = EffectivePotentials(family, coeffs, t).pulled_pair(pts, x, D)
+    atil, vtil = EffectivePotentials(family, coeffs, t).pulled_pair(y, x, D)
 
     diag_metric, cross_vector = [], []
     start = 0
-    for a, face_pts in enumerate(faces):
-        f = slice(start, start + len(face_pts))
+    for a in range(grid.dim):
+        w = face_weights(grid, a)
+        f = slice(start, start + w.size)
         start = f.stop
-        mu = face_weights(grid, a) * det[f]
-        diag_metric.append(mu * theta[f, a, a])
-        cross_vector.append(mu * (C[f, :, a] * atil[f]).sum(axis=-1))
+        mu = w * det[..., f]
+        diag_metric.append(mu * theta[..., f, a, a])
+        cross_vector.append(mu * (C[..., f, :, a] * atil[..., f, :]).sum(axis=-1))
 
     n = slice(start, None)
-    coeffs._check_diffusion(D[n])
-    det_n, atil_n = det[n], atil[n]
+    coeffs._check_diffusion(D[..., n, :, :])
+    det_n, atil_n = det[..., n], atil[..., n, :]
     mass = grid.weights * det_n
-    node_diag = mass * ((atil_n * atil_n).sum(axis=-1) + vtil[n])
-    cross_metric = {(b, c): mass * theta[n, b, c]
+    node_diag = mass * ((atil_n * atil_n).sum(axis=-1) + vtil[..., n])
+    cross_metric = {(b, c): mass * theta[..., n, b, c]
                     for b, c in _cross_keys(grid.dim)}
 
     boundary_flux = None
     if bc == NAIVE_NEUMANN:
         b_idx = grid.boundary_indices
-        conormal = np.einsum("nji,nj->ni", Jinv[n][b_idx], grid.boundary_normals)
-        boundary_flux = (grid.boundary_weights * det_n[b_idx]
-                         * (conormal * atil_n[b_idx]).sum(axis=-1))
+        conormal = np.einsum("...nji,nj->...ni", Jinv[..., n, :, :][..., b_idx, :, :],
+                             grid.boundary_normals)
+        boundary_flux = (grid.boundary_weights * det_n[..., b_idx]
+                         * (conormal * atil_n[..., b_idx, :]).sum(axis=-1))
     return _FormPieces(diag_metric, cross_metric, cross_vector, node_diag,
                       det_n, boundary_flux)
 
@@ -399,6 +419,13 @@ class _FormPattern:
     cols: np.ndarray
     band_pos: Optional[np.ndarray]
 
+    def bands(self, data: np.ndarray) -> np.ndarray:
+        """LAPACK (1, 1) band storage ``(K, 3, n)`` of K ``data`` rows."""
+        n = self.dofs.size
+        out = np.zeros((data.shape[0], 3 * n), dtype=complex)
+        out[:, self.band_pos] = data
+        return out.reshape(-1, 3, n)
+
 
 def _form_pattern(grid: ReferenceGrid, bc: str) -> _FormPattern:
     """Build the pattern; :func:`assemble_hamiltonian` caches it per grid.
@@ -444,30 +471,46 @@ def _form_pattern(grid: ReferenceGrid, bc: str) -> _FormPattern:
                         rows=dofs[r], cols=dofs[c], band_pos=band_pos)
 
 
+def form_pattern(grid: ReferenceGrid, bc: str) -> _FormPattern:
+    """The cached assembly pattern of one (grid, boundary realization)."""
+    if bc not in _BCS:
+        raise ValueError(f"unknown boundary condition {bc!r}; use one of {_BCS}")
+    return grid.cached(("form_pattern", bc), lambda: _form_pattern(grid, bc))
+
+
+def hamiltonian_data(family: DiffeoFamily, coeffs: CoefficientSet,
+                     times: np.ndarray, grid: ReferenceGrid,
+                     bc: str = DIRICHLET) -> np.ndarray:
+    """The conjugated Hamiltonian's ``data`` at K times, shape ``(K, nnz)``.
+
+    Row k holds the matrix at ``times[k]`` in the order of
+    ``form_pattern(grid, bc)``.  The form's coefficients of all K times go
+    through the pattern's cached linear map in one sparse product, then the
+    square-root Jacobian similarity scales each row.
+    """
+    pattern = form_pattern(grid, bc)
+    pieces = _form_pieces(grid, family, coeffs,
+                          np.asarray(times, dtype=float).reshape(-1), bc)
+    scale = 1.0 / np.sqrt(grid.weights * pieces.det_n)
+    coef = np.concatenate(_coefficient_blocks(pieces, bc), axis=-1)
+    data = np.ascontiguousarray((pattern.weights @ coef.T).T)
+    data *= scale[:, pattern.rows] * scale[:, pattern.cols]
+    return data
+
+
 def assemble_hamiltonian(family: DiffeoFamily, coeffs: CoefficientSet,
                          t: float, grid: ReferenceGrid,
                          bc: str = DIRICHLET) -> DiscreteHamiltonian:
     """Discrete conjugated Hamiltonian at one time slice.
 
-    One path for every dimension: the form's coefficient arrays go through
-    the cached linear map of :func:`_form_pattern` into the pattern's
-    ``data``, which the square-root Jacobian similarity then scales.
+    The K = 1 case of :func:`hamiltonian_data`, wrapped in the pattern's
+    CSR index arrays (and its bands, on tridiagonal patterns).
     """
-    if bc not in _BCS:
-        raise ValueError(f"unknown boundary condition {bc!r}; use one of {_BCS}")
-    family.check_time(t)
-    pieces = _form_pieces(grid, family, coeffs, t, bc)
-    pattern = grid.cached(("form_pattern", bc), lambda: _form_pattern(grid, bc))
-    scale = 1.0 / np.sqrt(grid.weights * pieces.det_n)
-    data = pattern.weights @ np.concatenate(_coefficient_blocks(pieces, bc))
-    data *= scale[pattern.rows] * scale[pattern.cols]
+    pattern = form_pattern(grid, bc)
+    data = hamiltonian_data(family, coeffs, [t], grid, bc)
     n = pattern.dofs.size
-    H = sp.csr_matrix((data, pattern.indices, pattern.indptr), shape=(n, n))
-    banded = None
-    if pattern.band_pos is not None:
-        banded = np.zeros(3 * n, dtype=complex)
-        banded[pattern.band_pos] = data
-        banded = banded.reshape(3, n)
+    H = sp.csr_matrix((data[0], pattern.indices, pattern.indptr), shape=(n, n))
+    banded = None if pattern.band_pos is None else pattern.bands(data)[0]
     return DiscreteHamiltonian(matrix=H, bc=bc, t=t, grid=grid,
                                dofs=pattern.dofs, banded=banded)
 

@@ -5,6 +5,10 @@ Hamiltonian assembled once per step at the midpoint time.  The Cayley step
 is exactly unitary for Hermitian generators, so the quadrature norm of the
 state is preserved to solver precision; for the deliberately non-Hermitian
 naive-Neumann realization the recorded norm drift is the diagnostic output.
+
+:func:`evolve` walks the steps in chunks: it assembles the Hamiltonians of K
+consecutive midpoints in one pass (K chosen so that one chunk evaluates
+about ``CHUNK_POINTS`` points) and hands them to a :class:`CayleyStepper`.
 """
 
 from __future__ import annotations
@@ -15,11 +19,10 @@ from typing import List, Optional
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.linalg import solve_banded
+from scipy.linalg import lapack
 
 from .errors import InverseUnavailableError, SnapshotMissingError, SolverDivergenceError
-# jacobian_field is not called here, but perfbench/spans.py traces it by this name
-from .geometry.calculus import jacobian_field, pushforward_sharp  # noqa: F401
+from .geometry.calculus import pushforward_sharp
 from .geometry.diffeo import DiffeoFamily
 from .geometry.fields import GridFunction
 from .geometry.grid import ReferenceGrid
@@ -29,7 +32,13 @@ from .operators import (
     CoefficientSet,
     DiscreteHamiltonian,
     assemble_hamiltonian,
+    form_pattern,
+    form_points,
+    hamiltonian_data,
 )
+
+# points evaluated per assembly pass; keeps a chunk's temporaries near 1 MB
+CHUNK_POINTS = 16384
 
 
 @dataclass
@@ -93,84 +102,182 @@ class EvolutionTrace:
         return self.snapshots[-1]
 
 
-def step(v_dofs: np.ndarray, H_mid: DiscreteHamiltonian, dt: float,
-         solver_tol: float = 1e-12) -> np.ndarray:
-    """One Cayley step: solve (I + i dt/2 H) v' = (I - i dt/2 H) v.
+class CayleyStepper:
+    """Cayley steps ``(I + z H) v' = (I - z H) v``, ``z = i dt / 2``, for
+    generators that share one sparsity pattern.
 
-    Tridiagonal generators go through a banded solve, all others through a
-    sparse LU with the minimum-degree ordering of A^t + A, which fills less
-    than the default COLAMD on these symmetric-pattern systems.  Non-finite
-    data, a singular factor and a residual above tolerance all raise
-    :class:`SolverDivergenceError`.
+    Built once per (pattern, dt).  Without ``csr`` the generators are
+    tridiagonal and given as LAPACK (1, 1) bands ``(K, 3, n)``: the
+    right-hand side is a band product and the solve is ``zgtsv``.  With
+    ``csr = (indptr, indices)`` they are given as ``(K, nnz)`` data rows of
+    that CSR pattern and each step factors ``I + z H`` with a sparse LU in
+    the minimum-degree ordering of A^t + A, which fills less than the
+    default COLAMD on these symmetric-pattern systems.
+
+    Non-finite data, a singular factor and a residual above tolerance all
+    raise :class:`SolverDivergenceError`.
     """
-    z = 0.5j * dt
-    rhs = v_dofs - z * (H_mid.matrix @ v_dofs)
-    if not (np.isfinite(H_mid.matrix.data).all() and np.isfinite(rhs).all()):
-        raise SolverDivergenceError(
-            "Cayley system has non-finite entries (generator or state)")
-    if H_mid.banded is not None:
-        ab = z * H_mid.banded
-        ab[1, :] += 1.0
-        out = solve_banded((1, 1), ab, rhs, check_finite=False)
-    else:
-        A = (sp.identity(H_mid.matrix.shape[0], format="csc", dtype=complex)
-             + z * H_mid.matrix.tocsc())
+
+    def __init__(self, n: int, dt: float, solver_tol: float = 1e-12,
+                 csr: Optional[tuple] = None):
+        self.n = n
+        self.z = 0.5j * dt
+        self.solver_tol = solver_tol
+        self._csc = None
+        if csr is not None:
+            indptr, indices = csr
+            # the CSC layout of the pattern and where each CSR entry goes in it
+            order = sp.csr_matrix((np.arange(1, indices.size + 1), indices, indptr),
+                                  shape=(n, n)).tocsc()
+            self._csc = (order.data - 1, order.indices, order.indptr)
+            self._eye = sp.identity(n, format="csc", dtype=complex)
+
+    def advance(self, v: np.ndarray, rows: np.ndarray):
+        """Take ``len(rows)`` steps from ``v``, one per generator row.
+
+        Returns the states after each step, ``(K, n)``, and the step
+        energies ``<H_k v_k, v_k>``, ``(K,)``.
+        """
+        if not np.isfinite(rows).all():
+            raise SolverDivergenceError(
+                "Cayley system has non-finite entries (generator or state)")
+        banded = self._csc is None
+        if banded:
+            cayley = self.z * rows      # I + z H, in the same band storage
+            cayley[:, 1] += 1.0
+        states = np.empty((len(rows), self.n), dtype=complex)
+        energies = np.empty(len(rows))
+        for k in range(len(rows)):
+            if banded:
+                v, Hv = self._band_step(v, rows[k], cayley[k])
+            else:
+                v, Hv = self._lu_step(v, rows[k])
+            states[k] = v
+            energies[k] = np.vdot(v, Hv).real
+        return states, energies
+
+    def _check(self, A_out, rhs):
+        residual = np.linalg.norm(A_out - rhs)
+        scale = np.linalg.norm(rhs)
+        bound = max(10 * max(self.solver_tol, 1e-15) * scale, self.solver_tol)
+        # written so that a NaN residual fails the guard
+        if scale > 0 and not residual <= bound:
+            raise SolverDivergenceError(
+                f"linear solve residual {residual:.3e} exceeds tolerance")
+
+    def _rhs(self, v, Hv):
+        rhs = v - self.z * Hv
+        if not np.isfinite(rhs).all():
+            raise SolverDivergenceError(
+                "Cayley system has non-finite entries (generator or state)")
+        return rhs
+
+    def _band_step(self, v, bands, cayley):
+        rhs = self._rhs(v, _band_matvec(bands, v))
+        _, _, _, out, info = lapack.zgtsv(cayley[2, :-1], cayley[1], cayley[0, 1:], rhs)
+        if info != 0:
+            raise SolverDivergenceError(
+                f"Cayley factorization failed: zgtsv info {info}")
+        Hout = _band_matvec(bands, out)
+        self._check(out + self.z * Hout, rhs)
+        return out, Hout
+
+    def _lu_step(self, v, data):
+        perm, indices, indptr = self._csc
+        H = sp.csc_matrix((data[perm], indices, indptr), shape=(self.n, self.n))
+        rhs = self._rhs(v, H @ v)
         try:
-            lu = spla.splu(A, permc_spec="MMD_AT_PLUS_A")
+            lu = spla.splu(self._eye + self.z * H, permc_spec="MMD_AT_PLUS_A")
         except RuntimeError as exc:
             raise SolverDivergenceError(
                 f"Cayley factorization failed: {exc}") from exc
         out = lu.solve(rhs)
-    residual = np.linalg.norm(out + z * (H_mid.matrix @ out) - rhs)
-    scale = np.linalg.norm(rhs)
-    bound = max(10 * max(solver_tol, 1e-15) * scale, solver_tol)
-    # written so that a NaN residual fails the guard
-    if scale > 0 and not residual <= bound:
-        raise SolverDivergenceError(
-            f"linear solve residual {residual:.3e} exceeds tolerance")
+        Hout = H @ out
+        self._check(out + self.z * Hout, rhs)
+        return out, Hout
+
+
+def _band_matvec(bands: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """H v for H in LAPACK (1, 1) band storage, summed in CSR row order."""
+    out = bands[1] * v
+    out[1:] += bands[2, :-1] * v[:-1]
+    out[:-1] += bands[0, 1:] * v[1:]
     return out
+
+
+def step(v_dofs: np.ndarray, H_mid: DiscreteHamiltonian, dt: float,
+         solver_tol: float = 1e-12) -> np.ndarray:
+    """One Cayley step: solve (I + i dt/2 H) v' = (I - i dt/2 H) v.
+
+    A one-step :class:`CayleyStepper`: on the bands when the generator is
+    tridiagonal, through the sparse LU otherwise.  Non-finite data, a
+    singular factor and a residual above tolerance all raise
+    :class:`SolverDivergenceError`.
+    """
+    n = H_mid.matrix.shape[0]
+    if H_mid.banded is not None:
+        stepper, rows = CayleyStepper(n, dt, solver_tol), H_mid.banded[None]
+    else:
+        M = H_mid.matrix
+        stepper = CayleyStepper(n, dt, solver_tol, csr=(M.indptr, M.indices))
+        rows = M.data[None]
+    return stepper.advance(np.asarray(v_dofs, dtype=complex), rows)[0][0]
+
+
+def steps_per_pass(grid: ReferenceGrid) -> int:
+    """K, the midpoints :func:`evolve` assembles in one pass on this grid."""
+    return max(1, CHUNK_POINTS // len(form_points(grid)))
 
 
 def evolve(family: DiffeoFamily, coeffs: CoefficientSet, bc: str,
            v0: GridFunction, config: PropagatorConfig,
            grid: Optional[ReferenceGrid] = None) -> EvolutionTrace:
-    """March the conjugated dynamics over the configured span."""
+    """March the conjugated dynamics over the configured span.
+
+    Chunks of :func:`steps_per_pass` midpoints are assembled in one pass and
+    stepped by one :class:`CayleyStepper`; a chunk whose assembly fails (a
+    degenerate Jacobian, say) raises before any of its steps run.
+    """
     grid = grid or v0.grid
     H0 = assemble_hamiltonian(family, coeffs, config.t_start, grid, bc)
     v = H0.to_dofs(v0)
-    obs = [H0.to_dofs(o) for o in config.observables]
+    obs = np.array([H0.to_dofs(o) for o in config.observables],
+                   dtype=complex).reshape(-1, H0.n_dofs).conj().T
 
     n = config.n_steps
     dt = config.dt_effective
-    times = [config.t_start]
-    norms = [float(np.linalg.norm(v))]
-    energies = [float(np.real(np.vdot(v, H0.matrix @ v)))]
-    overlaps = [[abs(np.vdot(o, v)) ** 2 for o in obs]]
-    snapshot_times = [config.t_start]
-    snapshots = [H0.from_dofs(v)]
+    stride = config.snapshot_stride
+    pattern = form_pattern(grid, bc)
+    csr = None if pattern.band_pos is not None else (pattern.indptr, pattern.indices)
+    stepper = CayleyStepper(H0.n_dofs, dt, config.solver_tol, csr)
 
-    H_mid = None
-    for k in range(n):
-        t_mid = config.t_start + (k + 0.5) * dt
-        H_mid = assemble_hamiltonian(family, coeffs, t_mid, grid, bc)
-        v = step(v, H_mid, dt, config.solver_tol)
-        t_next = config.t_start + (k + 1) * dt
-        times.append(t_next)
-        norms.append(float(np.linalg.norm(v)))
-        energies.append(float(np.real(np.vdot(v, H_mid.matrix @ v))))
-        overlaps.append([abs(np.vdot(o, v)) ** 2 for o in obs])
-        want_snap = (config.snapshot_stride
-                     and (k + 1) % config.snapshot_stride == 0)
-        if want_snap or k == n - 1:
-            snapshot_times.append(t_next)
-            snapshots.append(H_mid.from_dofs(v))
+    norms = [np.linalg.norm(v[None], axis=1)]
+    overlaps = [np.abs(v[None] @ obs) ** 2]
+    energies = [np.array([np.real(np.vdot(v, H0.matrix @ v))])]
+    snap_steps, snapshots = [0], [H0.from_dofs(v)]
+    chunk = steps_per_pass(grid)
+    for k0 in range(0, n, chunk):
+        done = np.arange(k0 + 1, min(k0 + chunk, n) + 1)  # steps this chunk ends
+        data = hamiltonian_data(family, coeffs, config.t_start + (done - 0.5) * dt,
+                                grid, bc)
+        rows = data if csr is not None else pattern.bands(data)
+        states, chunk_energies = stepper.advance(v, rows)
+        v = states[-1]
+        norms.append(np.linalg.norm(states, axis=1))
+        overlaps.append(np.abs(states @ obs) ** 2)
+        energies.append(chunk_energies)
+        want = (done == n) | ((done % stride == 0) if stride else False)
+        for i in np.flatnonzero(want):
+            snap_steps.append(int(done[i]))
+            snapshots.append(H0.from_dofs(states[i]))
 
+    times = config.t_start + np.arange(n + 1) * dt
     return EvolutionTrace(
-        times=np.asarray(times),
-        norms=np.asarray(norms),
-        energies=np.asarray(energies),
-        overlaps=np.asarray(overlaps) if obs else np.zeros((len(times), 0)),
-        snapshot_times=snapshot_times,
+        times=times,
+        norms=np.concatenate(norms),
+        energies=np.concatenate(energies),
+        overlaps=np.concatenate(overlaps),
+        snapshot_times=[float(times[k]) for k in snap_steps],
         snapshots=snapshots,
         metadata={"bc": bc, "dt": dt, "n_steps": n, "family": family.name,
                   "grid": grid.cells},

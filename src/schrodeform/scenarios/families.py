@@ -2,13 +2,16 @@
 
 Every constructor returns a :class:`DiffeoFamily` with analytic map,
 velocity, Jacobian, Jacobian time-derivative and inverse, so no
-finite-difference fallbacks are exercised on the standard paths.
+finite-difference fallbacks are exercised on the standard paths.  Like
+every family evaluator, each takes ``t`` as a float or as an array that
+broadcasts to the points' leading shape.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from ..geometry import smallmat
 from ..geometry.diffeo import DiffeoFamily, identity_family
 
 
@@ -16,23 +19,36 @@ def _asfloat(y):
     return np.asarray(y, dtype=float)
 
 
+def _path_values(path, t):
+    """``path(t)`` as ``t.shape + (dim,)`` for a path written for scalar times."""
+    if np.ndim(t) == 0:
+        return np.atleast_1d(np.asarray(path(t), dtype=float))
+    t = np.asarray(t, dtype=float)
+    values = [np.atleast_1d(np.asarray(path(s), dtype=float)) for s in t.flat]
+    return np.reshape(values, t.shape + values[0].shape)
+
+
+def _time_values(funcs, t):
+    """Scalar functions of t stacked on a last axis, ``t.shape + (len(funcs),)``."""
+    return np.stack([np.broadcast_to(np.asarray(f(t), dtype=float), np.shape(t))
+                     for f in funcs], axis=-1)
+
+
 def translation_family(path, velocity, dim: int = 1,
                        window=(0.0, 1.0)) -> DiffeoFamily:
-    """h(t, y) = y + D(t) for a smooth displacement path D."""
+    """h(t, y) = y + D(t) for a smooth displacement path D.
 
-    def shift(t):
-        return np.atleast_1d(np.asarray(path(t), dtype=float))
-
-    def vel(t):
-        return np.atleast_1d(np.asarray(velocity(t), dtype=float))
-
+    ``path`` and ``velocity`` take scalar times; an array of times is
+    evaluated one time at a time.
+    """
     rigid = identity_family(dim)
     return DiffeoFamily(
-        map=lambda t, y: _asfloat(y) + shift(t),
-        dmap_dt=lambda t, y: np.broadcast_to(vel(t), _asfloat(y).shape).copy(),
+        map=lambda t, y: _asfloat(y) + _path_values(path, t),
+        dmap_dt=lambda t, y: np.broadcast_to(_path_values(velocity, t),
+                                             _asfloat(y).shape).copy(),
         jacobian=rigid.jacobian,
         jacobian_dt=rigid.jacobian_dt,
-        inverse=lambda t, x: _asfloat(x) - shift(t),
+        inverse=lambda t, x: _asfloat(x) - _path_values(path, t),
         window=window,
         name="translation",
     )
@@ -41,22 +57,27 @@ def translation_family(path, velocity, dim: int = 1,
 def rotation_family(omega: float, window=(0.0, 1.0)) -> DiffeoFamily:
     """Rigid rotation of the plane with angular speed omega."""
 
-    def rot(t):
-        c, s = np.cos(omega * t), np.sin(omega * t)
-        return np.array([[c, -s], [s, c]])
+    def matrix(rows, y):
+        out = np.stack([np.stack(row, axis=-1) for row in rows], axis=-2)
+        return np.broadcast_to(out, _asfloat(y).shape[:-1] + (2, 2)).copy()
 
-    def drot(t):
+    def rot(t, y):
         c, s = np.cos(omega * t), np.sin(omega * t)
-        return omega * np.array([[-s, -c], [c, -s]])
+        return matrix([[c, -s], [s, c]], y)
+
+    def drot(t, y):
+        c, s = np.cos(omega * t), np.sin(omega * t)
+        return omega * matrix([[-s, -c], [c, -s]], y)
+
+    def apply(M, y):
+        return smallmat.matmul(M, _asfloat(y)[..., None])[..., 0]
 
     return DiffeoFamily(
-        map=lambda t, y: _asfloat(y) @ rot(t).T,
-        dmap_dt=lambda t, y: _asfloat(y) @ drot(t).T,
-        jacobian=lambda t, y: np.broadcast_to(
-            rot(t), _asfloat(y).shape[:-1] + (2, 2)).copy(),
-        jacobian_dt=lambda t, y: np.broadcast_to(
-            drot(t), _asfloat(y).shape[:-1] + (2, 2)).copy(),
-        inverse=lambda t, x: _asfloat(x) @ rot(t),
+        map=lambda t, y: apply(rot(t, y), y),
+        dmap_dt=lambda t, y: apply(drot(t, y), y),
+        jacobian=rot,
+        jacobian_dt=drot,
+        inverse=lambda t, x: apply(np.swapaxes(rot(t, x), -1, -2), x),
         window=window,
         name="rotation",
     )
@@ -67,34 +88,21 @@ def diagonal_family(scales, dscales, window=(0.0, 1.0),
     """h(t, y) = (f_i(t) y_i) for positive scale functions f_i."""
     dim = len(scales)
 
-    def fvec(t):
-        return np.array([f(t) for f in scales], dtype=float)
-
-    def dfvec(t):
-        return np.array([f(t) for f in dscales], dtype=float)
-
-    def jac(t, y):
-        y = _asfloat(y)
-        out = np.zeros(y.shape[:-1] + (dim, dim))
-        f = fvec(t)
-        for i in range(dim):
-            out[..., i, i] = f[i]
-        return out
-
-    def djac(t, y):
-        y = _asfloat(y)
-        out = np.zeros(y.shape[:-1] + (dim, dim))
-        df = dfvec(t)
-        for i in range(dim):
-            out[..., i, i] = df[i]
-        return out
+    def diagonal(funcs):
+        def evaluate(t, y):
+            out = np.zeros(_asfloat(y).shape[:-1] + (dim, dim))
+            f = _time_values(funcs, t)
+            for i in range(dim):
+                out[..., i, i] = f[..., i]
+            return out
+        return evaluate
 
     return DiffeoFamily(
-        map=lambda t, y: _asfloat(y) * fvec(t),
-        dmap_dt=lambda t, y: _asfloat(y) * dfvec(t),
-        jacobian=jac,
-        jacobian_dt=djac,
-        inverse=lambda t, x: _asfloat(x) / fvec(t),
+        map=lambda t, y: _asfloat(y) * _time_values(scales, t),
+        dmap_dt=lambda t, y: _asfloat(y) * _time_values(dscales, t),
+        jacobian=diagonal(scales),
+        jacobian_dt=diagonal(dscales),
+        inverse=lambda t, x: _asfloat(x) / _time_values(scales, t),
         window=window,
         name=name,
     )

@@ -31,6 +31,7 @@ from ..geometry.stencils import face_coords, face_weights
 from ..geometry.diffeo import jacobian_field
 from ..propagator import PropagatorConfig, evolve
 from .families import (
+    _path_values,
     homothety_family,
     interval_family,
     ramp_interval_family,
@@ -133,10 +134,10 @@ def translation_scenario(path=None, velocity=None, accel=None,
     fam = translation_family(path, velocity, dim=dim, window=window)
 
     def vvec(t):
-        return np.atleast_1d(np.asarray(velocity(t), dtype=float))
+        return _path_values(velocity, t)
 
     def avec(t):
-        return np.atleast_1d(np.asarray(accel(t), dtype=float))
+        return _path_values(accel, t)
 
     gauge = GaugeSpec(
         phase=lambda t, x: 0.5 * np.asarray(x) @ vvec(t),
@@ -146,7 +147,7 @@ def translation_scenario(path=None, velocity=None, accel=None,
     )
     reduced = ReducedFormulation(
         coeffs=isotropic_coefficients(
-            dim, electric=lambda t, x: 0.5 * np.asarray(x) @ avec(t)),
+            dim, electric=lambda t, x: 0.5 * np.sum(np.asarray(x) * avec(t), axis=-1)),
         time_map=lambda t: t,
         phase_rate=lambda t: 0.5 * float(avec(t) @ np.atleast_1d(path(t)))
         + 0.25 * float(vvec(t) @ vvec(t)),
@@ -235,7 +236,8 @@ def _numeric_time_map(scale, window, samples: int = 4001):
         return float(np.interp(t, ts, taus))
 
     def backward(tau):
-        return float(np.interp(tau, taus, ts))
+        t = np.interp(tau, taus, ts)
+        return t if np.ndim(t) else float(t)
 
     return forward, backward
 

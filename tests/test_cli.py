@@ -226,3 +226,15 @@ def test_runtime_error_writes_failed_manifest(tmp_path):
     assert manifest["passed"] is False
     assert manifest["error"]["type"] == "DegenerateJacobianError"
     assert "det J" in manifest["error"]["message"]
+
+
+@pytest.mark.parametrize("command", ["run", "adiabatic"])
+def test_run_nan_scenario_param_exit_3(tmp_path, capsys, command):
+    # a NaN interval length used to end in a raw LinAlgError traceback
+    cfg = tmp_path / "nan.json"
+    cfg.write_text(json.dumps({"scenario": "moving_interval",
+                               "params": {"l1": float("nan")}}))
+    code = main([command, "--config", str(cfg), "--grid", "16",
+                 "--output", str(tmp_path / "out")])
+    assert code == 3
+    assert "params.l1 must be finite" in capsys.readouterr().err

@@ -7,6 +7,7 @@ from schrodeform.geometry import (
     ReferenceGrid,
     identity_family,
     jacobian_at,
+    jacobian_field,
     jacobian_log_derivative,
 )
 from schrodeform.geometry.diffeo import validate_family
@@ -119,3 +120,21 @@ def test_frozen_family_is_static():
     assert np.allclose(frozen.map(0.1, pts), fam.map(0.6, pts))
     assert np.allclose(frozen.velocity(0.9, pts), 0.0)
     assert np.allclose(frozen.jacobian_matrix_dt(0.2, pts), 0.0)
+
+
+def test_nan_determinant_raises():
+    # an interval of length NaN used to pass the det J > 0 guard
+    fam = interval_family(lambda t: np.nan, lambda t: 0.0)
+    with pytest.raises(DegenerateJacobianError):
+        jacobian_at(fam, 0.5, np.array([0.3]))
+
+
+def test_time_array_errors_name_a_scalar_time():
+    fam = interval_family(lambda t: 1.0 - t, lambda t: -1.0, window=(0.0, 2.0))
+    t = np.array([[0.2], [1.5], [1.7]])
+    pts = np.broadcast_to(np.array([[0.1], [0.6]]), (3, 2, 1))
+    with pytest.raises(DegenerateJacobianError, match=r"t=1\.5,") as info:
+        jacobian_field(fam, t, pts)
+    assert info.value.t == 1.5
+    with pytest.raises(ValueError, match=r"t=2\.5 outside"):
+        fam.check_time(np.array([0.5, 2.5, 3.0]))

@@ -255,3 +255,26 @@ def test_spectrum_bounded_below_spot_check(moving_interval):
     Hn = assemble_hamiltonian(moving_interval, free_coefficients(1), 0.5,
                               grid, MAGNETIC_NEUMANN)
     assert Hn.lowest_ritz_value() > -1.0
+
+
+def _coefficients(diffusion, alpha=1.0):
+    return CoefficientSet(diffusion=diffusion,
+                          magnetic=lambda t, x: np.zeros_like(x),
+                          electric=lambda t, x: np.zeros(x.shape[:-1]),
+                          alpha=alpha)
+
+
+def test_nan_diffusion_fails_the_symmetry_guard():
+    # a NaN diffusion used to assemble silently, then break eigenpairs
+    nan = _coefficients(lambda t, x: np.full(x.shape[:-1] + (1, 1), np.nan))
+    grid = ReferenceGrid.interval(16)
+    with pytest.raises(EllipticityViolatedError, match="symmetric"):
+        assemble_hamiltonian(identity_family(1), nan, 0.0, grid, DIRICHLET)
+
+
+def test_nan_ellipticity_floor_fails_the_singular_value_guard():
+    unit = _coefficients(lambda t, x: np.ones(x.shape[:-1] + (1, 1)),
+                         alpha=np.nan)
+    grid = ReferenceGrid.interval(16)
+    with pytest.raises(EllipticityViolatedError, match="singular value"):
+        assemble_hamiltonian(identity_family(1), unit, 0.0, grid, DIRICHLET)

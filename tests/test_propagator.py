@@ -7,6 +7,7 @@ from schrodeform.geometry import GridFunction, ReferenceGrid, identity_family
 from schrodeform.operators import (
     DIRICHLET,
     MAGNETIC_NEUMANN,
+    NAIVE_NEUMANN,
     DiscreteHamiltonian,
     assemble_hamiltonian,
     eigenpairs,
@@ -18,6 +19,7 @@ from schrodeform.propagator import (
     evolve,
     neumann_drift_diagnostic,
     step,
+    steps_per_pass,
     transport_solution,
 )
 from schrodeform.scenarios.families import diagonal_family, interval_family
@@ -252,3 +254,98 @@ def test_singular_cayley_factor_raises_typed_error():
                             dofs=np.arange(n))
     with pytest.raises(SolverDivergenceError):
         step(np.ones(n, dtype=complex), H, 0.5)
+
+
+def _stepped_reference(family, coeffs, bc, v0, config, grid):
+    """The trace evolve must reproduce, one assembly and one step() per step."""
+    H0 = assemble_hamiltonian(family, coeffs, config.t_start, grid, bc)
+    v = H0.to_dofs(v0)
+    obs = [H0.to_dofs(o) for o in config.observables]
+    dt, n = config.dt_effective, config.n_steps
+    norms, energies = [np.linalg.norm(v)], [np.vdot(v, H0.matrix @ v).real]
+    overlaps = [[abs(np.vdot(o, v)) ** 2 for o in obs]]
+    snaps = {config.t_start: H0.from_dofs(v).values}
+    for k in range(n):
+        H = assemble_hamiltonian(family, coeffs, config.t_start + (k + 0.5) * dt,
+                                 grid, bc)
+        v = step(v, H, dt, config.solver_tol)
+        norms.append(np.linalg.norm(v))
+        energies.append(np.vdot(v, H.matrix @ v).real)
+        overlaps.append([abs(np.vdot(o, v)) ** 2 for o in obs])
+        stride = config.snapshot_stride
+        if k + 1 == n or (stride and (k + 1) % stride == 0):
+            snaps[config.t_start + (k + 1) * dt] = H0.from_dofs(v).values
+    return np.array(norms), np.array(energies), np.array(overlaps), snaps
+
+
+def _assert_matches_reference(trace, reference):
+    norms, energies, overlaps, snaps = reference
+    assert np.max(np.abs(trace.norms - norms)) <= 1e-12 * np.max(norms)
+    assert np.max(np.abs(trace.energies - energies)) <= 1e-12 * np.max(np.abs(energies))
+    assert trace.overlaps.shape == overlaps.shape
+    if overlaps.size:
+        assert np.max(np.abs(trace.overlaps - overlaps)) <= 1e-12
+    assert trace.snapshot_times == list(snaps)
+    for snap, ref in zip(trace.snapshots, snaps.values()):
+        assert np.max(np.abs(snap.values - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("bc", [DIRICHLET, MAGNETIC_NEUMANN, NAIVE_NEUMANN])
+def test_evolve_matches_stepped_assembly_1d(bc):
+    from schrodeform.scenarios.families import ramp_interval_family
+    grid = ReferenceGrid.interval(200)
+    assert steps_per_pass(grid) == 40
+    fam = ramp_interval_family(1.0, 1.5)
+    coeffs = free_coefficients(1)
+    v0 = GridFunction(grid, np.sin(np.pi * grid.nodes[:, 0]) + 0.3j * grid.nodes[:, 0])
+    cfg = PropagatorConfig(dt=2e-3, t_start=0.1, t_end=0.3)
+    assert cfg.n_steps > 2 * steps_per_pass(grid)
+    trace = evolve(fam, coeffs, bc, v0, cfg)
+    _assert_matches_reference(trace, _stepped_reference(fam, coeffs, bc, v0, cfg, grid))
+
+
+def test_evolve_matches_stepped_assembly_2d():
+    from schrodeform.scenarios.families import warped_2d_family
+    grid = ReferenceGrid.rectangle(12)
+    assert steps_per_pass(grid) > 1
+    fam = warped_2d_family()
+    coeffs = free_coefficients(2)
+    y1, y2 = grid.nodes[:, 0], grid.nodes[:, 1]
+    v0 = GridFunction(grid, np.cos(np.pi * y1) + 1j * y2 ** 2)
+    cfg = PropagatorConfig(dt=1e-2, t_start=0.0, t_end=0.5)
+    assert cfg.n_steps > steps_per_pass(grid)
+    trace = evolve(fam, coeffs, MAGNETIC_NEUMANN, v0, cfg)
+    _assert_matches_reference(
+        trace, _stepped_reference(fam, coeffs, MAGNETIC_NEUMANN, v0, cfg, grid))
+
+
+@pytest.mark.parametrize("steps", ["0", "1", "K-1", "K+1"])
+def test_evolve_chunk_edges(steps):
+    # K midpoints per assembly pass; a stride of 7 puts snapshots mid-chunk
+    grid = ReferenceGrid.interval(200)
+    K = steps_per_pass(grid)
+    n = {"0": 0, "1": 1, "K-1": K - 1, "K+1": K + 1}[steps]
+    fam = interval_family(lambda t: 1 + 0.5 * t, lambda t: 0.5)
+    coeffs = free_coefficients(1)
+    H0 = assemble_hamiltonian(fam, coeffs, 0.0, grid, DIRICHLET)
+    vecs = eigenpairs(H0, k=2)[1]
+    v0 = H0.from_dofs(vecs[:, 0] + 0.5 * vecs[:, 1])
+    dt = 1e-3
+    cfg = PropagatorConfig(dt=dt, t_start=0.0, t_end=n * dt, snapshot_stride=7,
+                           observables=[H0.from_dofs(vecs[:, j]) for j in (0, 1)])
+    assert cfg.n_steps == n
+    trace = evolve(fam, coeffs, DIRICHLET, v0, cfg)
+    assert len(trace.times) == n + 1 and trace.overlaps.shape == (n + 1, 2)
+    _assert_matches_reference(trace, _stepped_reference(fam, coeffs, DIRICHLET,
+                                                        v0, cfg, grid))
+
+
+def test_degenerate_jacobian_in_a_chunk_names_its_time():
+    from schrodeform.errors import DegenerateJacobianError
+    # the length reaches zero at t = 0.5, well inside the first chunk
+    fam = interval_family(lambda t: 1 - 2 * t, lambda t: -2.0)
+    grid = ReferenceGrid.interval(32)
+    v0 = GridFunction(grid, np.sin(np.pi * grid.nodes[:, 0]).astype(complex))
+    config = PropagatorConfig(dt=0.1, t_start=0.0, t_end=1.0)
+    with pytest.raises(DegenerateJacobianError, match="t=0.55"):
+        evolve(fam, free_coefficients(1), DIRICHLET, v0, config)
