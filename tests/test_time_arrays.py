@@ -69,9 +69,12 @@ def _box_fd(family):
 
 
 ramp = ramp_interval_family(1.0, 1.5)
-SCENARIOS = [moving_interval_scenario(), moving_interval_scenario(smooth=True),
-             translation_scenario(), translation_scenario(dim=2),
-             rotation_scenario(), homothety_scenario(), cylinder_scenario()]
+SCENARIOS = {"moving_interval": moving_interval_scenario(),
+             "moving_interval_smooth": moving_interval_scenario(smooth=True),
+             "translation_1d": translation_scenario(),
+             "translation_2d": translation_scenario(dim=2),
+             "rotation": rotation_scenario(), "homothety": homothety_scenario(),
+             "cylinder": cylinder_scenario()}
 # name -> (family, dimension)
 FAMILIES = {
     "interval": (interval_family(lambda t: 1 + 0.5 * t, lambda t: 0.5), 1),
@@ -93,8 +96,8 @@ FAMILIES = {
     "fd_fallback_2d": (_fd_fallback(warped_2d_family()), 2),
     "box_fd": (_box_fd(stretch_warp_family()), 2),
 }
-FAMILIES.update({f"scenario:{s.name}/{s.dim}d": (s.family, s.dim)
-                 for s in SCENARIOS})
+FAMILIES.update({f"scenario:{label}": (s.family, s.dim)
+                 for label, s in SCENARIOS.items()})
 
 
 @pytest.mark.parametrize("name", sorted(FAMILIES))
@@ -110,16 +113,16 @@ def test_family_evaluators_take_time_arrays(name):
         _assert_conforms(evaluate, t, y, f"{name}.{label}")
 
 
-COEFFICIENTS = {f"{s.name}/{s.dim}d": s.coeffs for s in SCENARIOS}
-COEFFICIENTS.update({f"{s.name}/{s.dim}d reduced": s.reduced.coeffs
-                     for s in SCENARIOS if s.reduced is not None})
-COEFFICIENTS["rotation magnetic"] = rotation_magnetic_coefficients(1.3)
+# name -> (coefficient set, dimension)
+COEFFICIENTS = {label: (s.coeffs, s.dim) for label, s in SCENARIOS.items()}
+COEFFICIENTS.update({f"{label} reduced": (s.reduced.coeffs, s.dim)
+                     for label, s in SCENARIOS.items() if s.reduced is not None})
+COEFFICIENTS["rotation magnetic"] = (rotation_magnetic_coefficients(1.3), 2)
 
 
 @pytest.mark.parametrize("name", sorted(COEFFICIENTS))
 def test_coefficient_evaluators_take_time_arrays(name):
-    coeffs = COEFFICIENTS[name]
-    dim = 1 if "/1d" in name else 2
+    coeffs, dim = COEFFICIENTS[name]
     t, x = _stack((0.0, 1.0), dim, seed=len(name))
     for label in ("diffusion", "magnetic", "electric"):
         _assert_conforms(getattr(coeffs, label), t, x, f"{name}.{label}")
