@@ -40,16 +40,21 @@ from .scenarios import (
 _BCS = (DIRICHLET, MAGNETIC_NEUMANN, NAIVE_NEUMANN)
 
 
-def _scenario_registry():
-    return {
-        "moving_interval": lambda p: moving_interval_scenario(
-            l0=float(p.get("l0", 1.0)), l1=float(p.get("l1", 1.5)),
-            smooth=bool(p.get("smooth", False))),
-        "translation": lambda p: translation_scenario(),
-        "rotation": lambda p: rotation_scenario(omega=float(p.get("omega", 1.0))),
-        "homothety": lambda p: homothety_scenario(),
-        "cylinder": lambda p: cylinder_scenario(),
-    }
+# scenario name -> (accepted params keys, builder from the params object)
+_SCENARIOS = {
+    "moving_interval": (("l0", "l1", "smooth"), lambda p: moving_interval_scenario(
+        l0=float(p.get("l0", 1.0)), l1=float(p.get("l1", 1.5)),
+        smooth=bool(p.get("smooth", False)))),
+    "translation": ((), lambda p: translation_scenario()),
+    "rotation": (("omega",), lambda p: rotation_scenario(
+        omega=float(p.get("omega", 1.0)))),
+    "homothety": ((), lambda p: homothety_scenario()),
+    "cylinder": ((), lambda p: cylinder_scenario()),
+}
+
+
+def _build_scenario(config: RunConfig):
+    return _SCENARIOS[config["scenario"]][1](config["params"])
 
 
 _DENSITIES = {
@@ -144,10 +149,16 @@ class RunConfig:
                 raise ConfigError(f"params.{key} must be finite, got {val!r}")
         if not all(0 < float(e) < math.inf for e in d["epsilon"]):
             raise ConfigError("epsilons must be positive and finite")
-        if d["scenario"] not in _scenario_registry():
+        if d["scenario"] not in _SCENARIOS:
             raise ConfigError(
                 f"unknown scenario {d['scenario']!r}; available: "
-                f"{sorted(_scenario_registry())}")
+                f"{sorted(_SCENARIOS)}")
+        accepted = _SCENARIOS[d["scenario"]][0]
+        unknown = sorted(set(d["params"]) - set(accepted))
+        if unknown:
+            raise ConfigError(
+                f"unknown params {unknown} for scenario {d['scenario']!r}; "
+                f"accepted: {list(accepted)}")
         if d["density"] not in _DENSITIES:
             raise ConfigError(
                 f"unknown density {d['density']!r}; available: "
@@ -268,8 +279,7 @@ def _check_span(config: RunConfig, scenario) -> None:
 def run_scenario(config: RunConfig) -> int:
     outdir = Path(config["output"])
     manifest = Manifest(config, "run")
-    registry = _scenario_registry()
-    scenario = registry[config["scenario"]](config["params"])
+    scenario = _build_scenario(config)
     _check_span(config, scenario)
     bc = config["bc"] or scenario.bc
     grid = scenario.grid(int(config["grid"]))
@@ -316,7 +326,7 @@ def run_adiabatic(config: RunConfig) -> int:
                           "the scenario window scaled by 1/epsilon")
     outdir = Path(config["output"])
     manifest = Manifest(config, "adiabatic")
-    scenario = _scenario_registry()[config["scenario"]](config["params"])
+    scenario = _build_scenario(config)
     if scenario.name == "moving_interval" and not scenario.metadata["smooth"]:
         scenario = moving_interval_scenario(
             l0=scenario.metadata["l0"], l1=scenario.metadata["l1"], smooth=True)
@@ -407,7 +417,7 @@ def run_converge(config: RunConfig) -> int:
     if len(ladder) < 2:
         raise ConfigError("a refinement ladder needs at least two rungs")
 
-    scenario = _scenario_registry()[config["scenario"]](config["params"])
+    scenario = _build_scenario(config)
     if scenario.name == "moving_interval" and not scenario.metadata["smooth"]:
         # order fits need motion-compatible initial data: a C^2 ramp starts
         # from rest, so the eigenstate initial data matches the generator
@@ -465,7 +475,7 @@ def run_converge(config: RunConfig) -> int:
 
 
 def list_scenarios(_config=None) -> int:
-    for name in sorted(_scenario_registry()):
+    for name in sorted(_SCENARIOS):
         print(name)
     return 0
 

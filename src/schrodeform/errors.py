@@ -5,6 +5,28 @@ that tests and the CLI can react precisely (e.g. exit code 3 for bad config,
 exit code 1 for runtime failures).
 """
 
+__all__ = [
+    "SchrodeformError",
+    "DegenerateJacobianError",
+    "EvaluationOutsideDomainError",
+    "InverseUnavailableError",
+    "SingularSystemError",
+    "FlowLeftDomainError",
+    "NonPositiveDensityError",
+    "ContractionBoundExceededError",
+    "NoConvergenceError",
+    "PipelineFailedError",
+    "EllipticityViolatedError",
+    "NonRealEnergyError",
+    "SolverDivergenceError",
+    "SnapshotMissingError",
+    "GaugeIncompatibleError",
+    "DegenerateBranchError",
+    "NonMonotoneReparametrizationError",
+    "InvalidInputError",
+    "ConfigError",
+]
+
 
 class SchrodeformError(Exception):
     """Base class for all library errors."""
@@ -78,6 +100,10 @@ class DegenerateBranchError(SchrodeformError):
 
 class NonMonotoneReparametrizationError(SchrodeformError):
     """Time reparametrization is not strictly monotone."""
+
+
+class InvalidInputError(SchrodeformError, ValueError):
+    """An argument is malformed or out of range (shape, order, value)."""
 
 
 class ConfigError(SchrodeformError):

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import EvaluationOutsideDomainError
+from ..errors import EvaluationOutsideDomainError, InvalidInputError
 from .diffeo import DiffeoFamily, jacobian_field
 from .fields import GridFunction
 from .grid import ReferenceGrid
@@ -79,7 +79,7 @@ def pushforward_sharp(family: DiffeoFamily, t: float, g: GridFunction):
 def pulled_gradient(family: DiffeoFamily, t: float, g: GridFunction) -> GridFunction:
     """(h* grad_x h_*) g = (J^{-1})^t grad_y g, nodewise."""
     if g.is_vector:
-        raise ValueError("pulled_gradient expects a scalar field")
+        raise InvalidInputError("pulled_gradient expects a scalar field")
     grid = g.grid
     _, _, Jinv = jacobian_field(family, t, grid.nodes)
     grad = node_gradient(grid, g.values)
@@ -91,7 +91,7 @@ def pulled_gradient(family: DiffeoFamily, t: float, g: GridFunction) -> GridFunc
 def pulled_divergence(family: DiffeoFamily, t: float, A: GridFunction) -> GridFunction:
     """(h* div_x h_*) A = div_y(|J| J^{-1} A) / |J|, nodewise flux form."""
     if not A.is_vector:
-        raise ValueError("pulled_divergence expects a vector field")
+        raise InvalidInputError("pulled_divergence expects a vector field")
     grid = A.grid
     _, det, Jinv = jacobian_field(family, t, grid.nodes)
     flux = det[:, None] * np.einsum("nij,nj->ni", Jinv, A.values)

@@ -19,7 +19,7 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from ..errors import DegenerateJacobianError, InverseUnavailableError
+from ..errors import DegenerateJacobianError, InvalidInputError, InverseUnavailableError
 from . import smallmat
 
 
@@ -48,7 +48,7 @@ class DiffeoFamily:
     name: str = "family"
 
     def check_time(self, t) -> None:
-        """Raise ValueError naming the first time (scalar) outside the window."""
+        """Raise InvalidInputError naming the first scalar time outside the window."""
         lo, hi = self.window
         tol = 1e-12 * max(1.0, abs(hi - lo))
         t = np.asarray(t, dtype=float)
@@ -56,7 +56,7 @@ class DiffeoFamily:
         inside = (lo - tol <= t) & (t <= hi + tol)
         if not inside.all():
             bad = float(t[~inside].flat[0])
-            raise ValueError(f"t={bad} outside validity window {self.window}")
+            raise InvalidInputError(f"t={bad} outside validity window {self.window}")
 
     def _fd_times(self, t):
         """Central-difference probe times, clipped to the window."""
@@ -236,7 +236,7 @@ def validate_family(family: DiffeoFamily, grid, times, inverse_tol: float = 1e-8
     """Check the family invariants on the grid nodes at the given times.
 
     Raises DegenerateJacobianError if det J is not positive everywhere, and
-    ValueError if a supplied inverse fails the round-trip bound.
+    InvalidInputError if a supplied inverse fails the round-trip bound.
     """
     for t in times:
         jacobian_field(family, t, grid.nodes)
@@ -245,7 +245,7 @@ def validate_family(family: DiffeoFamily, grid, times, inverse_tol: float = 1e-8
             back = np.asarray(family.inverse(t, x), dtype=float)
             err = float(np.max(np.abs(back - grid.nodes)))
             if err > inverse_tol:
-                raise ValueError(
+                raise InvalidInputError(
                     f"inverse round-trip error {err:.3e} > {inverse_tol:g} at t={t}")
 
 

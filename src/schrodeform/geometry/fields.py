@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..errors import InvalidInputError
 from .grid import ReferenceGrid
 from .interp import nodal_spline
 
@@ -18,12 +19,12 @@ class GridFunction:
     def __init__(self, grid: ReferenceGrid, values: np.ndarray):
         values = np.asarray(values, dtype=complex)
         if values.shape[0] != grid.n_nodes:
-            raise ValueError(
+            raise InvalidInputError(
                 f"expected {grid.n_nodes} nodal values, got {values.shape[0]}")
         if values.ndim == 2 and values.shape[1] != grid.dim:
-            raise ValueError("vector values must have one component per axis")
+            raise InvalidInputError("vector values must have one component per axis")
         if values.ndim > 2:
-            raise ValueError("values must be scalar or vector per node")
+            raise InvalidInputError("values must be scalar or vector per node")
         self.grid = grid
         self.values = values
 
@@ -42,7 +43,7 @@ class GridFunction:
     def inner(self, other: "GridFunction") -> complex:
         a, b = self.values, other.values
         if a.ndim != b.ndim:
-            raise ValueError("mixed scalar/vector inner product")
+            raise InvalidInputError("mixed scalar/vector inner product")
         integrand = np.conj(a) * b
         if a.ndim == 2:
             integrand = integrand.sum(axis=1)
@@ -57,7 +58,7 @@ class GridFunction:
     def interpolator(self):
         """Spline interpolant of the samples over the closed domain."""
         if self.is_vector:
-            raise ValueError("interpolator() expects a scalar field")
+            raise InvalidInputError("interpolator() expects a scalar field")
         return nodal_spline(self.grid, self.values)
 
     def __repr__(self):

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..errors import InvalidInputError
+
 
 def _trapezoid_weights(n_nodes: int, spacing: float) -> np.ndarray:
     w = np.full(n_nodes, spacing)
@@ -32,13 +34,13 @@ class ReferenceGrid:
         cells = tuple(int(c) for c in cells)
         bounds = tuple((float(lo), float(hi)) for lo, hi in bounds)
         if len(cells) != len(bounds):
-            raise ValueError("cells and bounds must have the same length")
+            raise InvalidInputError("cells and bounds must have the same length")
         if len(cells) not in (1, 2):
-            raise ValueError("only 1D and 2D grids are supported")
+            raise InvalidInputError("only 1D and 2D grids are supported")
         if any(c < 2 for c in cells):
-            raise ValueError("need at least 2 cells per axis")
+            raise InvalidInputError("need at least 2 cells per axis")
         if any(hi <= lo for lo, hi in bounds):
-            raise ValueError("each axis needs hi > lo")
+            raise InvalidInputError("each axis needs hi > lo")
 
         self.dim = len(cells)
         self.cells = cells

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import ContractionBoundExceededError, NoConvergenceError
+from ..errors import (ContractionBoundExceededError, InvalidInputError,
+                      NoConvergenceError)
 from ..geometry import smallmat
 from ..geometry.fields import GridFunction
 from ..geometry.grid import ReferenceGrid
@@ -34,7 +35,7 @@ def _as_nodal(f, grid: ReferenceGrid) -> np.ndarray:
         return np.asarray(f(grid.nodes), dtype=float)
     arr = np.asarray(f, dtype=float)
     if arr.shape != (grid.n_nodes,):
-        raise ValueError("density snapshot must have one value per node")
+        raise InvalidInputError("density snapshot must have one value per node")
     return arr
 
 

@@ -15,7 +15,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from ..errors import FlowLeftDomainError
+from ..errors import FlowLeftDomainError, InvalidInputError
 from ..geometry.grid import ReferenceGrid
 from ..geometry.interp import nodal_spline
 from .maps import (
@@ -29,50 +29,56 @@ from .right_inverse import build_divergence_right_inverse
 
 
 class _FlowField:
-    """Velocity field of the re-anchored density.
+    """Velocity U = -(1/g) L^{-1}(df/dt / f(t0)) of the re-anchored density.
 
-    One right-inverse solve per distinct stage time; the resulting fields are
-    cached so the backward passes (and the repeated midpoint stage of RK4)
-    reuse them.
+    Here g = f(t) / f(t0) is read at the anchor's pull-back q of each point.
+    The field holds a stage table: one entry per distinct stage time, built
+    the first time that time is reached, with one right-inverse solve.  The
+    entry is a single nodal spline whose channels are the velocity u(t) and
+    the density's nodal samples f(t, .) and f(t0, .).  With the identity
+    anchor one evaluation at the stage points gives u and g together; with
+    an anchor map, u is read at the points and g at q.  The repeated RK4
+    midpoint, the backward passes and `ratio` at the sample times (which are
+    stage times) read the table and make no further density or rate call.
     """
 
     def __init__(self, density: DensityFamily, grid: ReferenceGrid, t0: float,
                  anchor: MoserMap | None):
         self.density = density
         self.grid = grid
-        self.t0 = t0
         self.rinv = build_divergence_right_inverse(grid)
+        self._f0_nodes = density(t0, grid.nodes)
         if anchor is None or anchor.method == "identity":
             self._pull = None
             self._pull_nodes = grid.nodes
+            self._f0_pulled = self._f0_nodes
         else:
             # interpolated anchor inverse is accurate enough inside RK4 stages
             self._pull = nodal_spline(grid, anchor.inverse_values)
             self._pull_nodes = self._pull(grid.nodes)
-        self._f0_nodes = density(t0, self._pull_nodes)
-        self._fields: dict = {}
+            self._f0_pulled = density(t0, self._pull_nodes)
+        self._table: dict = {}
 
-    def _pulled(self, pts):
-        if self._pull is None:
-            return pts
-        return self._pull(pts)
-
-    def ratio(self, t: float, pts: np.ndarray, pulled=None) -> np.ndarray:
-        q = self._pulled(pts) if pulled is None else pulled
-        return self.density(t, q) / self.density(self.t0, q)
-
-    def _field_at(self, t: float):
+    def _entry(self, t: float):
         key = round(float(t), 12)
-        if key not in self._fields:
-            rate_nodes = self.density.rate(t, self._pull_nodes) / self._f0_nodes
-            self._fields[key] = self.rinv.apply(rate_nodes)
-        return self._fields[key]
+        if key not in self._table:
+            rate = self.density.rate(t, self._pull_nodes) / self._f0_pulled
+            u = self.rinv.apply(rate).node_values.real
+            self._table[key] = nodal_spline(self.grid, np.column_stack(
+                [u, self.density(t, self.grid.nodes), self._f0_nodes]))
+        return self._table[key]
+
+    def ratio(self, t: float, pts: np.ndarray) -> np.ndarray:
+        """g = f(t) / f(t0) at the pull-back of `pts`."""
+        q = pts if self._pull is None else self._pull(pts)
+        f = self._entry(t)(q)
+        return f[:, -2] / f[:, -1]
 
     def __call__(self, t: float, pts: np.ndarray) -> np.ndarray:
-        field = self._field_at(t)
-        q = self._pulled(pts)
-        g = self.density(t, q) / self.density(self.t0, q)
-        return -field(pts).real / g[:, None]
+        spline = self._entry(t)
+        vals = spline(pts)
+        f = vals if self._pull is None else spline(self._pull(pts))
+        return -vals[:, :-2] / (f[:, -2] / f[:, -1])[:, None]
 
 
 def _rk4_span(velocity, pts: np.ndarray, ta: float, tb: float, n_steps: int,
@@ -118,7 +124,7 @@ def moser_flow(density: DensityFamily, grid: ReferenceGrid, time_samples,
     """
     time_samples = [float(t) for t in time_samples]
     if sorted(time_samples) != time_samples:
-        raise ValueError("time samples must be ascending")
+        raise InvalidInputError("time samples must be ascending")
     if validate:
         density.validate(grid, time_samples)
     t0 = time_samples[0]
@@ -126,7 +132,7 @@ def moser_flow(density: DensityFamily, grid: ReferenceGrid, time_samples,
     f0 = density(t0, grid.nodes)
     if anchor is None:
         if np.max(np.abs(f0 - 1.0)) > 1e-10:
-            raise ValueError(
+            raise InvalidInputError(
                 "moser_flow needs f(t0) == 1 or an explicit anchor map")
         anchor = identity_moser_map(grid, t0)
 

@@ -79,27 +79,34 @@ class _SmoothedDensity:
             dc = -meas * dtotal / total ** 2
             f1 = c * s
             df1 = dc * s + c * ds
-            # the bound holds peak memory down: keeping every stage entry
-            # spares the flow's backward pass its rebuilds, but raised the
-            # peak RSS of a 40x40 normalize_diffeo by 14% and saved little time
+            # the flow reads each stage time once (its stage table serves
+            # the backward pass), so the bound costs only the rebuilds of the
+            # sample times read again after the flow, and keeps memory flat
             if len(self._cache) > 64:
                 self._cache.clear()
-            # f1 and df1 are evaluated at different points, so two splines
-            self._cache[key] = (f1, df1, nodal_spline(self.grid, f1),
-                                nodal_spline(self.grid, df1))
+            self._cache[key] = [f1, df1, None]
         return self._cache[key]
 
     def nodal(self, t: float) -> np.ndarray:
         return self._entry(t)[0]
 
+    def _read(self, t: float, pts, channel: int) -> np.ndarray:
+        """f1 (channel 0) or df1 (channel 1) at `pts`.
+
+        A read at the grid's own node array returns the nodal samples; the
+        spline of both channels is built only for the first read elsewhere.
+        """
+        entry = self._entry(t)
+        if pts is self.grid.nodes:
+            return entry[channel]
+        if entry[2] is None:
+            entry[2] = nodal_spline(self.grid, np.stack(entry[:2], axis=-1))
+        return entry[2](pts)[:, channel]
+
     def family(self) -> DensityFamily:
-        def evaluator(t, pts):
-            return self._entry(t)[2](np.atleast_2d(pts))
-
-        def rate(t, pts):
-            return self._entry(t)[3](np.atleast_2d(pts))
-
-        return DensityFamily(evaluator, rate, window=self.density.window)
+        return DensityFamily(lambda t, pts: self._read(t, pts, 0),
+                             lambda t, pts: self._read(t, pts, 1),
+                             window=self.density.window)
 
 
 def moser_combined(density: DensityFamily, grid: ReferenceGrid, time_samples,

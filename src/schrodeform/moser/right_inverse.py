@@ -32,7 +32,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from ..errors import SingularSystemError
+from ..errors import InvalidInputError, SingularSystemError
 from ..geometry.fields import GridFunction
 from ..geometry.grid import ReferenceGrid
 from ..geometry.interp import nodal_spline
@@ -196,7 +196,7 @@ class DivergenceRightInverse:
         """Mean-adjusted scalar samples -> nodal vector field u with div u = v."""
         if isinstance(v, GridFunction):
             if v.is_vector:
-                raise ValueError("right-inverse input must be scalar")
+                raise InvalidInputError("right-inverse input must be scalar")
             values = v.values.real
         else:
             values = np.asarray(v, dtype=float)

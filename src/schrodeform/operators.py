@@ -45,7 +45,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import EllipticityViolatedError, NonRealEnergyError
+from .errors import EllipticityViolatedError, InvalidInputError, NonRealEnergyError
 from .geometry import smallmat
 from .geometry.diffeo import DiffeoFamily, identity_family, jacobian_field
 from .geometry.fields import GridFunction
@@ -474,7 +474,7 @@ def _form_pattern(grid: ReferenceGrid, bc: str) -> _FormPattern:
 def form_pattern(grid: ReferenceGrid, bc: str) -> _FormPattern:
     """The cached assembly pattern of one (grid, boundary realization)."""
     if bc not in _BCS:
-        raise ValueError(f"unknown boundary condition {bc!r}; use one of {_BCS}")
+        raise InvalidInputError(f"unknown boundary condition {bc!r}; use one of {_BCS}")
     return grid.cached(("form_pattern", bc), lambda: _form_pattern(grid, bc))
 
 
@@ -524,7 +524,7 @@ def neumann_flux_coefficient(family: DiffeoFamily, t: float,
     """
     where = np.flatnonzero(grid.boundary_indices == boundary_node)
     if where.size == 0:
-        raise ValueError(f"node {boundary_node} is not a boundary node")
+        raise InvalidInputError(f"node {boundary_node} is not a boundary node")
     k = int(where[0])
     y = grid.nodes[boundary_node:boundary_node + 1]
     _, _, Jinv = jacobian_field(family, t, y)

@@ -21,7 +21,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg import lapack
 
-from .errors import InverseUnavailableError, SnapshotMissingError, SolverDivergenceError
+from .errors import (InvalidInputError, InverseUnavailableError,
+                     SnapshotMissingError, SolverDivergenceError)
 from .geometry.calculus import pushforward_sharp
 from .geometry.diffeo import DiffeoFamily
 from .geometry.fields import GridFunction
@@ -54,9 +55,9 @@ class PropagatorConfig:
 
     def __post_init__(self):
         if not self.dt > 0:
-            raise ValueError("dt must be positive")
+            raise InvalidInputError("dt must be positive")
         if not self.t_end >= self.t_start:
-            raise ValueError("t_end must not precede t_start")
+            raise InvalidInputError("t_end must not precede t_start")
 
     @property
     def n_steps(self) -> int:

@@ -15,7 +15,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from ..errors import DegenerateBranchError
+from ..errors import DegenerateBranchError, InvalidInputError
 from ..geometry.diffeo import DiffeoFamily
 from ..geometry.grid import ReferenceGrid
 from ..operators import CoefficientSet, DIRICHLET, assemble_hamiltonian, free_coefficients
@@ -36,9 +36,9 @@ class AdiabaticRun:
 
     def __post_init__(self):
         if any(b >= a for a, b in zip(self.epsilons, self.epsilons[1:])):
-            raise ValueError("epsilon list must be strictly decreasing")
+            raise InvalidInputError("epsilon list must be strictly decreasing")
         if any(not (0.0 <= ov <= 1.0 + 1e-10) for ov in self.overlaps):
-            raise ValueError("projector occupations must lie in [0, 1]")
+            raise InvalidInputError("projector occupations must lie in [0, 1]")
 
     def deviations(self) -> np.ndarray:
         return np.abs(np.asarray(self.overlaps) - self.initial_overlap)
@@ -104,7 +104,7 @@ def adiabatic_experiment(family: DiffeoFamily, coeffs: CoefficientSet,
     """
     epsilons = sorted({float(e) for e in epsilons}, reverse=True)
     if not epsilons:
-        raise ValueError("need at least one epsilon")
+        raise InvalidInputError("need at least one epsilon")
 
     eig_path = check_branch_path(family, grid, branch, bc,
                                  samples=path_samples, gap_floor=gap_floor)

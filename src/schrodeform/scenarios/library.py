@@ -14,7 +14,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from ..errors import NonMonotoneReparametrizationError
+from ..errors import InvalidInputError, NonMonotoneReparametrizationError
 from ..geometry.diffeo import DiffeoFamily, identity_family
 from ..geometry.grid import ReferenceGrid
 from ..operators import (
@@ -130,7 +130,7 @@ def translation_scenario(path=None, velocity=None, accel=None,
         velocity = lambda t: np.array([t] + [0.0] * (dim - 1))
         accel = lambda t: np.array([1.0] + [0.0] * (dim - 1))
     if velocity is None or accel is None:
-        raise ValueError("translation scenario needs velocity and accel paths")
+        raise InvalidInputError("translation scenario needs velocity and accel paths")
     fam = translation_family(path, velocity, dim=dim, window=window)
 
     def vvec(t):
@@ -256,7 +256,7 @@ def homothety_scenario(scale=None, dscale=None, ddscale=None, dim: int = 1,
         dscale = lambda t: 0.5
         ddscale = lambda t: 0.0
     if dscale is None:
-        raise ValueError("homothety scenario needs the scale derivative")
+        raise InvalidInputError("homothety scenario needs the scale derivative")
     fam = homothety_family(scale, dscale, dim=dim, window=window)
 
     def rate(t):
@@ -323,7 +323,7 @@ def gauge_equivalence_check(scenario: ScenarioDef, config: PropagatorConfig,
     and the reduced state (global phases cancel in the fidelity).
     """
     if scenario.gauge is None or scenario.reduced is None:
-        raise ValueError(f"scenario {scenario.name} has no reduced formulation")
+        raise InvalidInputError(f"scenario {scenario.name} has no reduced formulation")
     grid = scenario.grid(cells)
     v0 = scenario.build_initial(grid, config.t_start)
 

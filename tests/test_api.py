@@ -14,8 +14,8 @@ def test_family_and_scenario_reject_new_attributes():
             obj.path = None
 
 
-@pytest.mark.parametrize("module", ["schrodeform.geometry", "schrodeform.moser",
-                                    "schrodeform.scenarios"])
+@pytest.mark.parametrize("module", ["schrodeform.errors", "schrodeform.geometry",
+                                    "schrodeform.moser", "schrodeform.scenarios"])
 def test_export_lists_resolve(module):
     mod = importlib.import_module(module)
     missing = [name for name in mod.__all__ if not hasattr(mod, name)]

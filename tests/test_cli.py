@@ -238,3 +238,18 @@ def test_run_nan_scenario_param_exit_3(tmp_path, capsys, command):
                  "--output", str(tmp_path / "out")])
     assert code == 3
     assert "params.l1 must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("scenario, params, accepted", [
+    ("moving_interval", {"L1": 3.0}, "['l0', 'l1', 'smooth']"),
+    ("translation", {"l1": 3.0, "omega": 9}, "[]"),
+], ids=["moving_interval", "translation"])
+def test_unknown_scenario_param_exit_3(tmp_path, capsys, scenario, params, accepted):
+    # a misspelt or foreign key used to run the defaults and exit 0
+    cfg = tmp_path / "typo.json"
+    cfg.write_text(json.dumps({"scenario": scenario, "params": params}))
+    code = main(["run", "--config", str(cfg), "--grid", "16", "--dt", "0.05",
+                 "--output", str(tmp_path / "out")])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "unknown params" in err and f"accepted: {accepted}" in err

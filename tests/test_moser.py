@@ -21,7 +21,11 @@ from schrodeform.moser import (
     normalize_diffeo,
     q_residual,
 )
-from schrodeform.moser.pipeline import _volume_density
+from schrodeform.geometry.interp import nodal_spline
+from schrodeform.moser import flow as flow_module
+from schrodeform.moser.pipeline import _static_flow, _volume_density
+from schrodeform.moser.right_inverse import (DivergenceRightInverse,
+                                             build_divergence_right_inverse)
 from schrodeform.scenarios.families import diagonal_family, stretch_warp_family
 
 
@@ -160,6 +164,73 @@ def test_flow_rejects_negative_density():
         lambda t, p: -2.0 * p[..., 0])
     with pytest.raises(NonPositiveDensityError):
         moser_flow(dens, grid, [0.0, 1.0])
+
+
+def test_flow_stage_table_reads_each_stage_time_once(monkeypatch):
+    grid = ReferenceGrid.rectangle(8)
+    base = _sine_density_2d(0.1)
+    calls = {"density": 0, "rate": 0, "apply": 0, "backward": 0}
+
+    def f(t, p):
+        calls["density"] += 1
+        return base(t, p)
+
+    def df(t, p):
+        calls["rate"] += 1
+        return base.rate(t, p)
+
+    apply = DivergenceRightInverse.apply
+
+    def counted_apply(self, v):
+        calls["apply"] += 1
+        return apply(self, v)
+
+    backward = flow_module._integrate_backward
+
+    def watched_backward(*args):
+        before = calls["density"] + calls["rate"]
+        out = backward(*args)
+        calls["backward"] += calls["density"] + calls["rate"] - before
+        return out
+
+    monkeypatch.setattr(DivergenceRightInverse, "apply", counted_apply)
+    monkeypatch.setattr(flow_module, "_integrate_backward", watched_backward)
+    moser_flow(DensityFamily(f, df), grid, [0.0, 1.0], min_steps=200)
+    # 200 RK4 steps have 401 distinct stage times
+    assert calls["rate"] == 401
+    assert calls["apply"] == 401
+    assert calls["backward"] == 0
+    # one nodal read per stage time, plus validate (2 samples), the
+    # f(t0) == 1 check, the field's f(t0) and the two maps' targets
+    assert calls["density"] == 401 + 6
+
+
+def _spline_density(grid, amplitude):
+    shape = nodal_spline(grid, np.sin(2 * np.pi * grid.nodes[:, 0])
+                         * np.sin(2 * np.pi * grid.nodes[:, 1]))
+    return DensityFamily(lambda t, p: 1.0 + amplitude * t * shape(p),
+                         lambda t, p: amplitude * shape(p))
+
+
+@pytest.mark.parametrize("t0", [0.0, 0.5], ids=["identity", "static_flow"])
+def test_flow_field_matches_separate_splines(t0):
+    grid = ReferenceGrid.rectangle(12)
+    density = _spline_density(grid, 0.2)
+    anchor = None if t0 == 0.0 else _static_flow(
+        density(t0, grid.nodes), grid, t0, min_steps=40)
+    field = flow_module._FlowField(density, grid, t0, anchor)
+    pts = np.random.default_rng(3).uniform(0.05, 0.95, size=(50, 2))
+    pull = (lambda x: x) if anchor is None else nodal_spline(
+        grid, anchor.inverse_values)
+    rinv = build_divergence_right_inverse(grid)
+    for t in (t0, 0.73):
+        u = rinv.apply(density.rate(t, pull(grid.nodes))
+                       / density(t0, pull(grid.nodes)))
+        q = pull(pts)
+        expected = -u(pts) * (density(t0, q) / density(t, q))[:, None]
+        scale = np.max(np.abs(expected))
+        assert scale > 0.0
+        assert np.max(np.abs(field(t, pts) - expected)) <= 1e-13 * scale
 
 
 # -- combined pipeline --------------------------------------------------------
