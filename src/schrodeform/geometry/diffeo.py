@@ -244,7 +244,7 @@ def validate_family(family: DiffeoFamily, grid, times, inverse_tol: float = 1e-8
             x = np.asarray(family.map(t, grid.nodes), dtype=float)
             back = np.asarray(family.inverse(t, x), dtype=float)
             err = float(np.max(np.abs(back - grid.nodes)))
-            if err > inverse_tol:
+            if not err <= inverse_tol:      # a NaN round trip fails too
                 raise InvalidInputError(
                     f"inverse round-trip error {err:.3e} > {inverse_tol:g} at t={t}")
 

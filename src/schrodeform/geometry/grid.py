@@ -39,7 +39,9 @@ class ReferenceGrid:
             raise InvalidInputError("only 1D and 2D grids are supported")
         if any(c < 2 for c in cells):
             raise InvalidInputError("need at least 2 cells per axis")
-        if any(hi <= lo for lo, hi in bounds):
+        if not np.isfinite(bounds).all():
+            raise InvalidInputError("grid bounds must be finite")
+        if not all(hi > lo for lo, hi in bounds):
             raise InvalidInputError("each axis needs hi > lo")
 
         self.dim = len(cells)

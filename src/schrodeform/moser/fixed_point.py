@@ -45,7 +45,7 @@ def moser_fixed_point(f_snapshot, grid: ReferenceGrid, tol: float = 1e-10,
     """Single-time map with det D phi = f, for f within the contraction bound."""
     f = _as_nodal(f_snapshot, grid)
     dev = float(np.max(np.abs(f - 1.0)))
-    if dev > contraction_bound * (1.0 + 1e-12):
+    if not dev <= contraction_bound * (1.0 + 1e-12):   # a NaN fails too
         raise ContractionBoundExceededError(
             f"||f - 1||_inf = {dev:.3g} exceeds the bound {contraction_bound:g}; "
             "use the combined pipeline")

@@ -100,8 +100,9 @@ def _rk4_span(velocity, pts: np.ndarray, ta: float, tb: float, n_steps: int,
 
 def _enforce_domain(pts: np.ndarray, grid: ReferenceGrid, band: float, t: float):
     for a, (lo, hi) in enumerate(grid.bounds):
+        # NaN coordinates make the first term NaN, and the guard fails on it
         worst = max(float(np.max(pts[:, a] - hi)), float(np.max(lo - pts[:, a])), 0.0)
-        if worst > band:
+        if not worst <= band:
             raise FlowLeftDomainError(
                 f"trajectory left the domain by {worst:.3e} (> spacing/100) near t={t}")
         np.clip(pts[:, a], lo, hi, out=pts[:, a])

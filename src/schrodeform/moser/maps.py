@@ -119,9 +119,10 @@ class MoserMap:
         """Assert the structural invariants (identity trace, positive det)."""
         bnd = self.grid.boundary_indices
         err = np.max(np.abs(self.values[bnd] - self.grid.nodes[bnd]))
-        if err > 0.0:
+        # both guards are written so that a NaN fails them
+        if not err <= 0.0:
             raise AssertionError(f"map is not the identity on the boundary: {err:.3e}")
-        if np.min(self.det_values) <= 0.0:
+        if not np.min(self.det_values) > 0.0:
             raise AssertionError("map determinant is not positive everywhere")
 
 

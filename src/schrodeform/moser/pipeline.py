@@ -186,29 +186,47 @@ def _volume_density(family: DiffeoFamily, grid: ReferenceGrid):
 
     With L = d/dt log det J, the rate of f is f (L - dvol/vol).  vol and
     dvol are node quadratures of det J and det J L, computed once per t.
+    Reads of f and its rate at the grid's own node array reuse the nodal
+    (det J, L) of the last time computed: the smoothed density reads both
+    at one time back to back, so one time's arrays suffice.
     """
     meas0 = grid.measure
     cache: dict = {}
+    last: dict = {}
 
-    def nodal(t):
+    def arrays(t):
         key = round(float(t), 12)
-        if key not in cache:
+        if key not in last:
             det, log_rate = det_and_log_derivative(family, t, grid.nodes)
+            last.clear()
+            last[key] = det, log_rate
             cache[key] = (float(np.sum(grid.weights * det)),
                           float(np.sum(grid.weights * det * log_rate)))
+        return last[key]
+
+    def quadratures(t):
+        key = round(float(t), 12)
+        if key not in cache:
+            arrays(t)
         return cache[key]
 
     def f_eval(t, pts):
-        det = smallmat.det(family.jacobian_matrix(t, pts))
-        return meas0 / nodal(t)[0] * det
+        if pts is grid.nodes:
+            det = arrays(t)[0]
+        else:
+            det = smallmat.det(family.jacobian_matrix(t, pts))
+        return meas0 / quadratures(t)[0] * det
 
     def f_rate(t, pts):
-        det, log_rate = det_and_log_derivative(family, t, pts)
-        vol, dvol = nodal(t)
+        if pts is grid.nodes:
+            det, log_rate = arrays(t)
+        else:
+            det, log_rate = det_and_log_derivative(family, t, pts)
+        vol, dvol = quadratures(t)
         return meas0 / vol * det * (log_rate - dvol / vol)
 
     return (DensityFamily(f_eval, f_rate, window=family.window),
-            lambda t: nodal(t)[0])
+            lambda t: quadratures(t)[0])
 
 
 def normalize_diffeo(family: DiffeoFamily, grid: ReferenceGrid, time_samples,

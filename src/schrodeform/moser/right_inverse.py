@@ -138,7 +138,7 @@ class DivergenceRightInverse:
 
         null_full = _null_vector(grid)
         check = np.abs(null_full @ self._A).max()
-        if check > 1e-10 / grid.min_spacing:
+        if not check <= 1e-10 / grid.min_spacing:   # a NaN fails too
             raise SingularSystemError(
                 f"left null vector mismatch {check:.3e}; stencil bug")
         self._null = null_full

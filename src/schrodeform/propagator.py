@@ -110,28 +110,47 @@ class CayleyStepper:
     Built once per (pattern, dt).  Without ``csr`` the generators are
     tridiagonal and given as LAPACK (1, 1) bands ``(K, 3, n)``: the
     right-hand side is a band product and the solve is ``zgtsv``.  With
-    ``csr = (indptr, indices)`` they are given as ``(K, nnz)`` data rows of
-    that CSR pattern and each step factors ``I + z H`` with a sparse LU in
-    the minimum-degree ordering of A^t + A, which fills less than the
-    default COLAMD on these symmetric-pattern systems.
+    ``csr = (indptr, indices)``, a canonical CSR pattern, they are given as
+    ``(K, nnz)`` data rows of that pattern and each step factors ``I + z H``
+    with a sparse LU in the elimination order ``order`` (a permutation of
+    the dofs, see :func:`nested_dissection`).  The permutation is folded
+    into the scatter from the CSR rows to the CSC layout that SuperLU takes,
+    so the steps run on the permuted system and SuperLU keeps its natural
+    column order.
 
     Non-finite data, a singular factor and a residual above tolerance all
     raise :class:`SolverDivergenceError`.
     """
 
     def __init__(self, n: int, dt: float, solver_tol: float = 1e-12,
-                 csr: Optional[tuple] = None):
+                 csr: Optional[tuple] = None, order: Optional[np.ndarray] = None):
         self.n = n
         self.z = 0.5j * dt
         self.solver_tol = solver_tol
-        self._csc = None
+        self._lu = None
         if csr is not None:
+            if order is None or np.shape(order) != (n,):
+                raise InvalidInputError(
+                    "a sparse-LU stepper needs an elimination order of its n dofs")
             indptr, indices = csr
-            # the CSC layout of the pattern and where each CSR entry goes in it
-            order = sp.csr_matrix((np.arange(1, indices.size + 1), indices, indptr),
-                                  shape=(n, n)).tocsc()
-            self._csc = (order.data - 1, order.indices, order.indptr)
-            self._eye = sp.identity(n, format="csc", dtype=complex)
+            self._order = np.asarray(order)
+            self._inv = np.empty(n, dtype=np.intp)
+            self._inv[self._order] = np.arange(n)
+            # the CSC layout of P H P^t plus its whole diagonal, and the CSR
+            # entry each slot reads (-1: a diagonal entry the pattern lacks,
+            # read from a zero appended to the data)
+            rows = np.concatenate([np.repeat(np.arange(n), np.diff(indptr)),
+                                   np.arange(n)])
+            cols = np.concatenate([indices, np.arange(n)])
+            ids = np.concatenate([np.arange(1, indices.size + 1),
+                                  np.zeros(n, dtype=np.int64)])
+            layout = sp.csc_matrix((ids, (self._inv[rows], self._inv[cols])),
+                                   shape=(n, n))
+            slots = layout.data - 1
+            col = np.repeat(np.arange(n), np.diff(layout.indptr))
+            self._lu = (slots, layout.indices, layout.indptr,
+                        np.flatnonzero(layout.indices == col))
+            self._pad = bool((slots < 0).any())
 
     def advance(self, v: np.ndarray, rows: np.ndarray):
         """Take ``len(rows)`` steps from ``v``, one per generator row.
@@ -142,10 +161,14 @@ class CayleyStepper:
         if not np.isfinite(rows).all():
             raise SolverDivergenceError(
                 "Cayley system has non-finite entries (generator or state)")
-        banded = self._csc is None
+        banded = self._lu is None
         if banded:
             cayley = self.z * rows      # I + z H, in the same band storage
             cayley[:, 1] += 1.0
+        else:
+            v = v[self._order]
+            if self._pad:
+                rows = np.pad(rows, ((0, 0), (0, 1)))
         states = np.empty((len(rows), self.n), dtype=complex)
         energies = np.empty(len(rows))
         for k in range(len(rows)):
@@ -155,7 +178,7 @@ class CayleyStepper:
                 v, Hv = self._lu_step(v, rows[k])
             states[k] = v
             energies[k] = np.vdot(v, Hv).real
-        return states, energies
+        return (states, energies) if banded else (states[:, self._inv], energies)
 
     def _check(self, A_out, rhs):
         residual = np.linalg.norm(A_out - rhs)
@@ -184,11 +207,18 @@ class CayleyStepper:
         return out, Hout
 
     def _lu_step(self, v, data):
-        perm, indices, indptr = self._csc
-        H = sp.csc_matrix((data[perm], indices, indptr), shape=(self.n, self.n))
+        """One step on the permuted system: ``v`` and the results are in the
+        elimination order."""
+        slots, indices, indptr, diag = self._lu
+        shape = (self.n, self.n)
+        h = data[slots]
+        H = sp.csc_matrix((h, indices, indptr), shape=shape)
         rhs = self._rhs(v, H @ v)
+        cayley = self.z * h
+        cayley[diag] += 1.0
         try:
-            lu = spla.splu(self._eye + self.z * H, permc_spec="MMD_AT_PLUS_A")
+            lu = spla.splu(sp.csc_matrix((cayley, indices, indptr), shape=shape),
+                           permc_spec="NATURAL", options=dict(SymmetricMode=True))
         except RuntimeError as exc:
             raise SolverDivergenceError(
                 f"Cayley factorization failed: {exc}") from exc
@@ -211,18 +241,92 @@ def step(v_dofs: np.ndarray, H_mid: DiscreteHamiltonian, dt: float,
     """One Cayley step: solve (I + i dt/2 H) v' = (I - i dt/2 H) v.
 
     A one-step :class:`CayleyStepper`: on the bands when the generator is
-    tridiagonal, through the sparse LU otherwise.  Non-finite data, a
-    singular factor and a residual above tolerance all raise
-    :class:`SolverDivergenceError`.
+    tridiagonal, otherwise through the sparse LU in the cached
+    :func:`nested_dissection` order of ``(H_mid.grid, H_mid.bc)``.
+    Non-finite data, a singular factor and a residual above tolerance all
+    raise :class:`SolverDivergenceError`.
     """
     n = H_mid.matrix.shape[0]
     if H_mid.banded is not None:
         stepper, rows = CayleyStepper(n, dt, solver_tol), H_mid.banded[None]
     else:
         M = H_mid.matrix
-        stepper = CayleyStepper(n, dt, solver_tol, csr=(M.indptr, M.indices))
+        if not M.has_canonical_format:
+            M = M.copy()
+            M.sum_duplicates()
+        stepper = CayleyStepper(n, dt, solver_tol, csr=(M.indptr, M.indices),
+                                order=nested_dissection(H_mid.grid, H_mid.bc))
         rows = M.data[None]
     return stepper.advance(np.asarray(v_dofs, dtype=complex), rows)[0][0]
+
+
+# parts of the dof graph with at most this many dofs are not split further
+_DISSECTION_LEAF = 8
+
+
+def nested_dissection(grid: ReferenceGrid, bc: str) -> np.ndarray:
+    """Nested-dissection elimination order of ``form_pattern(grid, bc)``'s
+    dofs, a permutation of ``range(n_dofs)`` (cached per grid and bc).
+
+    Geometric nested dissection (A. George, SIAM J. Numer. Anal. 10, 1973):
+    each part of the dof set is bisected at the median grid index of its
+    longer axis; the lower-half dofs with a pattern neighbour in the upper
+    half form the separator, ordered after both halves, whose remaining dofs
+    are split in turn until a part has at most ``_DISSECTION_LEAF`` dofs.
+    The separator is read off the pattern's graph, not off grid lines, so
+    it holds for stencils that reach further than one node (the
+    magnetic-Neumann walls reach two).
+    """
+    pattern = form_pattern(grid, bc)
+    return grid.cached(("nested_dissection", bc),
+                       lambda: _nested_dissection(grid.shape, pattern))
+
+
+def _nested_dissection(shape: tuple, pattern) -> np.ndarray:
+    """All parts of one level are split at once.  Each dof carries a base-3
+    key with one digit per level (0 lower half, 1 upper half, 2 separator,
+    0 once its part is done); sorting by key orders every separator after
+    the two halves it separates, with ties in dof order."""
+    n = pattern.dofs.size
+    coords = np.stack(np.unravel_index(pattern.dofs, shape))
+    span = max(shape)
+    rows = np.repeat(np.arange(n, dtype=pattern.indices.dtype),
+                     np.diff(pattern.indptr))
+    off = rows != pattern.indices
+    a, b = rows[off], pattern.indices[off]      # the graph's edges
+    key = np.zeros(n, dtype=np.int64)
+    act = np.arange(n)                  # the dofs still to split, by part
+    size = np.array([n])                # the size of each part
+    side = np.empty(n, dtype=np.int8)
+    while act.size:
+        key *= 3
+        n_parts = size.size
+        start = np.cumsum(size) - size
+        part = np.repeat(np.arange(n_parts), size)
+        x = coords[:, act]
+        lo = np.minimum.reduceat(x, start, axis=1)
+        axis = np.argmax(np.maximum.reduceat(x, start, axis=1) - lo, axis=0)
+        c = x[axis[part], np.arange(act.size)]
+        median = (np.sort(part * span + c)[start + size // 2]
+                  - np.arange(n_parts) * span)
+        split = (size > _DISSECTION_LEAF) & (median > lo[axis, np.arange(n_parts)])
+        s = np.where(split[part], c >= median[part], 3).astype(np.int8)
+        side.fill(4)                    # 3: a part done, 4: not active
+        side[act] = s
+        sa, sb = side[a], side[b]
+        side[a[(sa == 0) & (sb == 1)]] = 2
+        side[b[(sb == 0) & (sa == 1)]] = 2
+        # edges inside one half stay; the next level drops the separator's
+        live = (sa == sb) & (sa < 2)
+        a, b = a[live], b[live]
+        s = side[act]
+        key[act] += s % 3
+        go = s < 2
+        child = 2 * part[go] + s[go]
+        act = act[go][np.argsort(child, kind="stable")]
+        size = np.bincount(child, minlength=2 * n_parts)
+        size = size[size > 0]
+    return np.argsort(key, kind="stable")
 
 
 def steps_per_pass(grid: ReferenceGrid) -> int:
@@ -249,8 +353,13 @@ def evolve(family: DiffeoFamily, coeffs: CoefficientSet, bc: str,
     dt = config.dt_effective
     stride = config.snapshot_stride
     pattern = form_pattern(grid, bc)
-    csr = None if pattern.band_pos is not None else (pattern.indptr, pattern.indices)
-    stepper = CayleyStepper(H0.n_dofs, dt, config.solver_tol, csr)
+    banded = pattern.band_pos is not None
+    if banded:
+        stepper = CayleyStepper(H0.n_dofs, dt, config.solver_tol)
+    else:
+        stepper = CayleyStepper(H0.n_dofs, dt, config.solver_tol,
+                                (pattern.indptr, pattern.indices),
+                                nested_dissection(grid, bc))
 
     norms = [np.linalg.norm(v[None], axis=1)]
     overlaps = [np.abs(v[None] @ obs) ** 2]
@@ -261,7 +370,7 @@ def evolve(family: DiffeoFamily, coeffs: CoefficientSet, bc: str,
         done = np.arange(k0 + 1, min(k0 + chunk, n) + 1)  # steps this chunk ends
         data = hamiltonian_data(family, coeffs, config.t_start + (done - 0.5) * dt,
                                 grid, bc)
-        rows = data if csr is not None else pattern.bands(data)
+        rows = pattern.bands(data) if banded else data
         states, chunk_energies = stepper.advance(v, rows)
         v = states[-1]
         norms.append(np.linalg.norm(states, axis=1))

@@ -39,7 +39,7 @@ class GaugeSpec:
         res = self.compatibility_residual(family, t, pts)
         vel = np.asarray(family.velocity(t, pts), dtype=float)
         scale = max(1.0, float(np.max(np.abs(vel))))
-        if res > tol * scale:
+        if not res <= tol * scale:      # a NaN residual fails too
             raise GaugeIncompatibleError(
                 f"gauge does not rectify the motion field: residual {res:.3e}")
 

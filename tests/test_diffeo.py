@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from schrodeform.errors import DegenerateJacobianError
+from schrodeform.errors import DegenerateJacobianError, InvalidInputError
 from schrodeform.geometry import (
     DiffeoFamily,
     ReferenceGrid,
@@ -138,3 +138,14 @@ def test_time_array_errors_name_a_scalar_time():
     assert info.value.t == 1.5
     with pytest.raises(ValueError, match=r"t=2\.5 outside"):
         fam.check_time(np.array([0.5, 2.5, 3.0]))
+
+
+def test_validate_family_rejects_nan_inverse():
+    grid = ReferenceGrid.rectangle(8)
+    bad = DiffeoFamily(
+        map=lambda t, y: np.asarray(y, dtype=float),
+        inverse=lambda t, x: np.full(np.shape(x), np.nan),
+        window=(0.0, 1.0),
+    )
+    with pytest.raises(InvalidInputError):
+        validate_family(bad, grid, times=[0.5])

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from schrodeform.errors import InvalidInputError
 from schrodeform.geometry import GridFunction, ReferenceGrid
 
 
@@ -94,3 +95,13 @@ def test_inner_product_sesquilinearity_property():
             np.conj(a) * f.inner(h) + np.conj(b) * g.inner(h), abs=1e-12)
 
     check()
+
+
+def test_grid_rejects_non_finite_bounds():
+    # a NaN bound passes a `hi <= lo` guard, and an infinite one gives inf spacing
+    with pytest.raises(InvalidInputError):
+        ReferenceGrid.rectangle(4, bounds=((0.0, np.nan), (0.0, 1.0)))
+    with pytest.raises(InvalidInputError):
+        ReferenceGrid.interval(4, 0.0, np.inf)
+    with pytest.raises(InvalidInputError):
+        ReferenceGrid.interval(4, -np.inf, 0.0)

@@ -23,6 +23,7 @@ from schrodeform.moser import (
 )
 from schrodeform.geometry.interp import nodal_spline
 from schrodeform.moser import flow as flow_module
+from schrodeform.moser.maps import identity_moser_map
 from schrodeform.moser.pipeline import _static_flow, _volume_density
 from schrodeform.moser.right_inverse import (DivergenceRightInverse,
                                              build_divergence_right_inverse)
@@ -351,3 +352,33 @@ def test_normalize_from_nontrivial_anchor_time():
         det = np.linalg.det(tilde.jacobian_matrix(t, grid.nodes))
         target = tilde.volume_ratio(t)
         assert np.max(np.abs(det - target)) / target <= 1e-3
+
+
+def test_map_check_fails_on_nan():
+    grid = ReferenceGrid.rectangle(6)
+    mm = identity_moser_map(grid)
+    mm.check()
+    values = mm.values.copy()
+    values[grid.boundary_indices[0]] = np.nan
+    with pytest.raises(AssertionError):
+        dataclasses.replace(mm, values=values).check()
+    det = mm.det_values.copy()
+    det[grid.interior_indices[0]] = np.nan
+    with pytest.raises(AssertionError):
+        dataclasses.replace(mm, det_values=det).check()
+
+
+def test_fixed_point_rejects_nan_density():
+    grid = ReferenceGrid.rectangle(6)
+    f = np.ones(grid.n_nodes)
+    f[grid.interior_indices[0]] = np.nan
+    with pytest.raises(ContractionBoundExceededError):
+        moser_fixed_point(f, grid)
+
+
+def test_flow_domain_guard_fails_on_nan():
+    grid = ReferenceGrid.rectangle(6)
+    pts = grid.nodes.copy()
+    pts[7] = np.nan
+    with pytest.raises(FlowLeftDomainError):
+        flow_module._enforce_domain(pts, grid, grid.min_spacing / 100.0, 0.0)

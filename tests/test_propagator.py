@@ -4,6 +4,7 @@ import scipy.sparse as sp
 
 from schrodeform.errors import SnapshotMissingError, SolverDivergenceError
 from schrodeform.geometry import GridFunction, ReferenceGrid, identity_family
+from schrodeform import propagator
 from schrodeform.operators import (
     DIRICHLET,
     MAGNETIC_NEUMANN,
@@ -11,18 +12,23 @@ from schrodeform.operators import (
     DiscreteHamiltonian,
     assemble_hamiltonian,
     eigenpairs,
+    form_pattern,
     free_coefficients,
+    hamiltonian_data,
 )
 from schrodeform.propagator import (
+    CayleyStepper,
     EvolutionTrace,
     PropagatorConfig,
     evolve,
+    nested_dissection,
     neumann_drift_diagnostic,
     step,
     steps_per_pass,
     transport_solution,
 )
-from schrodeform.scenarios.families import diagonal_family, interval_family
+from schrodeform.scenarios.families import (diagonal_family, interval_family,
+                                            warped_2d_family)
 
 
 @pytest.fixture(scope="module")
@@ -349,3 +355,108 @@ def test_degenerate_jacobian_in_a_chunk_names_its_time():
     config = PropagatorConfig(dt=0.1, t_start=0.0, t_end=1.0)
     with pytest.raises(DegenerateJacobianError, match="t=0.55"):
         evolve(fam, free_coefficients(1), DIRICHLET, v0, config)
+
+
+# -- the nested-dissection LU ----------------------------------------------------
+
+@pytest.mark.parametrize("bc", [DIRICHLET, MAGNETIC_NEUMANN, NAIVE_NEUMANN])
+def test_lu_steps_match_dense_cayley_solves(bc):
+    grid = ReferenceGrid.rectangle((12, 9))
+    family, coeffs = warped_2d_family(), free_coefficients(2)
+    dt, times = 0.02, np.array([0.11, 0.37, 0.93])
+    pattern = form_pattern(grid, bc)
+    rows = hamiltonian_data(family, coeffs, times, grid, bc)
+    n = pattern.dofs.size
+    rng = np.random.default_rng(3)
+    v0 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    stepper = CayleyStepper(n, dt, csr=(pattern.indptr, pattern.indices),
+                            order=nested_dissection(grid, bc))
+    states, energies = stepper.advance(v0, rows)
+    v, z = v0, 0.5j * dt
+    for k, t in enumerate(times):
+        H = sp.csr_matrix((rows[k], pattern.indices, pattern.indptr),
+                          shape=(n, n)).toarray()
+        v = np.linalg.solve(np.eye(n) + z * H, (np.eye(n) - z * H) @ v)
+        assert np.linalg.norm(states[k] - v) <= 1e-13 * np.linalg.norm(v)
+        assert energies[k] == pytest.approx(np.vdot(v, H @ v).real, rel=1e-13)
+        one = step(states[k - 1] if k else v0,
+                   assemble_hamiltonian(family, coeffs, t, grid, bc), dt)
+        assert np.linalg.norm(one - v) <= 1e-13 * np.linalg.norm(v)
+
+
+def test_lu_step_fills_in_missing_diagonal_entries():
+    # a generator whose pattern has no diagonal: I + zH still needs one
+    grid = ReferenceGrid.rectangle(4)
+    n = grid.n_nodes
+    off = sp.diags([np.ones(n - 1), np.ones(n - 1)], [-1, 1], format="csr")
+    H = DiscreteHamiltonian(matrix=off * (1 + 0.5j), bc=MAGNETIC_NEUMANN,
+                            t=0.0, grid=grid, dofs=np.arange(n))
+    v = np.linspace(0.0, 1.0, n).astype(complex)
+    dense, z = H.matrix.toarray(), 0.05j
+    want = np.linalg.solve(np.eye(n) + z * dense, (np.eye(n) - z * dense) @ v)
+    assert np.linalg.norm(step(v, H, 0.1) - want) <= 1e-13 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("cells, bc", [(16, MAGNETIC_NEUMANN), ((12, 9), NAIVE_NEUMANN),
+                                       ((5, 23), MAGNETIC_NEUMANN), ((17, 10), DIRICHLET)])
+def test_dissection_order_is_a_permutation_of_the_dofs(cells, bc):
+    grid = ReferenceGrid.rectangle(cells)
+    order = nested_dissection(grid, bc)
+    assert np.array_equal(np.sort(order), np.arange(form_pattern(grid, bc).dofs.size))
+
+
+def _count_dissections(monkeypatch):
+    calls = []
+    real = propagator._nested_dissection
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(propagator, "_nested_dissection", counted)
+    return calls
+
+
+def test_dissection_order_is_built_once_per_grid_and_bc(monkeypatch):
+    calls = _count_dissections(monkeypatch)
+    grid = ReferenceGrid.rectangle((10, 8))
+    family, coeffs = warped_2d_family(), free_coefficients(2)
+    H = assemble_hamiltonian(family, coeffs, 0.5, grid, MAGNETIC_NEUMANN)
+    assert not calls                    # assembly never orders
+    v = H.to_dofs(GridFunction.constant(grid, 1.0))
+    step(step(v, H, 0.01), H, 0.01)
+    order = nested_dissection(grid, MAGNETIC_NEUMANN)
+    evolve(family, coeffs, MAGNETIC_NEUMANN, H.from_dofs(v),
+           PropagatorConfig(dt=0.1, t_start=0.0, t_end=0.2))
+    assert len(calls) == 1
+    assert nested_dissection(grid, MAGNETIC_NEUMANN) is order
+
+
+def test_banded_evolution_builds_no_dissection_order(monkeypatch):
+    calls = _count_dissections(monkeypatch)
+    grid = ReferenceGrid.interval(32)
+    v0 = GridFunction.from_callable(grid, lambda y: np.sin(np.pi * y[:, 0]))
+    evolve(interval_family(lambda t: 1 + 0.5 * t, lambda t: 0.5),
+           free_coefficients(1), DIRICHLET, v0,
+           PropagatorConfig(dt=0.05, t_start=0.0, t_end=0.2))
+    assert not calls
+
+
+def test_dissection_fill_at_64_squared_beats_minimum_degree(monkeypatch):
+    # MMD_AT_PLUS_A fills 238,138 entries on this pattern (64^2, magnetic Neumann)
+    fills = []
+    real = propagator.spla
+
+    class Recording:
+        @staticmethod
+        def splu(*args, **kwargs):
+            lu = real.splu(*args, **kwargs)
+            fills.append(lu.L.nnz + lu.U.nnz)
+            return lu
+
+    monkeypatch.setattr(propagator, "spla", Recording)
+    grid = ReferenceGrid.rectangle(64)
+    H = assemble_hamiltonian(warped_2d_family(), free_coefficients(2), 0.5, grid,
+                             MAGNETIC_NEUMANN)
+    step(H.to_dofs(GridFunction.constant(grid, 1.0)), H, 1e-2)
+    assert fills and fills[0] <= 238138

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from schrodeform.geometry import ReferenceGrid
-from schrodeform.moser import build_divergence_right_inverse
+from schrodeform.errors import SingularSystemError
+from schrodeform.moser import build_divergence_right_inverse, right_inverse
 
 
 def _corner_compatible_sample(grid, seed=0):
@@ -94,3 +95,11 @@ def test_corner_mismatch_reported_for_generic_input():
     u = rinv.apply(v)
     assert u.corner_mismatch > 1e-3
     assert u.div_residual <= 1e-8 * np.max(np.abs(v))
+
+
+def test_null_vector_check_rejects_nan(monkeypatch):
+    grid = ReferenceGrid.rectangle(6)
+    monkeypatch.setattr(right_inverse, "_null_vector",
+                        lambda grid: np.full(grid.n_nodes, np.nan))
+    with pytest.raises(SingularSystemError, match="left null vector mismatch"):
+        right_inverse.DivergenceRightInverse(grid)

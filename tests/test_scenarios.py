@@ -303,3 +303,12 @@ def test_magnetic_potential_examples():
     static, pulled3 = magnetic_potential(identity_family(1), 0.2,
                                          ReferenceGrid.interval(8))
     assert np.max(np.abs(pulled3)) == 0.0
+
+
+def test_gauge_check_rejects_nan_residual():
+    grid = ReferenceGrid.interval(16)
+    scen = translation_scenario()
+    nan_grad = GaugeSpec(phase=lambda t, x: np.zeros(x.shape[0]),
+                         grad=lambda t, x: np.full(x.shape, np.nan))
+    with pytest.raises(GaugeIncompatibleError):
+        nan_grad.check(scen.family, 0.5, grid.nodes)
