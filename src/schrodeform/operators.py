@@ -39,13 +39,15 @@ Boundary realizations:
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import EllipticityViolatedError, InvalidInputError, NonRealEnergyError
+from .errors import (EllipticityViolatedError, InvalidInputError,
+                     NonRealEnergyError, SolverDivergenceError)
 from .geometry import smallmat
 from .geometry.diffeo import DiffeoFamily, identity_family, jacobian_field
 from .geometry.fields import GridFunction
@@ -62,6 +64,8 @@ DIRICHLET = "dirichlet"
 MAGNETIC_NEUMANN = "magnetic-neumann"
 NAIVE_NEUMANN = "naive-neumann"
 _BCS = (DIRICHLET, MAGNETIC_NEUMANN, NAIVE_NEUMANN)
+
+_log = logging.getLogger(__name__)
 
 
 # -- coefficients -------------------------------------------------------------
@@ -535,14 +539,16 @@ def neumann_flux_coefficient(family: DiffeoFamily, t: float,
 
 
 def energy_form(H: DiscreteHamiltonian, v: GridFunction) -> float:
-    """<H v, v> in the quadrature inner product; must be real."""
+    """<H v, v> in the quadrature inner product; must be real and finite."""
     vec = H.to_dofs(v)
     val = complex(np.vdot(vec, H.matrix @ vec))
     scale = max(abs(val), float(np.vdot(vec, vec).real)
                 * float(np.max(np.abs(H.matrix.data)) if H.matrix.nnz else 0.0))
-    if abs(val.imag) > 1e-10 * max(scale, 1e-300):
+    # written so that a NaN or infinite energy fails the guard
+    if not (np.isfinite(val) and abs(val.imag) <= 1e-10 * max(scale, 1e-300)):
         raise NonRealEnergyError(
-            f"energy {val!r} has a relative imaginary part above 1e-10")
+            f"energy {val!r} is not finite or has a relative imaginary part "
+            "above 1e-10")
     return val.real
 
 
@@ -576,22 +582,97 @@ def eigenpairs(H: DiscreteHamiltonian, k: int = 5):
     """Lowest k Ritz pairs of the (Hermitian) Hamiltonian.
 
     Eigenvectors are columns, orthonormal in the dof (= quadrature) inner
-    product.
+    product.  Small problems are solved densely; larger ones by shift-invert
+    Lanczos at a shift that :func:`_certified_shift` proves lies below the
+    spectrum.  Non-finite data raise :class:`SolverDivergenceError`.
     """
     import scipy.sparse.linalg as spla
 
+    if not np.isfinite(H.matrix.data).all():
+        raise SolverDivergenceError("Hamiltonian has non-finite entries")
     n = H.matrix.shape[0]
     if n <= 800 or k >= n - 2:
         dense = H.matrix.toarray()
         vals, vecs = np.linalg.eigh(dense)
         return vals[:k], vecs[:, :k]
-    # shift safely below the spectrum (Gershgorin lower bound); deterministic
-    # generic start vector (ARPACK's default random start would make results
-    # run-to-run dependent and can miss symmetry sectors)
-    diag = H.matrix.diagonal().real
-    row_abs = np.asarray(np.abs(H.matrix).sum(axis=1)).ravel() - np.abs(diag)
-    sigma = float(np.min(diag - row_abs)) - 1.0
+    sigma, opinv = _certified_shift(H)
+    # deterministic generic start vector (ARPACK's default random start would
+    # make results run-to-run dependent and can miss symmetry sectors)
     v0 = np.random.default_rng(1234).standard_normal(n)
-    vals, vecs = spla.eigsh(H.matrix, k=k, sigma=sigma, which="LM", v0=v0)
+    try:
+        vals, vecs = spla.eigsh(H.matrix, k=k, sigma=sigma, which="LM", v0=v0,
+                                OPinv=opinv)
+    except RuntimeError as exc:
+        raise SolverDivergenceError(f"shift-invert eigensolve failed: {exc}") from exc
     order = np.argsort(vals)
     return vals[order], vecs[:, order]
+
+
+def _certified_shift(H: DiscreteHamiltonian):
+    """A shift below the spectrum of H, and the inverse of H - sigma I at it.
+
+    For the Hermitian realizations, sigma = -1, -4, -16, ... is tried in
+    turn: H - sigma I, permuted into the cached nested-dissection order of
+    its grid, is factored by :func:`_shifted_lu`, and the first factor that
+    :func:`_is_definite` certifies is returned as the shift-invert operator,
+    so that nothing is factored twice (the spectral transformation of
+    Ericsson and Ruhe, Math. Comp. 35, 1980).  A singular factor, or a shift
+    at or below the Gershgorin lower bound, falls back to a shift below that
+    bound, which needs no certificate; so does the non-Hermitian
+    naive-Neumann realization, to which Sylvester's law does not apply.  The
+    fallback returns no operator: ARPACK then factors H - sigma I itself.
+    """
+    import scipy.sparse.linalg as spla
+
+    from .propagator import nested_dissection
+
+    M = H.matrix
+    diag = M.diagonal().real
+    row_abs = np.asarray(abs(M).sum(axis=1)).ravel() - np.abs(diag)
+    bound = float(np.min(diag - row_abs))
+    probes = 0
+    if H.bc != NAIVE_NEUMANN:
+        order = nested_dissection(H.grid, H.bc)
+        inv = np.argsort(order)
+        A = M[order][:, order].tocsc()
+        sigma = -1.0
+        while sigma > bound:
+            probes += 1
+            try:
+                lu = _shifted_lu(A, sigma)
+            except RuntimeError:
+                break
+            if _is_definite(lu):
+                _log.debug("eigenpairs: sigma=%g probes=%d gershgorin_fallback=False",
+                           sigma, probes)
+
+                def solve(x):
+                    return lu.solve(np.asarray(x, dtype=complex).ravel()[order])[inv]
+
+                return sigma, spla.LinearOperator(A.shape, matvec=solve,
+                                                  dtype=complex)
+            sigma *= 4.0
+    sigma = bound - 1.0
+    _log.debug("eigenpairs: sigma=%g probes=%d gershgorin_fallback=True",
+               sigma, probes)
+    return sigma, None
+
+
+def _shifted_lu(A: sp.csc_matrix, sigma: float):
+    """SuperLU factor of ``A - sigma I`` in the natural order, taking diagonal
+    pivots (a zero diagonal forces an off-diagonal one).  A singular matrix
+    raises SuperLU's ``RuntimeError``."""
+    import scipy.sparse.linalg as spla
+
+    eye = sp.identity(A.shape[0], dtype=A.dtype, format="csc")
+    return spla.splu(A - sigma * eye, permc_spec="NATURAL", diag_pivot_thresh=0.0,
+                     options=dict(SymmetricMode=True))
+
+
+def _is_definite(lu) -> bool:
+    """Whether a :func:`_shifted_lu` factor of a Hermitian matrix proves it
+    positive definite.  With diagonal pivots only, the factor is L D L^H
+    with D the diagonal of U, and by Sylvester's law of inertia the matrix
+    is positive definite exactly when every entry of D is positive."""
+    return bool(np.array_equal(lu.perm_r, lu.perm_c)
+                and (lu.U.diagonal().real > 0).all())

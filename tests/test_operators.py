@@ -1,8 +1,14 @@
+import logging
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from schrodeform.errors import EllipticityViolatedError, NonRealEnergyError
+from schrodeform.errors import (
+    EllipticityViolatedError,
+    NonRealEnergyError,
+    SolverDivergenceError,
+)
 from schrodeform.geometry import GridFunction, ReferenceGrid, identity_family
 from schrodeform.operators import (
     DIRICHLET,
@@ -10,8 +16,11 @@ from schrodeform.operators import (
     NAIVE_NEUMANN,
     CoefficientSet,
     EffectivePotentials,
+    _certified_shift,
     _conjugate_and_restrict,
     _form_pieces,
+    _is_definite,
+    _shifted_lu,
     assemble_form,
     assemble_hamiltonian,
     coercivity_bounds,
@@ -20,6 +29,7 @@ from schrodeform.operators import (
     free_coefficients,
     isotropic_coefficients,
 )
+from schrodeform.scenarios import warped_2d_family
 from schrodeform.scenarios.families import (
     diagonal_family,
     interval_family,
@@ -278,3 +288,130 @@ def test_nan_ellipticity_floor_fails_the_singular_value_guard():
     grid = ReferenceGrid.interval(16)
     with pytest.raises(EllipticityViolatedError, match="singular value"):
         assemble_hamiltonian(identity_family(1), unit, 0.0, grid, DIRICHLET)
+
+
+def test_energy_form_rejects_a_nan_state():
+    grid = ReferenceGrid.interval(8)
+    H = assemble_hamiltonian(identity_family(1), free_coefficients(1), 0.0,
+                             grid, DIRICHLET)
+    values = np.ones(grid.n_nodes, dtype=complex)
+    values[4] = np.nan
+    with pytest.raises(NonRealEnergyError, match="not finite"):
+        energy_form(H, GridFunction(grid, values))
+
+
+# -- eigenpairs: non-finite data and the certified shift ----------------------
+
+WARPED = warped_2d_family(b=0.3)
+
+
+def _bump(amplitude):
+    """A Gaussian electric well at the centre of the moving square."""
+    def electric(t, x):
+        r2 = (x[..., 0] - 0.5) ** 2 + (x[..., 1] - 0.5) ** 2
+        return amplitude * np.exp(-r2 / 0.02)
+    return isotropic_coefficients(2, electric=electric)
+
+
+def _warped(bc, coeffs=None, cells=32, t=0.0):
+    return assemble_hamiltonian(WARPED, coeffs or free_coefficients(2), t,
+                                ReferenceGrid.rectangle(cells), bc)
+
+
+@pytest.mark.parametrize("cells, bc", [(16, DIRICHLET),
+                                       (32, MAGNETIC_NEUMANN)])
+def test_eigenpairs_rejects_non_finite_data(cells, bc):
+    # 225 dofs take the dense branch, 1089 the sparse one
+    H = _warped(bc, cells=cells)
+    H.matrix.data[5] = np.nan
+    with pytest.raises(SolverDivergenceError, match="non-finite"):
+        eigenpairs(H, k=2)
+
+
+def _assert_matches_dense(H, k=3):
+    vals, vecs = eigenpairs(H, k=k)
+    ref = np.linalg.eigvalsh(H.matrix.toarray())[:k]
+    # the floor covers eigenvalues near zero, where the dense reference is
+    # itself only good to about eps ||H|| (2.5e-11 at 32^2 magnetic Neumann,
+    # whose lowest eigenvalue is -8.1e-3)
+    np.testing.assert_allclose(vals, ref, rtol=1e-9, atol=1e-9)
+    scale = np.abs(H.matrix.data).max()
+    for j in range(k):
+        residual = H.matrix @ vecs[:, j] - vals[j] * vecs[:, j]
+        assert np.linalg.norm(residual) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("bc, n_dofs", [(DIRICHLET, 961),
+                                        (MAGNETIC_NEUMANN, 1089)])
+def test_sparse_eigenpairs_match_dense(bc, n_dofs):
+    # Dirichlet has a Gershgorin bound of about 0 and takes the fallback;
+    # magnetic Neumann (bound about -850) is certified at sigma = -1
+    H = _warped(bc)
+    assert H.n_dofs == n_dofs
+    _assert_matches_dense(H)
+
+
+def _shift_record(caplog, H):
+    """Run the shift search on H; return its shift and its DEBUG record."""
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger="schrodeform"):
+        sigma, opinv = _certified_shift(H)
+    [record] = caplog.records
+    return sigma, opinv, record.getMessage()
+
+
+@pytest.mark.parametrize("bc", [DIRICHLET, MAGNETIC_NEUMANN])
+def test_deep_well_climbs_the_shift_ladder(caplog, bc):
+    # sigma = -1 lies above the lowest eigenvalue (about -237): the ladder
+    # must go on until a shift is certified, well before Gershgorin's bound
+    H = _warped(bc, _bump(-500.0))
+    sigma, opinv, message = _shift_record(caplog, H)
+    assert opinv is not None
+    assert "gershgorin_fallback=False" in message
+    assert sigma < -4.0
+    assert sigma < np.linalg.eigvalsh(H.matrix.toarray())[0]
+    _assert_matches_dense(H)
+
+
+def test_deepest_well_falls_back_to_gershgorin(caplog):
+    # the lowest eigenvalue (about -9.7e4) lies below every probe the ladder
+    # makes before it passes the Gershgorin bound
+    H = _warped(MAGNETIC_NEUMANN, _bump(-1e5))
+    sigma, opinv, message = _shift_record(caplog, H)
+    assert opinv is None
+    assert "probes=9 gershgorin_fallback=True" in message
+    diag = H.matrix.diagonal().real
+    row_abs = np.asarray(abs(H.matrix).sum(axis=1)).ravel() - np.abs(diag)
+    assert sigma == np.min(diag - row_abs) - 1.0
+    _assert_matches_dense(H)
+
+
+def test_a_shift_above_the_lowest_eigenvalue_is_not_certified():
+    H = _warped(DIRICHLET)
+    lam = np.linalg.eigvalsh(H.matrix.toarray())[:2]
+    A = H.matrix.tocsc()
+    assert _is_definite(_shifted_lu(A, lam[0] - 1e-3))
+    assert not _is_definite(_shifted_lu(A, lam[0] + 1e-3))
+    assert not _is_definite(_shifted_lu(A, 0.5 * (lam[0] + lam[1])))
+
+
+def test_naive_neumann_keeps_the_gershgorin_shift(caplog):
+    # not Hermitian on a moving boundary, so no inertia certificate applies
+    H = _warped(NAIVE_NEUMANN, t=0.5)
+    assert H.hermiticity_residual() > 1e-6
+    _, opinv, message = _shift_record(caplog, H)
+    assert opinv is None
+    assert "probes=0 gershgorin_fallback=True" in message
+
+
+def test_eigenpairs_logs_its_shift_at_debug_only(caplog):
+    H = _warped(MAGNETIC_NEUMANN)
+    eigenpairs(H, k=2)
+    assert not caplog.records
+    caplog.set_level(logging.DEBUG, logger="schrodeform")
+    eigenpairs(H, k=2)
+    [record] = caplog.records
+    assert record.name == "schrodeform.operators"
+    assert record.levelno == logging.DEBUG
+    assert record.getMessage() == (
+        "eigenpairs: sigma=-1 probes=1 gershgorin_fallback=False")
