@@ -424,6 +424,7 @@ def run_converge(config: RunConfig) -> int:
         scenario = moving_interval_scenario(
             l0=scenario.metadata["l0"], l1=scenario.metadata["l1"], smooth=True)
     _check_span(config, scenario)
+    bc = config["bc"] or scenario.bc
     rows = []
     if mode == "temporal":
         grid = scenario.grid(int(config["grid"]))
@@ -432,7 +433,7 @@ def run_converge(config: RunConfig) -> int:
 
         def final(dt):
             cfg = PropagatorConfig(dt=dt, t_start=span[0], t_end=span[1])
-            return evolve(scenario.family, scenario.coeffs, scenario.bc, v0,
+            return evolve(scenario.family, scenario.coeffs, bc, v0,
                           cfg, grid).final_state.values
 
         errs = []
@@ -450,11 +451,11 @@ def run_converge(config: RunConfig) -> int:
         for n in ladder:
             grid = scenario.grid(int(n))
             H = assemble_hamiltonian(frozen, free_coefficients(grid.dim), t0,
-                                     grid, scenario.bc)
+                                     grid, bc)
             vals, _ = eigenpairs(H, k=1)
             fine = scenario.grid(4 * int(n))
             Hf = assemble_hamiltonian(frozen, free_coefficients(grid.dim), t0,
-                                      fine, scenario.bc)
+                                      fine, bc)
             ref, _ = eigenpairs(Hf, k=1)
             err = float(abs(vals[0] - ref[0]))
             errs.append(err)
@@ -482,8 +483,15 @@ def list_scenarios(_config=None) -> int:
 
 # -- entry point ----------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        """A usage error is a configuration error (exit 3), not argparse's 2."""
+        self.print_usage(sys.stderr)
+        raise ConfigError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="schrodeform",
         description="moving-domain quantum dynamics on a fixed reference grid")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -524,11 +532,10 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "list":
-        return list_scenarios()
     try:
+        args = build_parser().parse_args(argv)
+        if args.command == "list":
+            return list_scenarios()
         config = RunConfig.from_args(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

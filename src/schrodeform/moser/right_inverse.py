@@ -28,9 +28,10 @@ separately otherwise.
 
 from __future__ import annotations
 
+import logging
+
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from ..errors import InvalidInputError, SingularSystemError
 from ..geometry.fields import GridFunction
@@ -44,6 +45,10 @@ from ..geometry.stencils import (
     mimetic_divergence,
     mimetic_null_vector_1d,
 )
+from ..sparse_lu import factor, inertia
+
+_log = logging.getLogger(__name__)
+KKT_DELTA = 1e-8   # shift of the factored KKT matrix's multiplier block
 
 
 def _zero_trace_face_to_node_1d(m: int) -> sp.csr_matrix:
@@ -118,6 +123,30 @@ def _face_h1_metric(grid: ReferenceGrid, axis: int, mask: np.ndarray) -> sp.csr_
     return metric.tocsr()
 
 
+def _kkt_factor(kkt: sp.csc_matrix, n_x: int, n_lam: int):
+    """Factor of the KKT matrix shifted by -KKT_DELTA on its multiplier block,
+    which makes it quasi-definite (Vanderbei, SIAM J. Optim. 5, 1995): diagonal
+    pivots in a symmetric minimum-degree order.  The bordering makes that block
+    indefinite, so unless the factor shows the KKT inertia (n_x + 1, n_lam),
+    the exact matrix is factored with COLAMD and row pivoting instead."""
+    shift = sp.diags(np.r_[np.zeros(n_x), np.full(n_lam + 1, KKT_DELTA)])
+    try:
+        lu = factor((kkt - shift).tocsc(), "MMD_AT_PLUS_A", diagonal_pivots=True)
+        counts = inertia(lu)
+    except RuntimeError:
+        counts = None
+    fallback = counts != (n_x + 1, n_lam)
+    if fallback:
+        try:
+            lu = factor(kkt, "COLAMD", diagonal_pivots=False)
+        except RuntimeError as exc:
+            raise SingularSystemError(str(exc)) from exc
+    _log.debug("right inverse: order=%s fill=%d inertia=%s colamd_fallback=%s",
+               "COLAMD" if fallback else "MMD_AT_PLUS_A", lu.L.nnz + lu.U.nnz,
+               counts, fallback)
+    return lu
+
+
 class DivergenceRightInverse:
     """H1-minimal right-inverse of the staggered divergence."""
 
@@ -153,11 +182,8 @@ class DivergenceRightInverse:
             [reduced, None, border[:, None]],
             [None, border[None, :], None],
         ], format="csc")
-        try:
-            self._solve = spla.splu(kkt).solve
-        except RuntimeError as exc:
-            raise SingularSystemError(str(exc)) from exc
-        self._n_x, self._n_lam = n_x, n_lam
+        self._kkt, self._lu = kkt, _kkt_factor(kkt, n_x, n_lam)
+        self._n_x = n_x
         self._reduced = reduced
         self._f2n = [
             _along_axis(grid.shape, _zero_trace_face_to_node_1d(grid.shape[a]), a)
@@ -177,7 +203,9 @@ class DivergenceRightInverse:
         """
         b = self._project(np.asarray(v_values, dtype=float))
         rhs = np.concatenate([np.zeros(self._n_x), b[self._solvable], [0.0]])
-        x = self._solve(rhs)[:self._n_x]
+        x = self._lu.solve(rhs)
+        # one refinement step against the exact KKT matrix
+        x = (x + self._lu.solve(rhs - self._kkt @ x))[:self._n_x]
         if not np.all(np.isfinite(x)):
             raise SingularSystemError("right-inverse solve produced non-finite data")
         residual = float(np.max(np.abs(self._reduced @ x - b[self._solvable])))

@@ -45,6 +45,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from .errors import (EllipticityViolatedError, InvalidInputError,
                      NonRealEnergyError, SolverDivergenceError)
@@ -59,6 +60,7 @@ from .geometry.stencils import (
     face_to_node,
     face_weights,
 )
+from .sparse_lu import factor, inertia
 
 DIRICHLET = "dirichlet"
 MAGNETIC_NEUMANN = "magnetic-neumann"
@@ -586,8 +588,6 @@ def eigenpairs(H: DiscreteHamiltonian, k: int = 5):
     Lanczos at a shift that :func:`_certified_shift` proves lies below the
     spectrum.  Non-finite data raise :class:`SolverDivergenceError`.
     """
-    import scipy.sparse.linalg as spla
-
     if not np.isfinite(H.matrix.data).all():
         raise SolverDivergenceError("Hamiltonian has non-finite entries")
     n = H.matrix.shape[0]
@@ -622,8 +622,6 @@ def _certified_shift(H: DiscreteHamiltonian):
     naive-Neumann realization, to which Sylvester's law does not apply.  The
     fallback returns no operator: ARPACK then factors H - sigma I itself.
     """
-    import scipy.sparse.linalg as spla
-
     from .propagator import nested_dissection
 
     M = H.matrix
@@ -659,20 +657,11 @@ def _certified_shift(H: DiscreteHamiltonian):
 
 
 def _shifted_lu(A: sp.csc_matrix, sigma: float):
-    """SuperLU factor of ``A - sigma I`` in the natural order, taking diagonal
-    pivots (a zero diagonal forces an off-diagonal one).  A singular matrix
-    raises SuperLU's ``RuntimeError``."""
-    import scipy.sparse.linalg as spla
-
-    eye = sp.identity(A.shape[0], dtype=A.dtype, format="csc")
-    return spla.splu(A - sigma * eye, permc_spec="NATURAL", diag_pivot_thresh=0.0,
-                     options=dict(SymmetricMode=True))
+    """Diagonal-pivot factor of ``A - sigma I`` in the natural order."""
+    return factor(A - sigma * sp.identity(A.shape[0], dtype=A.dtype, format="csc"),
+                  "NATURAL", diagonal_pivots=True)
 
 
 def _is_definite(lu) -> bool:
-    """Whether a :func:`_shifted_lu` factor of a Hermitian matrix proves it
-    positive definite.  With diagonal pivots only, the factor is L D L^H
-    with D the diagonal of U, and by Sylvester's law of inertia the matrix
-    is positive definite exactly when every entry of D is positive."""
-    return bool(np.array_equal(lu.perm_r, lu.perm_c)
-                and (lu.U.diagonal().real > 0).all())
+    """Whether a :func:`_shifted_lu` factor proves a Hermitian matrix > 0."""
+    return inertia(lu) == (lu.shape[0], 0)

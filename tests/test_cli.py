@@ -253,3 +253,49 @@ def test_unknown_scenario_param_exit_3(tmp_path, capsys, scenario, params, accep
     assert code == 3
     err = capsys.readouterr().err
     assert "unknown params" in err and f"accepted: {accepted}" in err
+
+
+@pytest.mark.parametrize("flag", ["--bc", "config"])
+def test_converge_honours_bc(tmp_path, flag):
+    # converge used to assemble with the scenario's own bc whatever was given
+    def errors(bc, name):
+        cfg = tmp_path / f"{name}.json"
+        data = {"scenario": "rotation", "mode": "spatial", "ladder": [8, 16]}
+        if bc and flag == "config":
+            data["bc"] = bc
+        cfg.write_text(json.dumps(data))
+        argv = ["converge", "--config", str(cfg), "--output", str(tmp_path / name)]
+        if bc and flag == "--bc":
+            argv += ["--bc", bc]
+        assert main(argv) in (0, 2)
+        report = json.loads((tmp_path / name / "report.json").read_text())
+        return report["errors"], _manifest(tmp_path / name)["config"]["bc"]
+
+    default, _ = errors(None, "default")
+    dirichlet, _ = errors("dirichlet", "dirichlet")
+    magnetic, echoed = errors("magnetic-neumann", "magnetic")
+    assert dirichlet == default
+    assert echoed == "magnetic-neumann"
+    assert all(np.isfinite(magnetic)) and magnetic != dirichlet
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--bc", "bogus"],
+    ["run", "--snapshot-stride", "3"],
+    ["bogus"],
+    [],
+], ids=["bad-choice", "unknown-flag", "unknown-command", "no-command"])
+def test_usage_error_exit_3_without_manifest(tmp_path, capsys, argv):
+    # argparse's own exit 2 would read as "invariant failed, manifest written"
+    code = main(argv + (["--output", str(tmp_path / "out")] if argv else []))
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("usage:") and "config error:" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--help"])
+    assert exc.value.code == 0
+    assert "--bc" in capsys.readouterr().out

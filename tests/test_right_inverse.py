@@ -1,5 +1,9 @@
+import logging
+import re
+
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from schrodeform.geometry import ReferenceGrid
 from schrodeform.errors import SingularSystemError
@@ -103,3 +107,71 @@ def test_null_vector_check_rejects_nan(monkeypatch):
                         lambda grid: np.full(grid.n_nodes, np.nan))
     with pytest.raises(SingularSystemError, match="left null vector mismatch"):
         right_inverse.DivergenceRightInverse(grid)
+
+
+def _built(grid, caplog):
+    """A fresh right inverse and its DEBUG factor record."""
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger="schrodeform"):
+        rinv = right_inverse.DivergenceRightInverse(grid)
+    [record] = caplog.records
+    return rinv, record.getMessage()
+
+
+def _faces(rinv, v):
+    faces, _, _ = rinv.apply_faces(v)
+    return np.concatenate([f[m] for f, m in zip(faces, rinv._keep)])
+
+
+@pytest.mark.parametrize("cells", [(12, 9), (40, 40)], ids=["12x9", "40x40"])
+def test_certified_factor_matches_colamd_reference(caplog, cells):
+    grid = ReferenceGrid.rectangle(cells)
+    rinv, message = _built(grid, caplog)
+    n_x, n_lam = rinv._n_x, rinv._solvable.size
+    assert message.endswith(
+        f"inertia=({n_x + 1}, {n_lam}) colamd_fallback=False")
+    assert message.startswith("right inverse: order=MMD_AT_PLUS_A")
+    v = _corner_compatible_sample(grid, seed=4)
+    b = rinv._project(v)[rinv._solvable]
+    ref = spla.splu(rinv._kkt).solve(np.concatenate([np.zeros(n_x), b, [0.0]]))[:n_x]
+    x = _faces(rinv, v)
+    assert np.max(np.abs(x - ref)) <= 1e-10 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("failure", ["wrong-inertia", "singular"])
+def test_uncertified_factor_falls_back_to_colamd(monkeypatch, caplog, failure):
+    grid = ReferenceGrid.rectangle((12, 9))
+    v = _corner_compatible_sample(grid, seed=6)
+    certified, _ = _built(grid, caplog)
+    if failure == "wrong-inertia":
+        monkeypatch.setattr(right_inverse, "inertia", lambda lu: (1, 0))
+    else:
+        real = right_inverse.factor
+
+        def factor(A, permc_spec, diagonal_pivots):
+            if diagonal_pivots:
+                raise RuntimeError("Factor is exactly singular")
+            return real(A, permc_spec, diagonal_pivots)
+
+        monkeypatch.setattr(right_inverse, "factor", factor)
+    fallback, message = _built(grid, caplog)
+    assert message.startswith("right inverse: order=COLAMD")
+    assert message.endswith("colamd_fallback=True")
+    a, b = certified.apply(v), fallback.apply(v)
+    scale = np.max(np.abs(a.node_values))
+    assert np.max(np.abs(a.node_values - b.node_values)) <= 1e-10 * scale
+    assert b.div_residual <= 1e-8 * np.max(np.abs(v))
+    assert b.corner_mismatch == a.corner_mismatch
+
+
+def test_factor_is_reported_at_debug_only(caplog):
+    right_inverse.DivergenceRightInverse(ReferenceGrid.rectangle(6))
+    assert not caplog.records
+    caplog.set_level(logging.DEBUG, logger="schrodeform")
+    right_inverse.DivergenceRightInverse(ReferenceGrid.rectangle(6))
+    [record] = caplog.records
+    assert record.name == "schrodeform.moser.right_inverse"
+    assert record.levelno == logging.DEBUG
+    assert re.fullmatch(r"right inverse: order=MMD_AT_PLUS_A fill=\d+ "
+                        r"inertia=\(61, 45\) colamd_fallback=False",
+                        record.getMessage())
