@@ -128,7 +128,10 @@ class RunConfig:
             if val is not None and val is not False:
                 data[key] = val
         if getattr(args, "epsilon", None):
-            data["epsilon"] = [float(x) for x in args.epsilon.split(",")]
+            try:
+                data["epsilon"] = [float(x) for x in args.epsilon.split(",")]
+            except ValueError as exc:
+                raise ConfigError(f"--epsilon takes comma-separated numbers: {exc}") from exc
         return cls(data)
 
     def _validate(self):
@@ -267,6 +270,16 @@ class Manifest:
 
 # -- subcommands ----------------------------------------------------------------
 
+# the most steps one evolution may take; its trace keeps a record per step
+_MAX_STEPS = 10 ** 7
+
+
+def _check_steps(span: float, dt: float) -> None:
+    if not span / dt <= _MAX_STEPS:
+        raise ConfigError(f"dt={dt:g} takes more than {_MAX_STEPS:g} steps "
+                          f"over a span of {span:g}")
+
+
 def _check_span(config: RunConfig, scenario) -> None:
     lo, hi = scenario.family.window
     t0, t1 = float(config["t_start"]), float(config["t_end"])
@@ -281,6 +294,7 @@ def run_scenario(config: RunConfig) -> int:
     manifest = Manifest(config, "run")
     scenario = _build_scenario(config)
     _check_span(config, scenario)
+    _check_steps(float(config["t_end"]) - float(config["t_start"]), float(config["dt"]))
     bc = config["bc"] or scenario.bc
     grid = scenario.grid(int(config["grid"]))
     v0 = scenario.build_initial(grid, float(config["t_start"]))
@@ -330,6 +344,9 @@ def run_adiabatic(config: RunConfig) -> int:
     if scenario.name == "moving_interval" and not scenario.metadata["smooth"]:
         scenario = moving_interval_scenario(
             l0=scenario.metadata["l0"], l1=scenario.metadata["l1"], smooth=True)
+    lo, hi = scenario.family.window
+    _check_steps((hi - lo) / min(float(e) for e in config["epsilon"]),
+                 float(config["dt"]))
     grid = scenario.grid(int(config["grid"]))
     run = adiabatic_experiment(
         scenario.family, scenario.coeffs, 0,

@@ -83,7 +83,14 @@ class NonRealEnergyError(SchrodeformError):
 
 
 class SolverDivergenceError(SchrodeformError):
-    """A linear solve failed to meet its tolerance."""
+    """A linear solve failed to meet its tolerance.
+
+    ``step`` is the index of the time step that failed, when one did.
+    """
+
+    def __init__(self, message, step=None):
+        self.step = step
+        super().__init__(message)
 
 
 class SnapshotMissingError(SchrodeformError):

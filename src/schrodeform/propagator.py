@@ -104,22 +104,21 @@ class EvolutionTrace:
 
 
 class CayleyStepper:
-    """Cayley steps ``(I + z H) v' = (I - z H) v``, ``z = i dt / 2``, for
-    generators that share one sparsity pattern.
+    """Cayley steps ``v' = (I + z H)^{-1} (I - z H) v = 2 w - v``, where
+    ``w = (I + z H)^{-1} v`` and ``z = i dt / 2`` (an identity for any H),
+    for generators that share one sparsity pattern.
 
-    Built once per (pattern, dt).  Without ``csr`` the generators are
-    tridiagonal and given as LAPACK (1, 1) bands ``(K, 3, n)``: the
-    right-hand side is a band product and the solve is ``zgtsv``.  With
-    ``csr = (indptr, indices)``, a canonical CSR pattern, they are given as
-    ``(K, nnz)`` data rows of that pattern and each step factors ``I + z H``
-    with a sparse LU in the elimination order ``order`` (a permutation of
-    the dofs, see :func:`nested_dissection`).  The permutation is folded
-    into the scatter from the CSR rows to the CSC layout that SuperLU takes,
-    so the steps run on the permuted system and SuperLU keeps its natural
-    column order.
+    The solve kernel is fixed once per pattern.  Without ``csr`` the
+    generators are tridiagonal LAPACK (1, 1) bands ``(K, 3, n)``, solved by
+    ``zgtsv``.  With ``csr = (indptr, indices)``, a canonical CSR pattern,
+    they are ``(K, nnz)`` data rows of it and each step factors ``I + z H``
+    by a sparse LU in the elimination order ``order`` (a permutation of the
+    dofs, see :func:`nested_dissection`), folded into the scatter from the
+    CSR rows to SuperLU's CSC layout, so SuperLU keeps its natural order.
 
-    Non-finite data, a singular factor and a residual above tolerance all
-    raise :class:`SolverDivergenceError`.
+    Non-finite rows or state, a singular factor and a residual above
+    tolerance raise :class:`SolverDivergenceError` naming the failed chunk
+    ``step``; the residuals are checked once per chunk, after its last solve.
     """
 
     def __init__(self, n: int, dt: float, solver_tol: float = 1e-12,
@@ -127,7 +126,8 @@ class CayleyStepper:
         self.n = n
         self.z = 0.5j * dt
         self.solver_tol = solver_tol
-        self._lu = None
+        self._order = self._inv = slice(None)
+        self._kernels = self._band_kernels
         if csr is not None:
             if order is None or np.shape(order) != (n,):
                 raise InvalidInputError(
@@ -138,7 +138,7 @@ class CayleyStepper:
             self._inv[self._order] = np.arange(n)
             # the CSC layout of P H P^t plus its whole diagonal, and the CSR
             # entry each slot reads (-1: a diagonal entry the pattern lacks,
-            # read from a zero appended to the data)
+            # zeroed after the read)
             rows = np.concatenate([np.repeat(np.arange(n), np.diff(indptr)),
                                    np.arange(n)])
             cols = np.concatenate([indices, np.arange(n)])
@@ -148,9 +148,9 @@ class CayleyStepper:
                                    shape=(n, n))
             slots = layout.data - 1
             col = np.repeat(np.arange(n), np.diff(layout.indptr))
-            self._lu = (slots, layout.indices, layout.indptr,
-                        np.flatnonzero(layout.indices == col))
-            self._pad = bool((slots < 0).any())
+            self._lu = (slots, np.flatnonzero(slots < 0), layout.indices,
+                        layout.indptr, np.flatnonzero(layout.indices == col))
+            self._kernels = self._lu_kernels
 
     def advance(self, v: np.ndarray, rows: np.ndarray):
         """Take ``len(rows)`` steps from ``v``, one per generator row.
@@ -158,81 +158,77 @@ class CayleyStepper:
         Returns the states after each step, ``(K, n)``, and the step
         energies ``<H_k v_k, v_k>``, ``(K,)``.
         """
-        if not np.isfinite(rows).all():
+        finite = np.isfinite(rows).reshape(len(rows), -1).all(axis=1)
+        finite[0] &= np.isfinite(v).all()
+        if not finite.all():
             raise SolverDivergenceError(
-                "Cayley system has non-finite entries (generator or state)")
-        banded = self._lu is None
-        if banded:
-            cayley = self.z * rows      # I + z H, in the same band storage
-            cayley[:, 1] += 1.0
-        else:
-            v = v[self._order]
-            if self._pad:
-                rows = np.pad(rows, ((0, 0), (0, 1)))
-        states = np.empty((len(rows), self.n), dtype=complex)
-        energies = np.empty(len(rows))
+                "Cayley system has non-finite entries (generator or state)",
+                step=int(np.argmin(finite)))
+        solve, apply = self._kernels(rows)
+        states = np.empty((len(rows) + 1, self.n), dtype=complex)
+        states[0] = v[self._order]
+        w = np.empty_like(states[1:])
         for k in range(len(rows)):
-            if banded:
-                v, Hv = self._band_step(v, rows[k], cayley[k])
-            else:
-                v, Hv = self._lu_step(v, rows[k])
-            states[k] = v
-            energies[k] = np.vdot(v, Hv).real
-        return (states, energies) if banded else (states[:, self._inv], energies)
-
-    def _check(self, A_out, rhs):
-        residual = np.linalg.norm(A_out - rhs)
-        scale = np.linalg.norm(rhs)
-        bound = max(10 * max(self.solver_tol, 1e-15) * scale, self.solver_tol)
+            w[k] = solve(k, states[k])
+            states[k + 1] = 2 * w[k] - states[k]
+        # every step's residual |w + z H w - v| and state, checked at once
+        residual = np.linalg.norm(w + self.z * apply(w) - states[:-1], axis=1)
+        scale = np.linalg.norm(states[:-1], axis=1)
+        bound = np.maximum(10 * max(self.solver_tol, 1e-15) * scale, self.solver_tol)
         # written so that a NaN residual fails the guard
-        if scale > 0 and not residual <= bound:
+        bad = ((scale > 0) & ~(residual <= bound)) | ~np.isfinite(states[1:]).all(axis=1)
+        if bad.any():
+            k = int(np.argmax(bad))
             raise SolverDivergenceError(
-                f"linear solve residual {residual:.3e} exceeds tolerance")
+                f"linear solve residual {residual[k]:.3e} exceeds tolerance", step=k)
+        energies = np.einsum("kn,kn->k", states[1:].conj(), apply(states[1:])).real
+        return states[1:, self._inv], energies
 
-    def _rhs(self, v, Hv):
-        rhs = v - self.z * Hv
-        if not np.isfinite(rhs).all():
-            raise SolverDivergenceError(
-                "Cayley system has non-finite entries (generator or state)")
-        return rhs
+    def _band_kernels(self, bands):
+        """A chunk's ``zgtsv`` solves and its ``H`` product, by bands."""
+        cayley = self.z * bands     # I + z H, in the same band storage
+        cayley[:, 1] += 1.0
+        zgtsv = lapack.zgtsv
 
-    def _band_step(self, v, bands, cayley):
-        rhs = self._rhs(v, _band_matvec(bands, v))
-        _, _, _, out, info = lapack.zgtsv(cayley[2, :-1], cayley[1], cayley[0, 1:], rhs)
-        if info != 0:
-            raise SolverDivergenceError(
-                f"Cayley factorization failed: zgtsv info {info}")
-        Hout = _band_matvec(bands, out)
-        self._check(out + self.z * Hout, rhs)
-        return out, Hout
+        def solve(k, v):
+            c = cayley[k]
+            *_, w, info = zgtsv(c[2, :-1], c[1], c[0, 1:], v)
+            if info != 0:
+                raise SolverDivergenceError(
+                    f"Cayley factorization failed: zgtsv info {info}", step=k)
+            return w
 
-    def _lu_step(self, v, data):
-        """One step on the permuted system: ``v`` and the results are in the
-        elimination order."""
-        slots, indices, indptr, diag = self._lu
+        return solve, lambda x: _band_matvec(bands, x)
+
+    def _lu_kernels(self, data):
+        """A chunk's sparse-LU solves and its ``H`` product, one matvec per
+        step, on the permuted system."""
+        slots, absent, indices, indptr, diag = self._lu
         shape = (self.n, self.n)
-        h = data[slots]
-        H = sp.csc_matrix((h, indices, indptr), shape=shape)
-        rhs = self._rhs(v, H @ v)
-        cayley = self.z * h
-        cayley[diag] += 1.0
-        try:
-            lu = spla.splu(sp.csc_matrix((cayley, indices, indptr), shape=shape),
-                           permc_spec="NATURAL", options=dict(SymmetricMode=True))
-        except RuntimeError as exc:
-            raise SolverDivergenceError(
-                f"Cayley factorization failed: {exc}") from exc
-        out = lu.solve(rhs)
-        Hout = H @ out
-        self._check(out + self.z * Hout, rhs)
-        return out, Hout
+        h = np.take(data, slots, axis=1)
+        h[:, absent] = 0.0
+        cayley = np.ascontiguousarray(self.z * h)   # SuperLU takes C rows
+        cayley[:, diag] += 1.0
+
+        def solve(k, v):
+            try:
+                lu = spla.splu(sp.csc_matrix((cayley[k], indices, indptr), shape=shape),
+                               permc_spec="NATURAL", options=dict(SymmetricMode=True))
+            except RuntimeError as exc:
+                raise SolverDivergenceError(
+                    f"Cayley factorization failed: {exc}", step=k) from exc
+            return lu.solve(v)
+
+        H = [sp.csc_matrix((hk, indices, indptr), shape=shape) for hk in h]
+        return solve, lambda x: np.stack([Hk @ xk for Hk, xk in zip(H, x)])
 
 
 def _band_matvec(bands: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """H v for H in LAPACK (1, 1) band storage, summed in CSR row order."""
-    out = bands[1] * v
-    out[1:] += bands[2, :-1] * v[:-1]
-    out[:-1] += bands[0, 1:] * v[1:]
+    """H v for H in LAPACK (1, 1) band storage ``(..., 3, n)``, summed in CSR
+    row order, for each of the leading indices."""
+    out = bands[..., 1, :] * v
+    out[..., 1:] += bands[..., 2, :-1] * v[..., :-1]
+    out[..., :-1] += bands[..., 0, 1:] * v[..., 1:]
     return out
 
 
@@ -250,10 +246,8 @@ def step(v_dofs: np.ndarray, H_mid: DiscreteHamiltonian, dt: float,
     if H_mid.banded is not None:
         stepper, rows = CayleyStepper(n, dt, solver_tol), H_mid.banded[None]
     else:
-        M = H_mid.matrix
-        if not M.has_canonical_format:
-            M = M.copy()
-            M.sum_duplicates()
+        M = H_mid.matrix.copy()
+        M.sum_duplicates()
         stepper = CayleyStepper(n, dt, solver_tol, csr=(M.indptr, M.indices),
                                 order=nested_dissection(H_mid.grid, H_mid.bc))
         rows = M.data[None]
@@ -341,7 +335,9 @@ def evolve(family: DiffeoFamily, coeffs: CoefficientSet, bc: str,
 
     Chunks of :func:`steps_per_pass` midpoints are assembled in one pass and
     stepped by one :class:`CayleyStepper`; a chunk whose assembly fails (a
-    degenerate Jacobian, say) raises before any of its steps run.
+    degenerate Jacobian, say) raises before any of its steps run.  A step
+    that fails raises :class:`SolverDivergenceError` naming the step, counted
+    from 1, and its midpoint time.
     """
     grid = grid or v0.grid
     H0 = assemble_hamiltonian(family, coeffs, config.t_start, grid, bc)
@@ -354,12 +350,9 @@ def evolve(family: DiffeoFamily, coeffs: CoefficientSet, bc: str,
     stride = config.snapshot_stride
     pattern = form_pattern(grid, bc)
     banded = pattern.band_pos is not None
-    if banded:
-        stepper = CayleyStepper(H0.n_dofs, dt, config.solver_tol)
-    else:
-        stepper = CayleyStepper(H0.n_dofs, dt, config.solver_tol,
-                                (pattern.indptr, pattern.indices),
-                                nested_dissection(grid, bc))
+    csr, order = ((None, None) if banded else
+                  ((pattern.indptr, pattern.indices), nested_dissection(grid, bc)))
+    stepper = CayleyStepper(H0.n_dofs, dt, config.solver_tol, csr, order)
 
     norms = [np.linalg.norm(v[None], axis=1)]
     overlaps = [np.abs(v[None] @ obs) ** 2]
@@ -368,10 +361,15 @@ def evolve(family: DiffeoFamily, coeffs: CoefficientSet, bc: str,
     chunk = steps_per_pass(grid)
     for k0 in range(0, n, chunk):
         done = np.arange(k0 + 1, min(k0 + chunk, n) + 1)  # steps this chunk ends
-        data = hamiltonian_data(family, coeffs, config.t_start + (done - 0.5) * dt,
-                                grid, bc)
+        mids = config.t_start + (done - 0.5) * dt
+        data = hamiltonian_data(family, coeffs, mids, grid, bc)
         rows = pattern.bands(data) if banded else data
-        states, chunk_energies = stepper.advance(v, rows)
+        try:
+            states, chunk_energies = stepper.advance(v, rows)
+        except SolverDivergenceError as exc:
+            k = int(done[exc.step])
+            raise SolverDivergenceError(
+                f"step {k} (t={mids[exc.step]:.12g}): {exc}", step=k) from exc
         v = states[-1]
         norms.append(np.linalg.norm(states, axis=1))
         overlaps.append(np.abs(states @ obs) ** 2)

@@ -460,3 +460,161 @@ def test_dissection_fill_at_64_squared_beats_minimum_degree(monkeypatch):
                              MAGNETIC_NEUMANN)
     step(H.to_dofs(GridFunction.constant(grid, 1.0)), H, 1e-2)
     assert fills and fills[0] <= 238138
+
+
+# -- the banded stepper ----------------------------------------------------------
+
+@pytest.mark.parametrize("bc", [DIRICHLET, MAGNETIC_NEUMANN, NAIVE_NEUMANN])
+def test_band_steps_match_dense_cayley_solves(bc):
+    from schrodeform.scenarios.families import ramp_interval_family
+    grid = ReferenceGrid.interval(40)
+    family, coeffs = ramp_interval_family(1.0, 1.5), free_coefficients(1)
+    dt, times = 0.02, np.array([0.11, 0.37, 0.93])
+    pattern = form_pattern(grid, bc)
+    data = hamiltonian_data(family, coeffs, times, grid, bc)
+    n = pattern.dofs.size
+    rng = np.random.default_rng(4)
+    v0 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    states, energies = CayleyStepper(n, dt).advance(v0, pattern.bands(data))
+    v, z = v0, 0.5j * dt
+    for k, t in enumerate(times):
+        H = sp.csr_matrix((data[k], pattern.indices, pattern.indptr),
+                          shape=(n, n)).toarray()
+        v = np.linalg.solve(np.eye(n) + z * H, (np.eye(n) - z * H) @ v)
+        assert np.linalg.norm(states[k] - v) <= 1e-13 * np.linalg.norm(v)
+        assert energies[k] == pytest.approx(np.vdot(v, H @ v).real, rel=1e-13)
+        one = step(states[k - 1] if k else v0,
+                   assemble_hamiltonian(family, coeffs, t, grid, bc), dt)
+        assert np.linalg.norm(one - v) <= 1e-13 * np.linalg.norm(v)
+
+
+def test_banded_hermitian_evolution_keeps_its_norm_over_8000_steps():
+    from schrodeform.scenarios.families import ramp_interval_family
+    grid = ReferenceGrid.interval(100)
+    v0 = GridFunction(grid, np.sin(np.pi * grid.nodes[:, 0]) + 0.3j * grid.nodes[:, 0])
+    cfg = PropagatorConfig(dt=1.25e-4, t_start=0.0, t_end=1.0)
+    assert cfg.n_steps == 8000
+    trace = evolve(ramp_interval_family(1.0, 1.5), free_coefficients(1),
+                   MAGNETIC_NEUMANN, v0, cfg)
+    assert trace.norm_drift() <= 1e-13
+
+
+# -- failures name their step ------------------------------------------------------
+
+class _FailingCall:
+    """Wraps ``real`` so that call number ``at`` (from 1) of ``name`` goes wrong:
+    ``spoil`` gets and returns that call's result."""
+
+    def __init__(self, real, name, at, spoil):
+        self.real, self.name, self.at, self.spoil = real, name, at, spoil
+        self.calls = 0
+
+    def __getattr__(self, attr):
+        fn = getattr(self.real, attr)
+        if attr != self.name:
+            return fn
+
+        def counted(*args, **kwargs):
+            self.calls += 1
+            out = fn(*args, **kwargs)
+            return self.spoil(out) if self.calls == self.at else out
+
+        return counted
+
+
+def _perturb_w(out):
+    *head, w, info = out
+    return (*head, w + 1e-3, info)
+
+
+def _singular_info(out):
+    return (*out[:-1], 7)
+
+
+def _interval_run(n_steps):
+    grid = ReferenceGrid.interval(200)
+    v0 = GridFunction(grid, np.sin(np.pi * grid.nodes[:, 0]).astype(complex))
+    cfg = PropagatorConfig(dt=1e-3, t_start=0.0, t_end=n_steps * 1e-3)
+    return (interval_family(lambda t: 1 + 0.5 * t, lambda t: 0.5),
+            free_coefficients(1), DIRICHLET, v0, cfg)
+
+
+@pytest.mark.parametrize("spoil, message", [
+    (_perturb_w, r"step 45 \(t=0\.0445\): linear solve residual .* exceeds tolerance"),
+    (_singular_info, r"step 45 \(t=0\.0445\): Cayley factorization failed: zgtsv info 7"),
+])
+def test_banded_failure_in_a_chunk_names_its_global_step(monkeypatch, spoil, message):
+    # K = 40 on 200 cells: step 45 is the fifth of the second chunk
+    monkeypatch.setattr(propagator, "lapack",
+                        _FailingCall(propagator.lapack, "zgtsv", 45, spoil))
+    with pytest.raises(SolverDivergenceError, match=message) as err:
+        evolve(*_interval_run(60))
+    assert err.value.step == 45
+
+
+class _SpoiledLU:
+    def __init__(self, lu):
+        self.lu = lu
+
+    def solve(self, rhs):
+        return self.lu.solve(rhs) * (1 + 1e-4)
+
+
+def test_lu_failure_in_a_chunk_names_its_global_step(monkeypatch):
+    grid = ReferenceGrid.rectangle(8)
+    K = steps_per_pass(grid)
+    monkeypatch.setattr(propagator, "spla",
+                        _FailingCall(propagator.spla, "splu", K + 3, _SpoiledLU))
+    v0 = GridFunction(grid, np.cos(np.pi * grid.nodes[:, 0]) + 0j)
+    cfg = PropagatorConfig(dt=1e-2, t_start=0.0, t_end=(K + 8) * 1e-2)
+    t_mid = (K + 2.5) * 1e-2
+    with pytest.raises(SolverDivergenceError,
+                       match=rf"step {K + 3} \(t={t_mid:.12g}\): linear solve residual"):
+        evolve(warped_2d_family(), free_coefficients(2), MAGNETIC_NEUMANN, v0, cfg)
+
+
+def test_singular_factor_in_evolve_names_its_step(monkeypatch):
+    def singular(*args, **kwargs):
+        raise RuntimeError("Factor is exactly singular")
+
+    monkeypatch.setattr(propagator, "spla",
+                        _FailingCall(propagator.spla, "splu", 2, lambda lu: singular()))
+    grid = ReferenceGrid.rectangle(6)
+    v0 = GridFunction.constant(grid, 1.0 + 0j)
+    cfg = PropagatorConfig(dt=1e-2, t_start=0.0, t_end=0.05)
+    with pytest.raises(SolverDivergenceError, match=r"step 2 \(t=0\.015\): Cayley "
+                                                    r"factorization failed"):
+        evolve(warped_2d_family(), free_coefficients(2), MAGNETIC_NEUMANN, v0, cfg)
+
+
+# -- non-finite initial states -------------------------------------------------------
+
+def test_non_finite_initial_state_raises_in_1d_evolve():
+    family, coeffs, bc, v0, cfg = _interval_run(5)
+    v0.values[17] = np.nan
+    with pytest.raises(SolverDivergenceError, match=r"step 1 .*non-finite"):
+        evolve(family, coeffs, bc, v0, cfg)
+
+
+def test_non_finite_initial_state_raises_in_2d_evolve():
+    grid = ReferenceGrid.rectangle(8)
+    values = np.ones(grid.n_nodes, dtype=complex)
+    values[5] = np.nan
+    cfg = PropagatorConfig(dt=1e-2, t_start=0.0, t_end=0.05)
+    with pytest.raises(SolverDivergenceError, match=r"step 1 .*non-finite"):
+        evolve(warped_2d_family(), free_coefficients(2), MAGNETIC_NEUMANN,
+               GridFunction(grid, values), cfg)
+
+
+@pytest.mark.parametrize("grid", [ReferenceGrid.interval(32), ReferenceGrid.rectangle(6)],
+                         ids=["banded", "lu"])
+def test_non_finite_state_raises_in_step(grid):
+    family = interval_family(lambda t: 1 + 0.5 * t, lambda t: 0.5) if grid.dim == 1 \
+        else warped_2d_family()
+    H = assemble_hamiltonian(family, free_coefficients(grid.dim), 0.3, grid,
+                             MAGNETIC_NEUMANN)
+    assert (H.banded is not None) == (grid.dim == 1)
+    v = np.ones(H.n_dofs, dtype=complex)
+    v[3] = np.nan
+    with pytest.raises(SolverDivergenceError, match="non-finite"):
+        step(v, H, 1e-2)
