@@ -25,7 +25,8 @@ from . import __version__
 from .errors import ConfigError, NonPositiveDensityError, SchrodeformError
 from .geometry import ReferenceGrid
 from .moser import DensityFamily, moser_combined
-from .operators import DIRICHLET, MAGNETIC_NEUMANN, NAIVE_NEUMANN, free_coefficients
+from .operators import (DIRICHLET, MAGNETIC_NEUMANN, NAIVE_NEUMANN,
+                        assemble_hamiltonian, eigenpairs, free_coefficients)
 from .propagator import PropagatorConfig, evolve, neumann_drift_diagnostic
 from .scenarios import (
     adiabatic_experiment,
@@ -345,13 +346,14 @@ def run_adiabatic(config: RunConfig) -> int:
         scenario = moving_interval_scenario(
             l0=scenario.metadata["l0"], l1=scenario.metadata["l1"], smooth=True)
     lo, hi = scenario.family.window
-    _check_steps((hi - lo) / min(float(e) for e in config["epsilon"]),
-                 float(config["dt"]))
+    eps, dt = [float(e) for e in config["epsilon"]], float(config["dt"])
+    _check_steps((hi - lo) / min(eps), dt)
+    if not (hi - lo) / max(eps) >= dt:
+        raise ConfigError(f"epsilon={max(eps):g} sweeps the window in "
+                          f"{(hi - lo) / max(eps):g}, less than one dt={dt:g}")
     grid = scenario.grid(int(config["grid"]))
-    run = adiabatic_experiment(
-        scenario.family, scenario.coeffs, 0,
-        [float(e) for e in config["epsilon"]], grid, dt=float(config["dt"]),
-        bc=config["bc"] or scenario.bc)
+    run = adiabatic_experiment(scenario.family, scenario.coeffs, 0, eps, grid,
+                               dt=dt, bc=config["bc"] or scenario.bc)
 
     rows = [[eps, ov, dev] for eps, ov, dev in
             zip(run.epsilons, run.overlaps, run.deviations())]
@@ -444,9 +446,12 @@ def run_converge(config: RunConfig) -> int:
     bc = config["bc"] or scenario.bc
     rows = []
     if mode == "temporal":
+        span = (float(config["t_start"]), float(config["t_end"]))
+        if not span[1] - span[0] >= max(float(dt) for dt in ladder):
+            raise ConfigError(f"time span [{span[0]:g}, {span[1]:g}] is shorter "
+                              "than the ladder's coarsest dt")
         grid = scenario.grid(int(config["grid"]))
         v0 = scenario.build_initial(grid, float(config["t_start"]))
-        span = (float(config["t_start"]), float(config["t_end"]))
 
         def final(dt):
             cfg = PropagatorConfig(dt=dt, t_start=span[0], t_end=span[1])
@@ -461,7 +466,6 @@ def run_converge(config: RunConfig) -> int:
             rows.append([dt, err])
         xs = np.log([float(d) for d in ladder])
     else:
-        from .operators import assemble_hamiltonian, eigenpairs
         errs = []
         t0 = float(config["t_start"])
         frozen = scenario.family.frozen(scenario.family.window[1])

@@ -21,11 +21,10 @@ naive-Neumann boundary term folded in.  :func:`hamiltonian_data` evaluates
 the coefficients of K time slices in one pass over a ``(K, n_pts)`` stack of
 the faces and nodes, turns the ``(n_coef, K)`` coefficient block into K
 ``data`` rows with one sparse product, and scales them by the square-root
-Jacobian; on 1D grids the tridiagonal bands are a fixed scatter of the same
-rows.  :func:`assemble_hamiltonian` is its K = 1 case wrapped in the cached
-CSR index arrays.  One path serves every dimension; :func:`assemble_form`
-with :func:`_conjugate_and_restrict` is the sparse-product reference it is
-tested against.
+Jacobian.  :func:`assemble_hamiltonian` is its K = 1 case wrapped in the
+cached CSR index arrays.  One path serves every dimension;
+:func:`assemble_form` with :func:`_conjugate_and_restrict` is the
+sparse-product reference it is tested against.
 
 Boundary realizations:
 
@@ -60,7 +59,7 @@ from .geometry.stencils import (
     face_to_node,
     face_weights,
 )
-from .sparse_lu import factor, inertia
+from .sparse_lu import _nested_dissection, factor, inertia
 
 DIRICHLET = "dirichlet"
 MAGNETIC_NEUMANN = "magnetic-neumann"
@@ -194,8 +193,7 @@ class DiscreteHamiltonian:
     The matrix acts on weighted samples ``v~ = sqrt(w) v`` restricted to the
     dof set, which makes the quadrature inner product of grid functions the
     plain Euclidean one; for the Dirichlet and magnetic Neumann realizations
-    the matrix is then Hermitian entrywise.  ``banded`` holds the same matrix
-    in LAPACK (1, 1) band storage when it is tridiagonal (1D grids), else None.
+    the matrix is then Hermitian entrywise.
     """
 
     matrix: sp.csr_matrix
@@ -203,7 +201,6 @@ class DiscreteHamiltonian:
     t: float
     grid: ReferenceGrid
     dofs: np.ndarray
-    banded: Optional[np.ndarray] = None
 
     def __post_init__(self):
         self._sqrt_w = np.sqrt(self.grid.weights[self.dofs])
@@ -413,8 +410,7 @@ class _FormPattern:
 
     ``weights`` maps the stacked coefficient blocks to the unscaled ``data``
     array; ``rows``/``cols`` are the node indices of each entry (for the
-    square-root Jacobian similarity); ``band_pos`` places each entry in
-    flattened (3, n) band storage when the pattern is tridiagonal.
+    square-root Jacobian similarity).
     """
 
     dofs: np.ndarray
@@ -423,14 +419,6 @@ class _FormPattern:
     weights: sp.csr_matrix
     rows: np.ndarray
     cols: np.ndarray
-    band_pos: Optional[np.ndarray]
-
-    def bands(self, data: np.ndarray) -> np.ndarray:
-        """LAPACK (1, 1) band storage ``(K, 3, n)`` of K ``data`` rows."""
-        n = self.dofs.size
-        out = np.zeros((data.shape[0], 3 * n), dtype=complex)
-        out[:, self.band_pos] = data
-        return out.reshape(-1, 3, n)
 
 
 def _form_pattern(grid: ReferenceGrid, bc: str) -> _FormPattern:
@@ -469,12 +457,9 @@ def _form_pattern(grid: ReferenceGrid, bc: str) -> _FormPattern:
     r, c = entry // n, entry % n
     indptr = np.zeros(n + 1, dtype=np.int32)
     np.cumsum(np.bincount(r, minlength=n), out=indptr[1:])
-    band_pos = None
-    if np.all(np.abs(r - c) <= 1):
-        band_pos = (1 + r - c) * n + c
     return _FormPattern(dofs=dofs, indptr=indptr,
                         indices=c.astype(np.int32), weights=weights,
-                        rows=dofs[r], cols=dofs[c], band_pos=band_pos)
+                        rows=dofs[r], cols=dofs[c])
 
 
 def form_pattern(grid: ReferenceGrid, bc: str) -> _FormPattern:
@@ -482,6 +467,24 @@ def form_pattern(grid: ReferenceGrid, bc: str) -> _FormPattern:
     if bc not in _BCS:
         raise InvalidInputError(f"unknown boundary condition {bc!r}; use one of {_BCS}")
     return grid.cached(("form_pattern", bc), lambda: _form_pattern(grid, bc))
+
+
+def nested_dissection(grid: ReferenceGrid, bc: str) -> np.ndarray:
+    """Nested-dissection elimination order of ``form_pattern(grid, bc)``'s
+    dofs, a permutation of ``range(n_dofs)`` (cached per grid and bc).
+
+    Geometric nested dissection (A. George, SIAM J. Numer. Anal. 10, 1973):
+    each part of the dof set is bisected at the median grid index of its
+    longer axis; the lower-half dofs with a pattern neighbour in the upper
+    half form the separator, ordered after both halves, whose remaining dofs
+    are split in turn until a part has at most ``sparse_lu._DISSECTION_LEAF``
+    dofs.  The separator is read off the pattern's graph, not off grid lines,
+    so it holds for stencils that reach further than one node (the
+    magnetic-Neumann walls reach two).
+    """
+    pattern = form_pattern(grid, bc)
+    return grid.cached(("nested_dissection", bc),
+                       lambda: _nested_dissection(grid.shape, pattern))
 
 
 def hamiltonian_data(family: DiffeoFamily, coeffs: CoefficientSet,
@@ -510,15 +513,13 @@ def assemble_hamiltonian(family: DiffeoFamily, coeffs: CoefficientSet,
     """Discrete conjugated Hamiltonian at one time slice.
 
     The K = 1 case of :func:`hamiltonian_data`, wrapped in the pattern's
-    CSR index arrays (and its bands, on tridiagonal patterns).
+    CSR index arrays.
     """
     pattern = form_pattern(grid, bc)
     data = hamiltonian_data(family, coeffs, [t], grid, bc)
     n = pattern.dofs.size
     H = sp.csr_matrix((data[0], pattern.indices, pattern.indptr), shape=(n, n))
-    banded = None if pattern.band_pos is None else pattern.bands(data)[0]
-    return DiscreteHamiltonian(matrix=H, bc=bc, t=t, grid=grid,
-                               dofs=pattern.dofs, banded=banded)
+    return DiscreteHamiltonian(matrix=H, bc=bc, t=t, grid=grid, dofs=pattern.dofs)
 
 
 def neumann_flux_coefficient(family: DiffeoFamily, t: float,
@@ -613,17 +614,15 @@ def _certified_shift(H: DiscreteHamiltonian):
 
     For the Hermitian realizations, sigma = -1, -4, -16, ... is tried in
     turn: H - sigma I, permuted into the cached nested-dissection order of
-    its grid, is factored by :func:`_shifted_lu`, and the first factor that
-    :func:`_is_definite` certifies is returned as the shift-invert operator,
-    so that nothing is factored twice (the spectral transformation of
-    Ericsson and Ruhe, Math. Comp. 35, 1980).  A singular factor, or a shift
+    its grid, is factored with diagonal pivots, and the first factor whose
+    inertia proves it positive definite is returned as the shift-invert
+    operator, so that nothing is factored twice (the spectral transformation
+    of Ericsson and Ruhe, Math. Comp. 35, 1980).  A singular factor, or a shift
     at or below the Gershgorin lower bound, falls back to a shift below that
     bound, which needs no certificate; so does the non-Hermitian
     naive-Neumann realization, to which Sylvester's law does not apply.  The
     fallback returns no operator: ARPACK then factors H - sigma I itself.
     """
-    from .propagator import nested_dissection
-
     M = H.matrix
     diag = M.diagonal().real
     row_abs = np.asarray(abs(M).sum(axis=1)).ravel() - np.abs(diag)
@@ -633,14 +632,15 @@ def _certified_shift(H: DiscreteHamiltonian):
         order = nested_dissection(H.grid, H.bc)
         inv = np.argsort(order)
         A = M[order][:, order].tocsc()
+        eye = sp.identity(A.shape[0], dtype=A.dtype, format="csc")
         sigma = -1.0
         while sigma > bound:
             probes += 1
             try:
-                lu = _shifted_lu(A, sigma)
+                lu = factor(A - sigma * eye, "NATURAL", diagonal_pivots=True)
             except RuntimeError:
                 break
-            if _is_definite(lu):
+            if inertia(lu) == (A.shape[0], 0):
                 _log.debug("eigenpairs: sigma=%g probes=%d gershgorin_fallback=False",
                            sigma, probes)
 
@@ -654,14 +654,3 @@ def _certified_shift(H: DiscreteHamiltonian):
     _log.debug("eigenpairs: sigma=%g probes=%d gershgorin_fallback=True",
                sigma, probes)
     return sigma, None
-
-
-def _shifted_lu(A: sp.csc_matrix, sigma: float):
-    """Diagonal-pivot factor of ``A - sigma I`` in the natural order."""
-    return factor(A - sigma * sp.identity(A.shape[0], dtype=A.dtype, format="csc"),
-                  "NATURAL", diagonal_pivots=True)
-
-
-def _is_definite(lu) -> bool:
-    """Whether a :func:`_shifted_lu` factor proves a Hermitian matrix > 0."""
-    return inertia(lu) == (lu.shape[0], 0)

@@ -18,7 +18,6 @@ from typing import List, Optional
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 from scipy.linalg import lapack
 
 from .errors import (InvalidInputError, InverseUnavailableError,
@@ -36,7 +35,9 @@ from .operators import (
     form_pattern,
     form_points,
     hamiltonian_data,
+    nested_dissection,
 )
+from .sparse_lu import factor
 
 # points evaluated per assembly pass; keeps a chunk's temporaries near 1 MB
 CHUNK_POINTS = 16384
@@ -106,51 +107,53 @@ class EvolutionTrace:
 class CayleyStepper:
     """Cayley steps ``v' = (I + z H)^{-1} (I - z H) v = 2 w - v``, where
     ``w = (I + z H)^{-1} v`` and ``z = i dt / 2`` (an identity for any H),
-    for generators that share one sparsity pattern.
+    for generators that share the canonical CSR pattern ``(indptr,
+    indices)``; :meth:`advance` takes them as ``(K, nnz)`` data rows of it.
 
-    The solve kernel is fixed once per pattern.  Without ``csr`` the
-    generators are tridiagonal LAPACK (1, 1) bands ``(K, 3, n)``, solved by
-    ``zgtsv``.  With ``csr = (indptr, indices)``, a canonical CSR pattern,
-    they are ``(K, nnz)`` data rows of it and each step factors ``I + z H``
-    by a sparse LU in the elimination order ``order`` (a permutation of the
-    dofs, see :func:`nested_dissection`), folded into the scatter from the
-    CSR rows to SuperLU's CSC layout, so SuperLU keeps its natural order.
+    The solve kernel is read off the pattern, once.  If every entry has
+    ``|i - j| <= 1`` the rows are scattered into LAPACK (1, 1) bands and
+    solved by ``zgtsv``.  Otherwise each step factors ``I + z H`` by a
+    sparse LU with diagonal pivots, in the cached :func:`nested_dissection`
+    order of ``(grid, bc)``, folded into the scatter from the CSR rows to
+    SuperLU's CSC layout, so SuperLU keeps its natural order.
 
     Non-finite rows or state, a singular factor and a residual above
     tolerance raise :class:`SolverDivergenceError` naming the failed chunk
     ``step``; the residuals are checked once per chunk, after its last solve.
     """
 
-    def __init__(self, n: int, dt: float, solver_tol: float = 1e-12,
-                 csr: Optional[tuple] = None, order: Optional[np.ndarray] = None):
-        self.n = n
+    def __init__(self, indptr: np.ndarray, indices: np.ndarray,
+                 grid: ReferenceGrid, bc: str, dt: float, solver_tol: float = 1e-12):
+        n = self.n = indptr.size - 1
         self.z = 0.5j * dt
         self.solver_tol = solver_tol
-        self._order = self._inv = slice(None)
-        self._kernels = self._band_kernels
-        if csr is not None:
-            if order is None or np.shape(order) != (n,):
-                raise InvalidInputError(
-                    "a sparse-LU stepper needs an elimination order of its n dofs")
-            indptr, indices = csr
-            self._order = np.asarray(order)
-            self._inv = np.empty(n, dtype=np.intp)
-            self._inv[self._order] = np.arange(n)
-            # the CSC layout of P H P^t plus its whole diagonal, and the CSR
-            # entry each slot reads (-1: a diagonal entry the pattern lacks,
-            # zeroed after the read)
-            rows = np.concatenate([np.repeat(np.arange(n), np.diff(indptr)),
-                                   np.arange(n)])
-            cols = np.concatenate([indices, np.arange(n)])
-            ids = np.concatenate([np.arange(1, indices.size + 1),
-                                  np.zeros(n, dtype=np.int64)])
-            layout = sp.csc_matrix((ids, (self._inv[rows], self._inv[cols])),
-                                   shape=(n, n))
-            slots = layout.data - 1
-            col = np.repeat(np.arange(n), np.diff(layout.indptr))
-            self._lu = (slots, np.flatnonzero(slots < 0), layout.indices,
-                        layout.indptr, np.flatnonzero(layout.indices == col))
-            self._kernels = self._lu_kernels
+        rows = np.repeat(np.arange(n), np.diff(indptr))
+        if np.all(np.abs(rows - indices) <= 1):
+            self._order = self._inv = slice(None)
+            self._band_pos = (1 + rows - indices) * n + indices
+            self._kernels = self._band_kernels
+            return
+        self._order = nested_dissection(grid, bc)
+        if self._order.shape != (n,):
+            raise InvalidInputError(
+                f"a pattern of {n} dofs cannot take the {self._order.size}-dof "
+                f"elimination order of {bc} on {grid.cells} cells")
+        self._inv = np.empty(n, dtype=np.intp)
+        self._inv[self._order] = np.arange(n)
+        # the CSC layout of P H P^t plus its whole diagonal, and the CSR
+        # entry each slot reads (-1: a diagonal entry the pattern lacks,
+        # zeroed after the read)
+        rows = np.concatenate([rows, np.arange(n)])
+        cols = np.concatenate([indices, np.arange(n)])
+        ids = np.concatenate([np.arange(1, indices.size + 1),
+                              np.zeros(n, dtype=np.int64)])
+        layout = sp.csc_matrix((ids, (self._inv[rows], self._inv[cols])),
+                               shape=(n, n))
+        slots = layout.data - 1
+        col = np.repeat(np.arange(n), np.diff(layout.indptr))
+        self._lu = (slots, np.flatnonzero(slots < 0), layout.indices,
+                    layout.indptr, np.flatnonzero(layout.indices == col))
+        self._kernels = self._lu_kernels
 
     def advance(self, v: np.ndarray, rows: np.ndarray):
         """Take ``len(rows)`` steps from ``v``, one per generator row.
@@ -158,7 +161,7 @@ class CayleyStepper:
         Returns the states after each step, ``(K, n)``, and the step
         energies ``<H_k v_k, v_k>``, ``(K,)``.
         """
-        finite = np.isfinite(rows).reshape(len(rows), -1).all(axis=1)
+        finite = np.isfinite(rows).all(axis=1)
         finite[0] &= np.isfinite(v).all()
         if not finite.all():
             raise SolverDivergenceError(
@@ -184,8 +187,11 @@ class CayleyStepper:
         energies = np.einsum("kn,kn->k", states[1:].conj(), apply(states[1:])).real
         return states[1:, self._inv], energies
 
-    def _band_kernels(self, bands):
+    def _band_kernels(self, data):
         """A chunk's ``zgtsv`` solves and its ``H`` product, by bands."""
+        bands = np.zeros((len(data), 3 * self.n), dtype=complex)
+        bands[:, self._band_pos] = data
+        bands = bands.reshape(-1, 3, self.n)
         cayley = self.z * bands     # I + z H, in the same band storage
         cayley[:, 1] += 1.0
         zgtsv = lapack.zgtsv
@@ -212,8 +218,10 @@ class CayleyStepper:
 
         def solve(k, v):
             try:
-                lu = spla.splu(sp.csc_matrix((cayley[k], indices, indptr), shape=shape),
-                               permc_spec="NATURAL", options=dict(SymmetricMode=True))
+                # threshold pivoting takes these diagonal pivots too: for
+                # Hermitian H, I + zH has Hermitian part I
+                lu = factor(sp.csc_matrix((cayley[k], indices, indptr), shape=shape),
+                            "NATURAL", diagonal_pivots=True)
             except RuntimeError as exc:
                 raise SolverDivergenceError(
                     f"Cayley factorization failed: {exc}", step=k) from exc
@@ -236,91 +244,15 @@ def step(v_dofs: np.ndarray, H_mid: DiscreteHamiltonian, dt: float,
          solver_tol: float = 1e-12) -> np.ndarray:
     """One Cayley step: solve (I + i dt/2 H) v' = (I - i dt/2 H) v.
 
-    A one-step :class:`CayleyStepper`: on the bands when the generator is
-    tridiagonal, otherwise through the sparse LU in the cached
-    :func:`nested_dissection` order of ``(H_mid.grid, H_mid.bc)``.
-    Non-finite data, a singular factor and a residual above tolerance all
-    raise :class:`SolverDivergenceError`.
+    A one-step :class:`CayleyStepper` on the pattern of ``H_mid.matrix``,
+    with ``(H_mid.grid, H_mid.bc)`` for its elimination order.  Non-finite
+    data, a singular factor and a residual above tolerance all raise
+    :class:`SolverDivergenceError`.
     """
-    n = H_mid.matrix.shape[0]
-    if H_mid.banded is not None:
-        stepper, rows = CayleyStepper(n, dt, solver_tol), H_mid.banded[None]
-    else:
-        M = H_mid.matrix.copy()
-        M.sum_duplicates()
-        stepper = CayleyStepper(n, dt, solver_tol, csr=(M.indptr, M.indices),
-                                order=nested_dissection(H_mid.grid, H_mid.bc))
-        rows = M.data[None]
-    return stepper.advance(np.asarray(v_dofs, dtype=complex), rows)[0][0]
-
-
-# parts of the dof graph with at most this many dofs are not split further
-_DISSECTION_LEAF = 8
-
-
-def nested_dissection(grid: ReferenceGrid, bc: str) -> np.ndarray:
-    """Nested-dissection elimination order of ``form_pattern(grid, bc)``'s
-    dofs, a permutation of ``range(n_dofs)`` (cached per grid and bc).
-
-    Geometric nested dissection (A. George, SIAM J. Numer. Anal. 10, 1973):
-    each part of the dof set is bisected at the median grid index of its
-    longer axis; the lower-half dofs with a pattern neighbour in the upper
-    half form the separator, ordered after both halves, whose remaining dofs
-    are split in turn until a part has at most ``_DISSECTION_LEAF`` dofs.
-    The separator is read off the pattern's graph, not off grid lines, so
-    it holds for stencils that reach further than one node (the
-    magnetic-Neumann walls reach two).
-    """
-    pattern = form_pattern(grid, bc)
-    return grid.cached(("nested_dissection", bc),
-                       lambda: _nested_dissection(grid.shape, pattern))
-
-
-def _nested_dissection(shape: tuple, pattern) -> np.ndarray:
-    """All parts of one level are split at once.  Each dof carries a base-3
-    key with one digit per level (0 lower half, 1 upper half, 2 separator,
-    0 once its part is done); sorting by key orders every separator after
-    the two halves it separates, with ties in dof order."""
-    n = pattern.dofs.size
-    coords = np.stack(np.unravel_index(pattern.dofs, shape))
-    span = max(shape)
-    rows = np.repeat(np.arange(n, dtype=pattern.indices.dtype),
-                     np.diff(pattern.indptr))
-    off = rows != pattern.indices
-    a, b = rows[off], pattern.indices[off]      # the graph's edges
-    key = np.zeros(n, dtype=np.int64)
-    act = np.arange(n)                  # the dofs still to split, by part
-    size = np.array([n])                # the size of each part
-    side = np.empty(n, dtype=np.int8)
-    while act.size:
-        key *= 3
-        n_parts = size.size
-        start = np.cumsum(size) - size
-        part = np.repeat(np.arange(n_parts), size)
-        x = coords[:, act]
-        lo = np.minimum.reduceat(x, start, axis=1)
-        axis = np.argmax(np.maximum.reduceat(x, start, axis=1) - lo, axis=0)
-        c = x[axis[part], np.arange(act.size)]
-        median = (np.sort(part * span + c)[start + size // 2]
-                  - np.arange(n_parts) * span)
-        split = (size > _DISSECTION_LEAF) & (median > lo[axis, np.arange(n_parts)])
-        s = np.where(split[part], c >= median[part], 3).astype(np.int8)
-        side.fill(4)                    # 3: a part done, 4: not active
-        side[act] = s
-        sa, sb = side[a], side[b]
-        side[a[(sa == 0) & (sb == 1)]] = 2
-        side[b[(sb == 0) & (sa == 1)]] = 2
-        # edges inside one half stay; the next level drops the separator's
-        live = (sa == sb) & (sa < 2)
-        a, b = a[live], b[live]
-        s = side[act]
-        key[act] += s % 3
-        go = s < 2
-        child = 2 * part[go] + s[go]
-        act = act[go][np.argsort(child, kind="stable")]
-        size = np.bincount(child, minlength=2 * n_parts)
-        size = size[size > 0]
-    return np.argsort(key, kind="stable")
+    M = H_mid.matrix.copy()
+    M.sum_duplicates()
+    stepper = CayleyStepper(M.indptr, M.indices, H_mid.grid, H_mid.bc, dt, solver_tol)
+    return stepper.advance(np.asarray(v_dofs, dtype=complex), M.data[None])[0][0]
 
 
 def steps_per_pass(grid: ReferenceGrid) -> int:
@@ -349,10 +281,8 @@ def evolve(family: DiffeoFamily, coeffs: CoefficientSet, bc: str,
     dt = config.dt_effective
     stride = config.snapshot_stride
     pattern = form_pattern(grid, bc)
-    banded = pattern.band_pos is not None
-    csr, order = ((None, None) if banded else
-                  ((pattern.indptr, pattern.indices), nested_dissection(grid, bc)))
-    stepper = CayleyStepper(H0.n_dofs, dt, config.solver_tol, csr, order)
+    stepper = CayleyStepper(pattern.indptr, pattern.indices, grid, bc, dt,
+                            config.solver_tol)
 
     norms = [np.linalg.norm(v[None], axis=1)]
     overlaps = [np.abs(v[None] @ obs) ** 2]
@@ -363,9 +293,8 @@ def evolve(family: DiffeoFamily, coeffs: CoefficientSet, bc: str,
         done = np.arange(k0 + 1, min(k0 + chunk, n) + 1)  # steps this chunk ends
         mids = config.t_start + (done - 0.5) * dt
         data = hamiltonian_data(family, coeffs, mids, grid, bc)
-        rows = pattern.bands(data) if banded else data
         try:
-            states, chunk_energies = stepper.advance(v, rows)
+            states, chunk_energies = stepper.advance(v, data)
         except SolverDivergenceError as exc:
             k = int(done[exc.step])
             raise SolverDivergenceError(

@@ -186,6 +186,27 @@ def test_converge_single_rung_exit_3(tmp_path):
                  "--output", str(tmp_path / "x")]) == 3
 
 
+@pytest.mark.parametrize("t_end", ["0", "1e-300", "0.003"])
+def test_converge_span_shorter_than_its_coarsest_dt_exit_3(tmp_path, capsys, t_end):
+    # an empty span used to fit log(0) errors to a NaN order and exit 2
+    code = main(["converge", "--grid", "8", "--t-end", t_end,
+                 "--output", str(tmp_path / "c")])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "coarsest dt" in err and "Warning" not in err
+
+
+@pytest.mark.parametrize("epsilon", ["1e300", "1e8", "0.5,2000"])
+def test_adiabatic_epsilon_sweeping_less_than_one_dt_exit_3(tmp_path, capsys, epsilon):
+    # 1e300 used to overflow the slowed family's velocity (exit 1), 1e8 to
+    # fail the overlap check after one step (exit 2)
+    code = main(["adiabatic", "--grid", "8", "--dt", "1e-3", "--epsilon", epsilon,
+                 "--output", str(tmp_path / "a")])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "less than one dt" in err and "Warning" not in err
+
+
 def test_run_naive_neumann_diagnostic(tmp_path):
     out = tmp_path / "naive"
     code = main(["run", "--scenario", "cylinder", "--bc", "naive-neumann",

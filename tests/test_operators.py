@@ -19,8 +19,6 @@ from schrodeform.operators import (
     _certified_shift,
     _conjugate_and_restrict,
     _form_pieces,
-    _is_definite,
-    _shifted_lu,
     assemble_form,
     assemble_hamiltonian,
     coercivity_bounds,
@@ -35,6 +33,7 @@ from schrodeform.scenarios.families import (
     interval_family,
     rotation_family,
 )
+from schrodeform.sparse_lu import factor, inertia
 
 
 @pytest.fixture(scope="module")
@@ -232,19 +231,6 @@ def test_coercivity_audit(moving_interval):
         assert lhs >= rhs - 1e-9 * abs(rhs)
 
 
-def test_banded_representation_matches_matrix(moving_interval):
-    grid = ReferenceGrid.interval(50)
-    H = assemble_hamiltonian(moving_interval, free_coefficients(1), 0.4,
-                             grid, MAGNETIC_NEUMANN)
-    dense = H.matrix.toarray()
-    ab = H.banded
-    n = dense.shape[0]
-    assert np.allclose(np.diag(dense), ab[1])
-    assert np.allclose(np.diag(dense, 1), ab[0, 1:])
-    assert np.allclose(np.diag(dense, -1), ab[2, :-1])
-    assert n == H.n_dofs
-
-
 def test_2d_diagonal_family_spectrum():
     # rectangle (0, 2) x (0, 1) via a frozen diagonal stretch of the square
     grid = ReferenceGrid.rectangle(40)
@@ -389,10 +375,15 @@ def test_deepest_well_falls_back_to_gershgorin(caplog):
 def test_a_shift_above_the_lowest_eigenvalue_is_not_certified():
     H = _warped(DIRICHLET)
     lam = np.linalg.eigvalsh(H.matrix.toarray())[:2]
-    A = H.matrix.tocsc()
-    assert _is_definite(_shifted_lu(A, lam[0] - 1e-3))
-    assert not _is_definite(_shifted_lu(A, lam[0] + 1e-3))
-    assert not _is_definite(_shifted_lu(A, 0.5 * (lam[0] + lam[1])))
+    A, n = H.matrix.tocsc(), H.n_dofs
+    eye = sp.identity(n, dtype=A.dtype, format="csc")
+
+    def definite(sigma):
+        return inertia(factor(A - sigma * eye, "NATURAL", diagonal_pivots=True)) == (n, 0)
+
+    assert definite(lam[0] - 1e-3)
+    assert not definite(lam[0] + 1e-3)
+    assert not definite(0.5 * (lam[0] + lam[1]))
 
 
 def test_naive_neumann_keeps_the_gershgorin_shift(caplog):

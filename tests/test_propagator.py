@@ -4,7 +4,7 @@ import scipy.sparse as sp
 
 from schrodeform.errors import SnapshotMissingError, SolverDivergenceError
 from schrodeform.geometry import GridFunction, ReferenceGrid, identity_family
-from schrodeform import propagator
+from schrodeform import operators, propagator, sparse_lu
 from schrodeform.operators import (
     DIRICHLET,
     MAGNETIC_NEUMANN,
@@ -369,8 +369,7 @@ def test_lu_steps_match_dense_cayley_solves(bc):
     n = pattern.dofs.size
     rng = np.random.default_rng(3)
     v0 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    stepper = CayleyStepper(n, dt, csr=(pattern.indptr, pattern.indices),
-                            order=nested_dissection(grid, bc))
+    stepper = CayleyStepper(pattern.indptr, pattern.indices, grid, bc, dt)
     states, energies = stepper.advance(v0, rows)
     v, z = v0, 0.5j * dt
     for k, t in enumerate(times):
@@ -384,17 +383,22 @@ def test_lu_steps_match_dense_cayley_solves(bc):
         assert np.linalg.norm(one - v) <= 1e-13 * np.linalg.norm(v)
 
 
-def test_lu_step_fills_in_missing_diagonal_entries():
-    # a generator whose pattern has no diagonal: I + zH still needs one
+def test_lu_step_fills_in_missing_diagonal_entries(monkeypatch):
+    # a generator whose pattern has no diagonal: I + zH still needs one; the
+    # grid-row offsets make it more than tridiagonal, so the LU scatter runs
     grid = ReferenceGrid.rectangle(4)
-    n = grid.n_nodes
-    off = sp.diags([np.ones(n - 1), np.ones(n - 1)], [-1, 1], format="csr")
+    n, row = grid.n_nodes, grid.shape[1]
+    off = sp.diags([np.ones(n - row), np.ones(n - 1), np.ones(n - 1), np.ones(n - row)],
+                   [-row, -1, 1, row], format="csr")
     H = DiscreteHamiltonian(matrix=off * (1 + 0.5j), bc=MAGNETIC_NEUMANN,
                             t=0.0, grid=grid, dofs=np.arange(n))
+    splu = _FailingCall(sparse_lu.spla, "splu", 0, None)    # counts, spoils none
+    monkeypatch.setattr(sparse_lu, "spla", splu)
     v = np.linspace(0.0, 1.0, n).astype(complex)
     dense, z = H.matrix.toarray(), 0.05j
     want = np.linalg.solve(np.eye(n) + z * dense, (np.eye(n) - z * dense) @ v)
     assert np.linalg.norm(step(v, H, 0.1) - want) <= 1e-13 * np.linalg.norm(want)
+    assert splu.calls == 1
 
 
 @pytest.mark.parametrize("cells, bc", [(16, MAGNETIC_NEUMANN), ((12, 9), NAIVE_NEUMANN),
@@ -407,13 +411,13 @@ def test_dissection_order_is_a_permutation_of_the_dofs(cells, bc):
 
 def _count_dissections(monkeypatch):
     calls = []
-    real = propagator._nested_dissection
+    real = operators._nested_dissection
 
     def counted(*args):
         calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr(propagator, "_nested_dissection", counted)
+    monkeypatch.setattr(operators, "_nested_dissection", counted)
     return calls
 
 
@@ -445,7 +449,7 @@ def test_banded_evolution_builds_no_dissection_order(monkeypatch):
 def test_dissection_fill_at_64_squared_beats_minimum_degree(monkeypatch):
     # MMD_AT_PLUS_A fills 238,138 entries on this pattern (64^2, magnetic Neumann)
     fills = []
-    real = propagator.spla
+    real = sparse_lu.spla
 
     class Recording:
         @staticmethod
@@ -454,7 +458,7 @@ def test_dissection_fill_at_64_squared_beats_minimum_degree(monkeypatch):
             fills.append(lu.L.nnz + lu.U.nnz)
             return lu
 
-    monkeypatch.setattr(propagator, "spla", Recording)
+    monkeypatch.setattr(sparse_lu, "spla", Recording)
     grid = ReferenceGrid.rectangle(64)
     H = assemble_hamiltonian(warped_2d_family(), free_coefficients(2), 0.5, grid,
                              MAGNETIC_NEUMANN)
@@ -475,7 +479,8 @@ def test_band_steps_match_dense_cayley_solves(bc):
     n = pattern.dofs.size
     rng = np.random.default_rng(4)
     v0 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    states, energies = CayleyStepper(n, dt).advance(v0, pattern.bands(data))
+    stepper = CayleyStepper(pattern.indptr, pattern.indices, grid, bc, dt)
+    states, energies = stepper.advance(v0, data)
     v, z = v0, 0.5j * dt
     for k, t in enumerate(times):
         H = sp.csr_matrix((data[k], pattern.indices, pattern.indptr),
@@ -563,8 +568,8 @@ class _SpoiledLU:
 def test_lu_failure_in_a_chunk_names_its_global_step(monkeypatch):
     grid = ReferenceGrid.rectangle(8)
     K = steps_per_pass(grid)
-    monkeypatch.setattr(propagator, "spla",
-                        _FailingCall(propagator.spla, "splu", K + 3, _SpoiledLU))
+    monkeypatch.setattr(sparse_lu, "spla",
+                        _FailingCall(sparse_lu.spla, "splu", K + 3, _SpoiledLU))
     v0 = GridFunction(grid, np.cos(np.pi * grid.nodes[:, 0]) + 0j)
     cfg = PropagatorConfig(dt=1e-2, t_start=0.0, t_end=(K + 8) * 1e-2)
     t_mid = (K + 2.5) * 1e-2
@@ -577,8 +582,8 @@ def test_singular_factor_in_evolve_names_its_step(monkeypatch):
     def singular(*args, **kwargs):
         raise RuntimeError("Factor is exactly singular")
 
-    monkeypatch.setattr(propagator, "spla",
-                        _FailingCall(propagator.spla, "splu", 2, lambda lu: singular()))
+    monkeypatch.setattr(sparse_lu, "spla",
+                        _FailingCall(sparse_lu.spla, "splu", 2, lambda lu: singular()))
     grid = ReferenceGrid.rectangle(6)
     v0 = GridFunction.constant(grid, 1.0 + 0j)
     cfg = PropagatorConfig(dt=1e-2, t_start=0.0, t_end=0.05)
@@ -613,7 +618,9 @@ def test_non_finite_state_raises_in_step(grid):
         else warped_2d_family()
     H = assemble_hamiltonian(family, free_coefficients(grid.dim), 0.3, grid,
                              MAGNETIC_NEUMANN)
-    assert (H.banded is not None) == (grid.dim == 1)
+    stepper = CayleyStepper(H.matrix.indptr, H.matrix.indices, grid, H.bc, 1e-2)
+    assert stepper._kernels.__name__ == ("_band_kernels" if grid.dim == 1
+                                         else "_lu_kernels")
     v = np.ones(H.n_dofs, dtype=complex)
     v[3] = np.nan
     with pytest.raises(SolverDivergenceError, match="non-finite"):
