@@ -25,8 +25,8 @@ from . import __version__
 from .errors import ConfigError, NonPositiveDensityError, SchrodeformError
 from .geometry import ReferenceGrid
 from .moser import DensityFamily, moser_combined
-from .operators import (DIRICHLET, MAGNETIC_NEUMANN, NAIVE_NEUMANN,
-                        assemble_hamiltonian, eigenpairs, free_coefficients)
+from .operators import (_BCS, NAIVE_NEUMANN, assemble_hamiltonian, eigenpairs,
+                        free_coefficients)
 from .propagator import PropagatorConfig, evolve, neumann_drift_diagnostic
 from .scenarios import (
     adiabatic_experiment,
@@ -37,8 +37,6 @@ from .scenarios import (
     rotation_scenario,
     translation_scenario,
 )
-
-_BCS = (DIRICHLET, MAGNETIC_NEUMANN, NAIVE_NEUMANN)
 
 
 # scenario name -> (accepted params keys, builder from the params object)
@@ -56,6 +54,19 @@ _SCENARIOS = {
 
 def _build_scenario(config: RunConfig):
     return _SCENARIOS[config["scenario"]][1](config["params"])
+
+
+def _build_smooth_scenario(config: RunConfig):
+    """The configured scenario, with a moving interval on its C^2 ramp.
+
+    Adiabatic sweeps and order fits need motion-compatible initial data: a
+    C^2 ramp starts from rest, so the eigenstate initial data matches the
+    generator.
+    """
+    params = config["params"]
+    if config["scenario"] == "moving_interval":
+        params = dict(params, smooth=True)
+    return _SCENARIOS[config["scenario"]][1](params)
 
 
 _DENSITIES = {
@@ -87,7 +98,6 @@ class RunConfig:
         "epsilon": [0.2, 0.1, 0.05, 0.02, 0.01],
         "output": "runs/out",
         "snapshot_stride": 0,
-        "seed": 0,
         "self_test": False,
         "t_start": 0.0,
         "t_end": 1.0,
@@ -122,9 +132,8 @@ class RunConfig:
                 data.update(json.loads(path.read_text()))
             except json.JSONDecodeError as exc:
                 raise ConfigError(f"config file is not valid JSON: {exc}") from exc
-        for key in ("scenario", "grid", "dt", "bc", "output", "seed",
-                    "snapshot_stride", "self_test", "t_end", "density",
-                    "amplitude", "mode"):
+        for key in ("scenario", "grid", "dt", "bc", "output", "snapshot_stride",
+                    "self_test", "t_end", "density", "amplitude", "mode"):
             val = getattr(args, key, None)
             if val is not None and val is not False:
                 data[key] = val
@@ -208,24 +217,34 @@ def _write_trace_csv(path: Path, trace) -> None:
     _write_csv(path, header, rows)
 
 
+def _labels(name: str, dim: int) -> list:
+    """Column names of a vector's components: `name` in 1D, else name1, name2."""
+    return [name] if dim == 1 else [f"{name}{a + 1}" for a in range(dim)]
+
+
+def _write_nodal_csv(path: Path, grid: ReferenceGrid, header, columns):
+    """One row per node: its coordinates y, then one entry of each column."""
+    rows = [list(grid.nodes[i]) + [col[i] for col in columns]
+            for i in range(grid.n_nodes)]
+    _write_csv(path, _labels("y", grid.dim) + header, rows)
+
+
 def _write_snapshots(outdir: Path, trace, grid: ReferenceGrid):
     files = []
-    snapdir = outdir / "snapshots"
-    for k, (t, snap) in enumerate(zip(trace.snapshot_times, trace.snapshots)):
-        path = snapdir / f"{k:04d}.csv"
-        coords = grid.nodes
-        if grid.dim == 1:
-            header = ["y", "re", "im", "abs2"]
-            rows = [[coords[i, 0], snap.values[i].real, snap.values[i].imag,
-                     abs(snap.values[i]) ** 2] for i in range(grid.n_nodes)]
-        else:
-            header = ["y1", "y2", "re", "im", "abs2"]
-            rows = [[coords[i, 0], coords[i, 1], snap.values[i].real,
-                     snap.values[i].imag, abs(snap.values[i]) ** 2]
-                    for i in range(grid.n_nodes)]
-        _write_csv(path, header, rows)
+    for k, snap in enumerate(trace.snapshots):
+        path = outdir / "snapshots" / f"{k:04d}.csv"
+        _write_nodal_csv(path, grid, ["re", "im", "abs2"],
+                         [snap.values.real, snap.values.imag,
+                          [abs(v) ** 2 for v in snap.values]])
         files.append(str(path.relative_to(outdir)))
     return files
+
+
+def _write_report(outdir: Path, report: dict, manifest: Manifest) -> None:
+    path = outdir / "report.json"
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps(report, indent=2) + "\n")
+    manifest.add_file("report.json")
 
 
 class Manifest:
@@ -341,10 +360,7 @@ def run_adiabatic(config: RunConfig) -> int:
                           "the scenario window scaled by 1/epsilon")
     outdir = Path(config["output"])
     manifest = Manifest(config, "adiabatic")
-    scenario = _build_scenario(config)
-    if scenario.name == "moving_interval" and not scenario.metadata["smooth"]:
-        scenario = moving_interval_scenario(
-            l0=scenario.metadata["l0"], l1=scenario.metadata["l1"], smooth=True)
+    scenario = _build_smooth_scenario(config)
     lo, hi = scenario.family.window
     eps, dt = [float(e) for e in config["epsilon"]], float(config["dt"])
     _check_steps((hi - lo) / min(eps), dt)
@@ -359,15 +375,12 @@ def run_adiabatic(config: RunConfig) -> int:
             zip(run.epsilons, run.overlaps, run.deviations())]
     _write_csv(outdir / "trace.csv", ["epsilon", "overlap", "deviation"], rows)
     manifest.add_file("trace.csv")
-    report = {
+    _write_report(outdir, {
         "initial_overlap": run.initial_overlap,
         "epsilons": run.epsilons,
         "overlaps": run.overlaps,
         "eigenvalue_path": run.eigenvalue_path,
-    }
-    (outdir / "report.json").parent.mkdir(parents=True, exist_ok=True)
-    (outdir / "report.json").write_text(json.dumps(report, indent=2) + "\n")
-    manifest.add_file("report.json")
+    }, manifest)
 
     manifest.check("final_overlap", run.overlaps[-1], 0.99, larger_ok=True)
     devs = run.deviations()
@@ -399,16 +412,8 @@ def run_moser(config: RunConfig) -> int:
     for k, mm in enumerate(maps):
         rows.append([mm.t, mm.det_residual, mm.iterations])
         path = outdir / "snapshots" / f"phi_{k:04d}.csv"
-        if grid.dim == 1:
-            header = ["y", "phi", "det"]
-            data = [[grid.nodes[i, 0], mm.values[i, 0], mm.det_values[i]]
-                    for i in range(grid.n_nodes)]
-        else:
-            header = ["y1", "y2", "phi1", "phi2", "det"]
-            data = [[grid.nodes[i, 0], grid.nodes[i, 1], mm.values[i, 0],
-                     mm.values[i, 1], mm.det_values[i]]
-                    for i in range(grid.n_nodes)]
-        _write_csv(path, header, data)
+        _write_nodal_csv(path, grid, _labels("phi", grid.dim) + ["det"],
+                         list(mm.values.T) + [mm.det_values])
         files.append(str(path.relative_to(outdir)))
     _write_csv(outdir / "trace.csv", ["t", "det_residual", "iterations"], rows)
     manifest.add_file("trace.csv")
@@ -416,10 +421,9 @@ def run_moser(config: RunConfig) -> int:
         manifest.add_file(fpath)
     worst = max(mm.det_residual for mm in maps)
     manifest.check("det_residual", worst, float(config["det_residual_tol"]))
-    report = {"samples": samples,
-              "det_residuals": [mm.det_residual for mm in maps]}
-    (outdir / "report.json").write_text(json.dumps(report, indent=2) + "\n")
-    manifest.add_file("report.json")
+    _write_report(outdir, {"samples": samples,
+                           "det_residuals": [mm.det_residual for mm in maps]},
+                  manifest)
     return manifest.write(outdir)
 
 
@@ -436,12 +440,7 @@ def run_converge(config: RunConfig) -> int:
     if len(ladder) < 2:
         raise ConfigError("a refinement ladder needs at least two rungs")
 
-    scenario = _build_scenario(config)
-    if scenario.name == "moving_interval" and not scenario.metadata["smooth"]:
-        # order fits need motion-compatible initial data: a C^2 ramp starts
-        # from rest, so the eigenstate initial data matches the generator
-        scenario = moving_interval_scenario(
-            l0=scenario.metadata["l0"], l1=scenario.metadata["l1"], smooth=True)
+    scenario = _build_smooth_scenario(config)
     _check_span(config, scenario)
     bc = config["bc"] or scenario.bc
     rows = []
@@ -487,10 +486,8 @@ def run_converge(config: RunConfig) -> int:
     _write_csv(outdir / "trace.csv",
                ["dt" if mode == "temporal" else "cells", "error"], rows)
     manifest.add_file("trace.csv")
-    report = {"mode": mode, "ladder": list(ladder), "errors": errs,
-              "fitted_order": order}
-    (outdir / "report.json").write_text(json.dumps(report, indent=2) + "\n")
-    manifest.add_file("report.json")
+    _write_report(outdir, {"mode": mode, "ladder": list(ladder), "errors": errs,
+                           "fitted_order": order}, manifest)
     manifest.check("order_lower", order, 1.7, larger_ok=True)
     manifest.check("order_upper", order, 2.3)
     return manifest.write(outdir)
@@ -534,7 +531,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--epsilon", type=str, default=None,
                        help="comma-separated slowness list")
         p.add_argument("--output", type=str, default=None)
-        p.add_argument("--seed", type=int, default=None)
         p.add_argument("--self-test", dest="self_test", action="store_true",
                        default=False)
         p.add_argument("--t-end", dest="t_end", type=float, default=None)
@@ -561,7 +557,6 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 3
-    np.random.seed(int(config["seed"]) % 2 ** 32)
     try:
         return _COMMANDS[args.command](config)
     except ConfigError as exc:

@@ -9,7 +9,8 @@ slices stacked along a leading axis).  The map returns the shape of ``y``;
 the Jacobian returns ``(..., dim, dim)`` with ``J[..., i, j] = d h_i / d y_j``.
 
 Analytic derivative evaluators are preferred; anything missing falls back
-to central finite differences with a configurable step.
+to central finite differences with the fixed step ``FD_STEP`` in space and
+in time.
 """
 
 from __future__ import annotations
@@ -21,6 +22,14 @@ import numpy as np
 
 from ..errors import DegenerateJacobianError, InvalidInputError, InverseUnavailableError
 from . import smallmat
+
+# central-difference step of the derivative fallbacks, in space and in time
+FD_STEP = 1e-6
+# Newton inversion of a family without an inverse evaluator
+_NEWTON_TOL = 1e-12
+_NEWTON_MAXITER = 60
+# largest |h^{-1}(h(y)) - y| validate_family accepts from an inverse evaluator
+_ROUND_TRIP_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -43,8 +52,6 @@ class DiffeoFamily:
     jacobian_dt: Optional[Callable] = None
     inverse: Optional[Callable] = None
     window: Tuple[float, float] = (0.0, 1.0)
-    fd_step: float = 1e-6
-    fd_step_t: float = 1e-6
     name: str = "family"
 
     def check_time(self, t) -> None:
@@ -60,9 +67,8 @@ class DiffeoFamily:
 
     def _fd_times(self, t):
         """Central-difference probe times, clipped to the window."""
-        dt = self.fd_step_t
         lo, hi = self.window
-        tp, tm = np.minimum(t + dt, hi), np.maximum(t - dt, lo)
+        tp, tm = np.minimum(t + FD_STEP, hi), np.maximum(t - FD_STEP, lo)
         return tp, tm, np.asarray(tp - tm)
 
     def velocity(self, t, y: np.ndarray) -> np.ndarray:
@@ -82,9 +88,9 @@ class DiffeoFamily:
         cols = []
         for j in range(dim):
             e = np.zeros(dim)
-            e[j] = self.fd_step
+            e[j] = FD_STEP
             cols.append((np.asarray(self.map(t, y + e))
-                         - np.asarray(self.map(t, y - e))) / (2 * self.fd_step))
+                         - np.asarray(self.map(t, y - e))) / (2 * FD_STEP))
         return np.stack(cols, axis=-1)
 
     def jacobian_matrix_dt(self, t, y: np.ndarray) -> np.ndarray:
@@ -95,17 +101,15 @@ class DiffeoFamily:
         return ((self.jacobian_matrix(tp, y) - self.jacobian_matrix(tm, y))
                 / span[..., None, None])
 
-    def inverse_map(self, t: float, x: np.ndarray,
-                    seed: Optional[np.ndarray] = None,
-                    tol: float = 1e-12, maxiter: int = 60) -> np.ndarray:
-        """Evaluate h^{-1}(t, x), by evaluator or Newton iteration."""
+    def inverse_map(self, t: float, x: np.ndarray) -> np.ndarray:
+        """Evaluate h^{-1}(t, x), by evaluator or Newton iteration from x."""
         if self.inverse is not None:
             return np.asarray(self.inverse(t, x), dtype=float)
         x = np.atleast_2d(np.asarray(x, dtype=float))
-        y = x.copy() if seed is None else np.atleast_2d(np.asarray(seed, float)).copy()
-        for _ in range(maxiter):
+        y = x.copy()
+        for _ in range(_NEWTON_MAXITER):
             res = np.asarray(self.map(t, y)) - x
-            if np.max(np.abs(res)) <= tol:
+            if np.max(np.abs(res)) <= _NEWTON_TOL:
                 break
             y -= smallmat.solve(self.jacobian_matrix(t, y), res)
         else:
@@ -125,7 +129,6 @@ class DiffeoFamily:
             inverse=(None if self.inverse is None
                      else (lambda s, x: self.inverse(t0, x))),
             window=(min(0.0, t0), max(1.0, t0)),
-            fd_step=self.fd_step,
             name=name or f"{self.name}@t={t0:g}",
         )
 
@@ -232,7 +235,7 @@ def jacobian_field(family: DiffeoFamily, t, pts: np.ndarray):
     return J, det, smallmat.inv(J)
 
 
-def validate_family(family: DiffeoFamily, grid, times, inverse_tol: float = 1e-8) -> None:
+def validate_family(family: DiffeoFamily, grid, times) -> None:
     """Check the family invariants on the grid nodes at the given times.
 
     Raises DegenerateJacobianError if det J is not positive everywhere, and
@@ -244,9 +247,9 @@ def validate_family(family: DiffeoFamily, grid, times, inverse_tol: float = 1e-8
             x = np.asarray(family.map(t, grid.nodes), dtype=float)
             back = np.asarray(family.inverse(t, x), dtype=float)
             err = float(np.max(np.abs(back - grid.nodes)))
-            if not err <= inverse_tol:      # a NaN round trip fails too
+            if not err <= _ROUND_TRIP_TOL:      # a NaN round trip fails too
                 raise InvalidInputError(
-                    f"inverse round-trip error {err:.3e} > {inverse_tol:g} at t={t}")
+                    f"inverse round-trip error {err:.3e} > {_ROUND_TRIP_TOL:g} at t={t}")
 
 
 def jacobian_log_derivative(family: DiffeoFamily, t: float, y: np.ndarray):

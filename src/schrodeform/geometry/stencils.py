@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-from .grid import ReferenceGrid
+from .grid import ReferenceGrid, _trapezoid_weights
 
 
 def _node_derivative_1d(m: int, dy: float) -> sp.csr_matrix:
@@ -160,14 +160,9 @@ def face_coords(grid: ReferenceGrid, axis: int) -> np.ndarray:
 def face_weights(grid: ReferenceGrid, axis: int) -> np.ndarray:
     """Quadrature weights of the axis face points (midpoint x trapezoid)."""
     def build():
-        ws = []
-        for a, m in enumerate(grid.shape):
-            if a == axis:
-                ws.append(np.full(m - 1, grid.spacing[a]))
-            else:
-                w = np.full(m, grid.spacing[a])
-                w[0] = w[-1] = grid.spacing[a] / 2.0
-                ws.append(w)
+        ws = [np.full(m - 1, grid.spacing[a]) if a == axis
+              else _trapezoid_weights(m, grid.spacing[a])
+              for a, m in enumerate(grid.shape)]
         w = ws[0]
         for extra in ws[1:]:
             w = np.multiply.outer(w, extra)

@@ -19,6 +19,9 @@ from ..geometry.grid import ReferenceGrid
 from .maps import MoserMap, build_moser_map, nodal_jacobian
 from .right_inverse import build_divergence_right_inverse
 
+# the largest ||f - 1||_inf the iteration is started on
+CONTRACTION_BOUND = 0.1
+
 
 def q_residual(M: np.ndarray) -> np.ndarray:
     """det(I + M) - 1 - tr(M), elementwise over stacked square matrices."""
@@ -40,14 +43,13 @@ def _as_nodal(f, grid: ReferenceGrid) -> np.ndarray:
 
 
 def moser_fixed_point(f_snapshot, grid: ReferenceGrid, tol: float = 1e-10,
-                      max_iter: int = 60, contraction_bound: float = 0.1,
-                      t: float = 0.0) -> MoserMap:
+                      max_iter: int = 60, t: float = 0.0) -> MoserMap:
     """Single-time map with det D phi = f, for f within the contraction bound."""
     f = _as_nodal(f_snapshot, grid)
     dev = float(np.max(np.abs(f - 1.0)))
-    if not dev <= contraction_bound * (1.0 + 1e-12):   # a NaN fails too
+    if not dev <= CONTRACTION_BOUND * (1.0 + 1e-12):   # a NaN fails too
         raise ContractionBoundExceededError(
-            f"||f - 1||_inf = {dev:.3g} exceeds the bound {contraction_bound:g}; "
+            f"||f - 1||_inf = {dev:.3g} exceeds the bound {CONTRACTION_BOUND:g}; "
             "use the combined pipeline")
 
     rinv = build_divergence_right_inverse(grid)

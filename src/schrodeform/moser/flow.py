@@ -27,6 +27,9 @@ from .maps import (
 )
 from .right_inverse import build_divergence_right_inverse
 
+# the fewest RK4 steps a flow takes over its whole span
+_MIN_STEPS = 200
+
 
 class _FlowField:
     """Velocity U = -(1/g) L^{-1}(df/dt / f(t0)) of the re-anchored density.
@@ -108,16 +111,15 @@ def _enforce_domain(pts: np.ndarray, grid: ReferenceGrid, band: float, t: float)
         np.clip(pts[:, a], lo, hi, out=pts[:, a])
 
 
-def _substeps(span: float, total_span: float, samples: int, min_steps: int = 200) -> int:
+def _substeps(span: float, total_span: float, samples: int) -> int:
     if span == 0.0:
         return 0
-    target = total_span / max(min_steps, 4 * samples)
+    target = total_span / max(_MIN_STEPS, 4 * samples)
     return max(1, math.ceil(abs(span) / target))
 
 
 def moser_flow(density: DensityFamily, grid: ReferenceGrid, time_samples,
-               anchor: MoserMap | None = None, min_steps: int = 200,
-               validate: bool = True):
+               anchor: MoserMap | None = None, validate: bool = True):
     """Maps with det D phi(t) = f(t) at each sample, by the flow method.
 
     The density must be identically 1 at the first sample time, or an anchor
@@ -139,7 +141,7 @@ def moser_flow(density: DensityFamily, grid: ReferenceGrid, time_samples,
 
     velocity = _FlowField(density, grid, t0, anchor)
     total = time_samples[-1] - t0
-    counts = [_substeps(tb - ta, total, len(time_samples), min_steps)
+    counts = [_substeps(tb - ta, total, len(time_samples))
               for ta, tb in zip(time_samples[:-1], time_samples[1:])]
 
     # forward pass: psi(t_k) for the inverse maps

@@ -15,20 +15,23 @@ import numpy as np
 
 from ..errors import NonPositiveDensityError
 from ..geometry import smallmat
+from ..geometry.diffeo import FD_STEP
 from ..geometry.grid import ReferenceGrid
 from ..geometry.interp import nodal_spline
-from ..geometry.stencils import node_derivative
+from ..geometry.stencils import node_gradient
+
+# relative bound on |integral of f - meas(Omega0)| in DensityFamily.validate
+_INTEGRAL_TOL = 1e-8
+# Newton polish of MoserMap.inverse: residual bound and most iterations
+_NEWTON_TOL = 1e-10
+_NEWTON_MAXITER = 50
 
 
 def nodal_jacobian(grid: ReferenceGrid, values: np.ndarray) -> np.ndarray:
     """Stencil Jacobian of nodal map samples, shape (n_nodes, dim, dim)."""
     values = np.asarray(values, dtype=float)
-    out = np.empty((grid.n_nodes, grid.dim, grid.dim))
-    for j in range(grid.dim):
-        d = node_derivative(grid, j)
-        for i in range(grid.dim):
-            out[:, i, j] = d @ values[:, i]
-    return out
+    return np.stack([node_gradient(grid, values[:, i]) for i in range(grid.dim)],
+                    axis=1)
 
 
 def nodal_determinant(grid: ReferenceGrid, values: np.ndarray) -> np.ndarray:
@@ -42,7 +45,6 @@ class DensityFamily:
     evaluator: Callable
     d_dt: Optional[Callable] = None
     window: Tuple[float, float] = (0.0, 1.0)
-    fd_step_t: float = 1e-6
 
     def __call__(self, t: float, pts: np.ndarray) -> np.ndarray:
         return np.asarray(self.evaluator(t, pts), dtype=float)
@@ -50,19 +52,18 @@ class DensityFamily:
     def rate(self, t: float, pts: np.ndarray) -> np.ndarray:
         if self.d_dt is not None:
             return np.asarray(self.d_dt(t, pts), dtype=float)
-        dt = self.fd_step_t
         lo, hi = self.window
-        tp, tm = min(t + dt, hi), max(t - dt, lo)
+        tp, tm = min(t + FD_STEP, hi), max(t - FD_STEP, lo)
         return (self(tp, pts) - self(tm, pts)) / (tp - tm)
 
-    def validate(self, grid: ReferenceGrid, times, tol: float = 1e-8) -> None:
+    def validate(self, grid: ReferenceGrid, times) -> None:
         for t in times:
             vals = self(t, grid.nodes)
             if not np.min(vals) > 0.0:
                 raise NonPositiveDensityError(
                     f"density reaches {np.min(vals):.3e} at t={t}")
             total = float(np.sum(grid.weights * vals))
-            if not abs(total - grid.measure) <= tol * grid.measure:
+            if not abs(total - grid.measure) <= _INTEGRAL_TOL * grid.measure:
                 raise NonPositiveDensityError(
                     f"density integral {total:.12f} != meas(Omega0) at t={t}")
 
@@ -96,8 +97,7 @@ class MoserMap:
             self._interp = nodal_spline(self.grid, self.values)
         return self._interp(pts)
 
-    def inverse(self, pts: np.ndarray, newton_tol: float = 1e-10,
-                maxiter: int = 50) -> np.ndarray:
+    def inverse(self, pts: np.ndarray) -> np.ndarray:
         """Interpolated inverse, polished by Newton on the interpolated map."""
         if self._interp_inv is None:
             self._interp_inv = nodal_spline(self.grid, self.inverse_values)
@@ -108,9 +108,9 @@ class MoserMap:
             self._interp_jac = nodal_spline(
                 self.grid, nodal_jacobian(self.grid, self.values))
         jac = self._interp_jac
-        for _ in range(maxiter):
+        for _ in range(_NEWTON_MAXITER):
             res = self(y) - pts
-            if np.max(np.abs(res)) <= newton_tol:
+            if np.max(np.abs(res)) <= _NEWTON_TOL:
                 break
             y = _clip_to_box(y - smallmat.solve(jac(y), res), self.grid)
         return y

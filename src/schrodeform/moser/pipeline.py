@@ -32,13 +32,16 @@ from ..geometry.diffeo import (DiffeoFamily, box_fd_jacobian,
                                det_and_log_derivative)
 from ..geometry.grid import ReferenceGrid
 from ..geometry.interp import nodal_spline
-from .fixed_point import moser_fixed_point
+from .fixed_point import CONTRACTION_BOUND, moser_fixed_point
 from .flow import moser_flow
 from .maps import DensityFamily, MoserMap, build_moser_map, identity_moser_map
 
 
-def _static_flow(f_nodal: np.ndarray, grid: ReferenceGrid, t: float,
-                 min_steps: int = 200) -> MoserMap:
+# smoothing attempts after the first, each at half the previous width
+_RETRIES = 3
+
+
+def _static_flow(f_nodal: np.ndarray, grid: ReferenceGrid, t: float) -> MoserMap:
     """Single-snapshot map via the flow of the linear interpolation 1 -> f."""
     interp = nodal_spline(grid, f_nodal)
 
@@ -49,8 +52,7 @@ def _static_flow(f_nodal: np.ndarray, grid: ReferenceGrid, t: float,
         return interp(pts) - 1.0
 
     density = DensityFamily(f_s, df_s, window=(0.0, 1.0))
-    mm = moser_flow(density, grid, [0.0, 1.0], min_steps=min_steps,
-                    validate=False)[-1]
+    mm = moser_flow(density, grid, [0.0, 1.0], validate=False)[-1]
     return build_moser_map(grid, t, mm.values, mm.inverse_values, f_nodal,
                            method="static_flow")
 
@@ -109,34 +111,30 @@ class _SmoothedDensity:
                              window=self.density.window)
 
 
-def moser_combined(density: DensityFamily, grid: ReferenceGrid, time_samples,
-                   smoothing: float | None = None, tol: float = 1e-10,
-                   max_iter: int = 60, contraction_bound: float = 0.1,
-                   retries: int = 3, min_steps: int = 200,
-                   validate: bool = True):
-    """Maps with det D phi(t) = f(t) for densities of any admissible size."""
+def moser_combined(density: DensityFamily, grid: ReferenceGrid, time_samples):
+    """Maps with det D phi(t) = f(t) for densities of any admissible size.
+
+    The first smoothing width is two grid spacings.
+    """
     time_samples = [float(t) for t in time_samples]
-    if validate:
-        density.validate(grid, time_samples)
+    density.validate(grid, time_samples)
     t0 = time_samples[0]
-    width0 = smoothing if smoothing is not None else 2.0 * grid.min_spacing
 
     last_failure = "no attempt"
-    for attempt in range(retries + 1):
-        width = width0 * 0.5 ** attempt
+    for attempt in range(_RETRIES + 1):
+        width = 2.0 * grid.min_spacing * 0.5 ** attempt
         smooth = _SmoothedDensity(density, grid, width)
         f1_t0 = smooth.nodal(t0)
         if np.max(np.abs(f1_t0 - 1.0)) <= 1e-12:
             anchor = identity_moser_map(grid, t0)
         else:
-            anchor = _static_flow(f1_t0, grid, t0, min_steps=min_steps)
+            anchor = _static_flow(f1_t0, grid, t0)
 
         if len(time_samples) == 1:
             flow_maps = [anchor]
         else:
             flow_maps = moser_flow(smooth.family(), grid, time_samples,
-                                   anchor=anchor, min_steps=min_steps,
-                                   validate=False)
+                                   anchor=anchor, validate=False)
 
         maps, ok = [], True
         for tk, mm1 in zip(time_samples, flow_maps):
@@ -144,14 +142,13 @@ def moser_combined(density: DensityFamily, grid: ReferenceGrid, time_samples,
             f2 = density(tk, q) / smooth.family()(tk, q)
             f2 *= grid.measure / float(np.sum(grid.weights * f2))
             dev = float(np.max(np.abs(f2 - 1.0)))
-            if dev > contraction_bound:
+            if dev > CONTRACTION_BOUND:
                 last_failure = (f"||f/f1 o phi1^-1 - 1|| = {dev:.3g} at t={tk} "
                                 f"(width {width:.3g})")
                 ok = False
                 break
             try:
-                mm2 = moser_fixed_point(f2, grid, tol=tol, max_iter=max_iter,
-                                        contraction_bound=contraction_bound, t=tk)
+                mm2 = moser_fixed_point(f2, grid, t=tk)
             except ContractionBoundExceededError as exc:
                 last_failure = str(exc)
                 ok = False
@@ -164,7 +161,7 @@ def moser_combined(density: DensityFamily, grid: ReferenceGrid, time_samples,
         if ok:
             return maps
     raise PipelineFailedError(
-        f"combined pipeline failed after {retries + 1} attempts: {last_failure}")
+        f"combined pipeline failed after {_RETRIES + 1} attempts: {last_failure}")
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -229,8 +226,8 @@ def _volume_density(family: DiffeoFamily, grid: ReferenceGrid):
             lambda t: quadratures(t)[0])
 
 
-def normalize_diffeo(family: DiffeoFamily, grid: ReferenceGrid, time_samples,
-                     **kwargs) -> NormalizedFamily:
+def normalize_diffeo(family: DiffeoFamily, grid: ReferenceGrid,
+                     time_samples) -> NormalizedFamily:
     """Reparametrize a family so its Jacobian determinant is constant in space.
 
     Returns h-tilde = h o phi^{-1} with det D h-tilde(t, .) equal to the
@@ -240,7 +237,7 @@ def normalize_diffeo(family: DiffeoFamily, grid: ReferenceGrid, time_samples,
     """
     time_samples = [float(t) for t in time_samples]
     density, volume = _volume_density(family, grid)
-    maps = moser_combined(density, grid, time_samples, **kwargs)
+    maps = moser_combined(density, grid, time_samples)
 
     # one spline per direction; its channels are the sample maps
     inv_spline = nodal_spline(grid, np.stack([m.inverse_values for m in maps], -1))
@@ -271,7 +268,6 @@ def normalize_diffeo(family: DiffeoFamily, grid: ReferenceGrid, time_samples,
         jacobian=box_fd_jacobian(new_map, grid.bounds, grid.min_spacing / 8.0),
         inverse=inverse,
         window=(samples[0], samples[-1]),
-        fd_step=grid.min_spacing / 8.0,
         name=f"{family.name}/volume-normalized",
         moser_maps=maps,
         base_family=family,

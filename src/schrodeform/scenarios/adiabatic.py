@@ -11,7 +11,7 @@ the trend toward the initial occupation, never on a rate.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 
@@ -19,8 +19,11 @@ from ..errors import DegenerateBranchError, InvalidInputError
 from ..geometry.diffeo import DiffeoFamily
 from ..geometry.grid import ReferenceGrid
 from ..operators import CoefficientSet, DIRICHLET, assemble_hamiltonian, free_coefficients
-from ..propagator import EvolutionTrace, PropagatorConfig, evolve
+from ..propagator import PropagatorConfig, evolve
 from .spectral import SpectralBranch, spectral_projector
+
+# frozen generators checked along the path, window ends included
+_PATH_SAMPLES = 5
 
 
 @dataclass
@@ -32,7 +35,6 @@ class AdiabaticRun:
     initial_overlap: float
     branch: int
     eigenvalue_path: List[float]
-    traces: Optional[List[EvolutionTrace]] = None
 
     def __post_init__(self):
         if any(b >= a for a, b in zip(self.epsilons, self.epsilons[1:])):
@@ -61,41 +63,39 @@ def slowed_family(family: DiffeoFamily, epsilon: float) -> DiffeoFamily:
         inverse=(None if family.inverse is None else
                  (lambda t, x: family.inverse(epsilon * t, x))),
         window=(t0 / epsilon, t1 / epsilon),
-        fd_step=family.fd_step,
         name=f"{family.name}@eps={epsilon:g}",
     )
     return fam
 
 
 def _frozen_branch(family: DiffeoFamily, tau: float, grid: ReferenceGrid,
-                   bc: str, k: int, gap_floor: Optional[float]) -> SpectralBranch:
+                   bc: str, k: int) -> SpectralBranch:
     frozen = family.frozen(tau)
     H = assemble_hamiltonian(frozen, free_coefficients(grid.dim), tau, grid, bc)
-    return spectral_projector(H, k, gap_floor=gap_floor)
+    return spectral_projector(H, k)
 
 
 def check_branch_path(family: DiffeoFamily, grid: ReferenceGrid, k: int,
-                      bc: str = DIRICHLET, samples: int = 5,
-                      gap_floor: Optional[float] = None) -> List[float]:
-    """Simple-branch sanity along the path: gaps plus overlap continuity."""
-    taus = np.linspace(family.window[0], family.window[1], samples)
-    branches = [_frozen_branch(family, tau, grid, bc, k, gap_floor)
-                for tau in taus]
+                      bc: str = DIRICHLET) -> List[SpectralBranch]:
+    """Simple-branch sanity along the path: gaps plus overlap continuity.
+
+    Returns the frozen branches at evenly spaced times, the first at the
+    window's start and the last at its end.
+    """
+    taus = np.linspace(family.window[0], family.window[1], _PATH_SAMPLES)
+    branches = [_frozen_branch(family, tau, grid, bc, k) for tau in taus]
     for b0, b1 in zip(branches, branches[1:]):
         align = abs(np.vdot(b0._dof_vector, b1._dof_vector))
         if align < 0.5:
             raise DegenerateBranchError(
                 f"branch {k} loses continuity along the path "
                 f"(|overlap| = {align:.3f}); possible crossing")
-    return [b.eigenvalue for b in branches]
+    return branches
 
 
 def adiabatic_experiment(family: DiffeoFamily, coeffs: CoefficientSet,
                          branch: int, epsilons, grid: ReferenceGrid,
-                         dt: float, bc: str = DIRICHLET,
-                         gap_floor: Optional[float] = None,
-                         keep_traces: bool = False,
-                         path_samples: int = 5) -> AdiabaticRun:
+                         dt: float, bc: str = DIRICHLET) -> AdiabaticRun:
     """Run the deformation at each slowness and record final occupations.
 
     The family must be parametrized over tau in [0, 1]; the initial state is
@@ -106,27 +106,22 @@ def adiabatic_experiment(family: DiffeoFamily, coeffs: CoefficientSet,
     if not epsilons:
         raise InvalidInputError("need at least one epsilon")
 
-    eig_path = check_branch_path(family, grid, branch, bc,
-                                 samples=path_samples, gap_floor=gap_floor)
-    start = _frozen_branch(family, family.window[0], grid, bc, branch, gap_floor)
-    final = _frozen_branch(family, family.window[1], grid, bc, branch, gap_floor)
+    path = check_branch_path(family, grid, branch, bc)
+    start, final = path[0], path[-1]
 
     v0 = start.eigenvector
     initial_overlap = start.occupation(v0)
 
-    overlaps, traces = [], []
+    overlaps = []
     for eps in epsilons:
         fam_eps = slowed_family(family, eps)
         cfg = PropagatorConfig(dt=dt, t_start=family.window[0] / eps,
                                t_end=family.window[1] / eps)
         trace = evolve(fam_eps, coeffs, bc, v0, cfg, grid)
         overlaps.append(final.occupation(trace.final_state))
-        if keep_traces:
-            traces.append(trace)
 
     return AdiabaticRun(
         epsilons=epsilons, overlaps=overlaps,
         initial_overlap=initial_overlap, branch=branch,
-        eigenvalue_path=eig_path,
-        traces=traces if keep_traces else None,
+        eigenvalue_path=[b.eigenvalue for b in path],
     )

@@ -9,6 +9,9 @@ from ..errors import DegenerateBranchError
 from ..geometry.fields import GridFunction
 from ..operators import DiscreteHamiltonian, eigenpairs
 
+# a branch is isolated when both its gaps are at least this times max(|E_k|, 1)
+_GAP_FLOOR = 1e-6
+
 
 @dataclass
 class SpectralBranch:
@@ -31,12 +34,11 @@ class SpectralBranch:
         return float(abs(np.vdot(self._dof_vector, vec)) ** 2)
 
 
-def spectral_projector(H: DiscreteHamiltonian, k: int,
-                       gap_floor: float | None = None) -> SpectralBranch:
+def spectral_projector(H: DiscreteHamiltonian, k: int) -> SpectralBranch:
     """k-th (sorted) eigenbranch of H; requires the branch to be isolated."""
     vals, vecs = eigenpairs(H, k=k + 2)
     scale = max(abs(float(vals[min(k, vals.size - 1)])), 1.0)
-    floor = gap_floor if gap_floor is not None else 1e-6 * scale
+    floor = _GAP_FLOOR * scale
     gaps = []
     if k > 0:
         gaps.append(abs(vals[k] - vals[k - 1]))

@@ -34,11 +34,17 @@ def test_run_moving_interval(tmp_path):
 
 def test_run_deterministic_output(tmp_path):
     args = ["run", "--scenario", "moving_interval", "--grid", "40",
-            "--dt", "5e-3", "--seed", "7"]
+            "--dt", "5e-3"]
     out1, out2 = tmp_path / "a", tmp_path / "b"
     assert main(args + ["--output", str(out1)]) == 0
     assert main(args + ["--output", str(out2)]) == 0
     assert (out1 / "trace.csv").read_bytes() == (out2 / "trace.csv").read_bytes()
+
+
+def test_seed_flag_is_a_config_error(tmp_path):
+    out = tmp_path / "seeded"
+    assert main(["run", "--grid", "8", "--seed", "7", "--output", str(out)]) == 3
+    assert not (out / "manifest.json").exists()
 
 
 def test_run_snapshots_written(tmp_path):

@@ -21,7 +21,7 @@ from schrodeform.cli import main
 # otherwise ordinary command line one or two flags at a time
 _HOSTILE = ["nan", "inf", "-inf", "0", "-2", "1e-300", "1e300", "abc"]
 _ORDINARY = {"--grid": "8", "--dt": "0.01", "--t-end": "0.05", "--epsilon": "0.5",
-             "--amplitude": "0.1", "--seed": "7"}
+             "--amplitude": "0.1"}
 # grids are capped at 32 cells per axis
 _GRID = ["nan", "inf", "-inf", "0", "-4", "1e-300", "abc", "3", "32"]
 
@@ -35,7 +35,7 @@ def _argv(draw):
     hostile = draw(st.lists(st.sampled_from(sorted(flags)), max_size=2, unique=True))
     for flag in hostile:
         flags[flag] = draw(st.sampled_from(_GRID if flag == "--grid" else _HOSTILE))
-    # "--seed=-inf": argparse would read a bare "-inf" as an option
+    # "--dt=-inf": argparse would read a bare "-inf" as an option
     return [command] + [f"{flag}={value}" for flag, value in sorted(flags.items())]
 
 

@@ -56,7 +56,7 @@ def test_degenerate_jacobian_raises():
 
 def test_fd_jacobian_matches_analytic():
     analytic = warped_2d_family()
-    fd = DiffeoFamily(map=analytic.map, window=analytic.window, fd_step=1e-6)
+    fd = DiffeoFamily(map=analytic.map, window=analytic.window)
     pts = np.array([[0.3, 0.4], [0.8, 0.1], [0.5, 0.9]])
     J_an = analytic.jacobian_matrix(0.7, pts)
     J_fd = fd.jacobian_matrix(0.7, pts)

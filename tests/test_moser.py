@@ -196,7 +196,7 @@ def test_flow_stage_table_reads_each_stage_time_once(monkeypatch):
 
     monkeypatch.setattr(DivergenceRightInverse, "apply", counted_apply)
     monkeypatch.setattr(flow_module, "_integrate_backward", watched_backward)
-    moser_flow(DensityFamily(f, df), grid, [0.0, 1.0], min_steps=200)
+    moser_flow(DensityFamily(f, df), grid, [0.0, 1.0])
     # 200 RK4 steps have 401 distinct stage times
     assert calls["rate"] == 401
     assert calls["apply"] == 401
@@ -218,7 +218,7 @@ def test_flow_field_matches_separate_splines(t0):
     grid = ReferenceGrid.rectangle(12)
     density = _spline_density(grid, 0.2)
     anchor = None if t0 == 0.0 else _static_flow(
-        density(t0, grid.nodes), grid, t0, min_steps=40)
+        density(t0, grid.nodes), grid, t0)
     field = flow_module._FlowField(density, grid, t0, anchor)
     pts = np.random.default_rng(3).uniform(0.05, 0.95, size=(50, 2))
     pull = (lambda x: x) if anchor is None else nodal_spline(
@@ -266,10 +266,17 @@ def test_combined_rough_density():
 
 
 def test_combined_reports_pipeline_failure():
+    # a density of four bumps a side, which 8 cells cannot resolve: every
+    # smoothing width leaves f / f1 o phi1^-1 outside the contraction bound
     grid = ReferenceGrid.rectangle(8)
-    with pytest.raises(PipelineFailedError):
-        moser_combined(_sine_density_2d(0.5), grid, [0.0, 1.0],
-                       contraction_bound=1e-9, retries=1)
+
+    def bumps(p):
+        return np.sin(4 * np.pi * p[..., 0]) * np.sin(4 * np.pi * p[..., 1])
+
+    density = DensityFamily(lambda t, p: 1.0 + 0.9 * t * bumps(p),
+                            lambda t, p: 0.9 * bumps(p))
+    with pytest.raises(PipelineFailedError, match="after 4 attempts"):
+        moser_combined(density, grid, [0.0, 1.0])
 
 
 # -- volume normalization -----------------------------------------------------

@@ -12,6 +12,7 @@ from schrodeform.operators import (
     neumann_flux_coefficient,
 )
 from schrodeform.propagator import PropagatorConfig, evolve
+from schrodeform.scenarios import adiabatic
 from schrodeform.scenarios import (
     GaugeSpec,
     adiabatic_experiment,
@@ -273,6 +274,28 @@ def test_adiabatic_static_family_flat_overlap():
     run = adiabatic_experiment(fam, free_coefficients(1), 0, [0.5, 0.25],
                                grid, dt=5e-3)
     assert np.allclose(run.overlaps, run.initial_overlap, atol=1e-9)
+
+
+def test_adiabatic_solves_each_frozen_branch_once(monkeypatch):
+    # the path check's first and last branches serve as start and target
+    calls = {"assemble": 0, "project": 0}
+    assemble, project = adiabatic.assemble_hamiltonian, adiabatic.spectral_projector
+
+    def counted_assemble(*args):
+        calls["assemble"] += 1
+        return assemble(*args)
+
+    def counted_project(*args):
+        calls["project"] += 1
+        return project(*args)
+
+    monkeypatch.setattr(adiabatic, "assemble_hamiltonian", counted_assemble)
+    monkeypatch.setattr(adiabatic, "spectral_projector", counted_project)
+    scen = moving_interval_scenario(1.0, 1.5, smooth=True)
+    run = adiabatic_experiment(scen.family, free_coefficients(1), 0, [0.5],
+                               ReferenceGrid.interval(32), dt=1e-2)
+    assert calls == {"assemble": 5, "project": 5}
+    assert len(run.eigenvalue_path) == 5
 
 
 def test_adiabatic_trend_quick():

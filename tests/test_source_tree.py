@@ -1,5 +1,7 @@
-"""Guards on the package source: every import sits at module level, and
-SuperLU is called from ``sparse_lu`` only."""
+"""Guards on the package source: every import sits at module level,
+SuperLU is called from ``sparse_lu`` only, and no module touches numpy's
+legacy global RNG (outputs are deterministic because every random draw
+comes from a seeded ``np.random.default_rng``)."""
 
 import ast
 from pathlib import Path
@@ -34,3 +36,35 @@ def test_imports_are_module_level_and_only_sparse_lu_calls_splu():
                      if "splu" in _names(node)]
     assert not nested and not splu, (f"imports inside functions: {nested}; "
                                      f"splu outside sparse_lu.py: {splu}")
+
+
+def _dotted(node):
+    """The dotted name an attribute chain spells ("np.random.seed"), or None."""
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if not isinstance(node, ast.Name):
+        return None
+    return ".".join([node.id] + parts[::-1])
+
+
+def test_only_default_rng_is_drawn_from_numpy_random():
+    legacy = []
+    for path in sorted(SRC.rglob("*.py")):
+        where = path.relative_to(SRC)
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Attribute):
+                bad = (_dotted(node.value) in ("np.random", "numpy.random")
+                       and node.attr != "default_rng")
+            elif isinstance(node, ast.ImportFrom):
+                names = {alias.name for alias in node.names}
+                bad = ((node.module == "numpy.random" and names != {"default_rng"})
+                       or (node.module == "numpy" and "random" in names))
+            elif isinstance(node, ast.Import):
+                bad = any(alias.name == "numpy.random" for alias in node.names)
+            else:
+                bad = False
+            if bad:
+                legacy.append(f"{where}:{node.lineno}")
+    assert not legacy, f"numpy.random used other than by default_rng: {legacy}"
