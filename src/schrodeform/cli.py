@@ -27,6 +27,7 @@ from .geometry import ReferenceGrid
 from .moser import DensityFamily, moser_combined
 from .operators import (_BCS, NAIVE_NEUMANN, assemble_hamiltonian, eigenpairs,
                         free_coefficients)
+from .parallel import map_jobs
 from .propagator import PropagatorConfig, evolve, neumann_drift_diagnostic
 from .scenarios import (
     adiabatic_experiment,
@@ -452,32 +453,43 @@ def run_converge(config: RunConfig) -> int:
         grid = scenario.grid(int(config["grid"]))
         v0 = scenario.build_initial(grid, float(config["t_start"]))
 
-        def final(dt):
-            cfg = PropagatorConfig(dt=dt, t_start=span[0], t_end=span[1])
-            return evolve(scenario.family, scenario.coeffs, bc, v0,
-                          cfg, grid).final_state.values
+        def rung(dt):
+            return PropagatorConfig(dt=dt, t_start=span[0], t_end=span[1])
 
+        def final(dt):
+            return evolve(scenario.family, scenario.coeffs, bc, v0,
+                          rung(dt), grid).final_state.values
+
+        # each rung against its dt/4 reference, each distinct dt evolved
+        # once, on every usable CPU
+        dts = list(dict.fromkeys(
+            x for dt in ladder for x in (float(dt), float(dt) / 4.0)))
+        finals = dict(zip(dts, map_jobs(final, dts,
+                                        cost=lambda dt: rung(dt).n_steps)))
         errs = []
         for dt in ladder:
-            ref = final(float(dt) / 4.0)
-            err = float(np.linalg.norm(final(float(dt)) - ref))
+            err = float(np.linalg.norm(finals[float(dt)]
+                                       - finals[float(dt) / 4.0]))
             errs.append(err)
             rows.append([dt, err])
         xs = np.log([float(d) for d in ladder])
     else:
-        errs = []
         t0 = float(config["t_start"])
         frozen = scenario.family.frozen(scenario.family.window[1])
-        for n in ladder:
-            grid = scenario.grid(int(n))
+
+        def ground(n):
+            grid = scenario.grid(n)
             H = assemble_hamiltonian(frozen, free_coefficients(grid.dim), t0,
                                      grid, bc)
-            vals, _ = eigenpairs(H, k=1)
-            fine = scenario.grid(4 * int(n))
-            Hf = assemble_hamiltonian(frozen, free_coefficients(grid.dim), t0,
-                                      fine, bc)
-            ref, _ = eigenpairs(Hf, k=1)
-            err = float(abs(vals[0] - ref[0]))
+            return eigenpairs(H, k=1)[0][0]
+
+        # each rung against its 4n reference, each grid solved once
+        cells = list(dict.fromkeys(
+            x for n in ladder for x in (int(n), 4 * int(n))))
+        lowest = dict(zip(cells, map(ground, cells)))
+        errs = []
+        for n in ladder:
+            err = float(abs(lowest[int(n)] - lowest[4 * int(n)]))
             errs.append(err)
             rows.append([int(n), err])
         xs = np.log([1.0 / float(n) for n in ladder])

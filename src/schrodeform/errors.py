@@ -25,6 +25,7 @@ __all__ = [
     "NonMonotoneReparametrizationError",
     "InvalidInputError",
     "ConfigError",
+    "WorkerLostError",
 ]
 
 
@@ -40,6 +41,11 @@ class DegenerateJacobianError(SchrodeformError):
         self.y = y
         self.det = det
         super().__init__(f"det J = {det:.3e} <= 0 at t={t}, y={y}")
+
+    def __reduce__(self):
+        # rebuilt from (t, y, det), not from the message, so that the error
+        # survives the pickling that carries it out of a worker process
+        return type(self), (self.t, self.y, self.det)
 
 
 class EvaluationOutsideDomainError(SchrodeformError):
@@ -115,3 +121,7 @@ class InvalidInputError(SchrodeformError, ValueError):
 
 class ConfigError(SchrodeformError):
     """Invalid run configuration (CLI exit code 3)."""
+
+
+class WorkerLostError(SchrodeformError):
+    """A worker process running an independent job died before finishing."""

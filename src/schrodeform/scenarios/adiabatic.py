@@ -19,6 +19,7 @@ from ..errors import DegenerateBranchError, InvalidInputError
 from ..geometry.diffeo import DiffeoFamily
 from ..geometry.grid import ReferenceGrid
 from ..operators import CoefficientSet, DIRICHLET, assemble_hamiltonian, free_coefficients
+from ..parallel import map_jobs
 from ..propagator import PropagatorConfig, evolve
 from .spectral import SpectralBranch, spectral_projector
 
@@ -100,7 +101,9 @@ def adiabatic_experiment(family: DiffeoFamily, coeffs: CoefficientSet,
 
     The family must be parametrized over tau in [0, 1]; the initial state is
     the branch eigenstate of the frozen generator at tau = 0 and occupations
-    are measured against the frozen-branch projector at tau = 1.
+    are measured against the frozen-branch projector at tau = 1.  The
+    epsilons are independent evolutions and run on every usable CPU
+    (``parallel.map_jobs``).
     """
     epsilons = sorted({float(e) for e in epsilons}, reverse=True)
     if not epsilons:
@@ -112,13 +115,17 @@ def adiabatic_experiment(family: DiffeoFamily, coeffs: CoefficientSet,
     v0 = start.eigenvector
     initial_overlap = start.occupation(v0)
 
-    overlaps = []
-    for eps in epsilons:
-        fam_eps = slowed_family(family, eps)
-        cfg = PropagatorConfig(dt=dt, t_start=family.window[0] / eps,
-                               t_end=family.window[1] / eps)
-        trace = evolve(fam_eps, coeffs, bc, v0, cfg, grid)
-        overlaps.append(final.occupation(trace.final_state))
+    def config(eps):
+        return PropagatorConfig(dt=dt, t_start=family.window[0] / eps,
+                                t_end=family.window[1] / eps)
+
+    def final_occupation(eps):
+        trace = evolve(slowed_family(family, eps), coeffs, bc, v0,
+                       config(eps), grid)
+        return final.occupation(trace.final_state)
+
+    overlaps = map_jobs(final_occupation, epsilons,
+                        cost=lambda eps: config(eps).n_steps)
 
     return AdiabaticRun(
         epsilons=epsilons, overlaps=overlaps,

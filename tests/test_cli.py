@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from schrodeform import cli, parallel
 from schrodeform.cli import main
 
 
@@ -183,6 +184,31 @@ def test_converge_spatial(tmp_path):
     assert code == 0
     report = json.loads((out / "report.json").read_text())
     assert report["fitted_order"] == pytest.approx(2.0, abs=0.3)
+
+
+@pytest.mark.parametrize("mode, solver", [("temporal", "evolve"),
+                                          ("spatial", "eigenpairs")])
+def test_converge_solves_each_distinct_rung_once(tmp_path, monkeypatch, mode,
+                                                 solver):
+    # the default ladders' references dt/4 and 4n repeat two of their rungs
+    # (1e-3 and 5e-4; 100 and 200 cells): 8 solves before, 6 now
+    calls, real = [], getattr(cli, solver)
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    def report(name, n_cpus):
+        monkeypatch.setattr(parallel.os, "sched_getaffinity",
+                            lambda pid: set(range(n_cpus)))
+        assert main(["converge", "--grid", "20", "--mode", mode,
+                     "--output", str(tmp_path / name)]) == 0
+        return (tmp_path / name / "report.json").read_bytes()
+
+    two_cpus = report("two_cpus", 2)
+    monkeypatch.setattr(cli, solver, counted)
+    assert report("one_cpu", 1) == two_cpus
+    assert len(calls) == 6
 
 
 def test_converge_single_rung_exit_3(tmp_path):

@@ -1,7 +1,8 @@
 """Guards on the package source: every import sits at module level,
-SuperLU is called from ``sparse_lu`` only, and no module touches numpy's
-legacy global RNG (outputs are deterministic because every random draw
-comes from a seeded ``np.random.default_rng``)."""
+SuperLU is called from ``sparse_lu`` only, processes are started from
+``parallel`` only, and no module touches numpy's legacy global RNG (outputs
+are deterministic because every random draw comes from a seeded
+``np.random.default_rng``)."""
 
 import ast
 from pathlib import Path
@@ -68,3 +69,28 @@ def test_only_default_rng_is_drawn_from_numpy_random():
             if bad:
                 legacy.append(f"{where}:{node.lineno}")
     assert not legacy, f"numpy.random used other than by default_rng: {legacy}"
+
+
+def _forks(node):
+    """True if a node imports a process pool or calls ``os.fork``."""
+    pools = ("multiprocessing", "concurrent")
+    if isinstance(node, ast.Import):
+        return any(alias.name.split(".")[0] in pools for alias in node.names)
+    if isinstance(node, ast.ImportFrom):
+        return ((node.module or "").split(".")[0] in pools
+                or (node.module == "os"
+                    and any(a.name.startswith("fork") for a in node.names)))
+    if isinstance(node, ast.Attribute):
+        return (_dotted(node) or "").startswith("os.fork")
+    return False
+
+
+def test_only_parallel_starts_processes():
+    forking = []
+    for path in sorted(SRC.rglob("*.py")):
+        if path.name == "parallel.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        forking += [f"{path.relative_to(SRC)}:{node.lineno}"
+                    for node in ast.walk(tree) if _forks(node)]
+    assert not forking, f"processes started outside parallel.py: {forking}"
