@@ -25,8 +25,7 @@ from . import __version__
 from .errors import ConfigError, NonPositiveDensityError, SchrodeformError
 from .geometry import ReferenceGrid
 from .moser import DensityFamily, moser_combined
-from .operators import (_BCS, NAIVE_NEUMANN, assemble_hamiltonian, eigenpairs,
-                        free_coefficients)
+from .operators import _BCS, NAIVE_NEUMANN, eigenpairs
 from .parallel import map_jobs
 from .propagator import PropagatorConfig, evolve, neumann_drift_diagnostic
 from .scenarios import (
@@ -38,6 +37,7 @@ from .scenarios import (
     rotation_scenario,
     translation_scenario,
 )
+from .scenarios.adiabatic import frozen_hamiltonian
 
 
 # scenario name -> (accepted params keys, builder from the params object)
@@ -474,13 +474,9 @@ def run_converge(config: RunConfig) -> int:
             rows.append([dt, err])
         xs = np.log([float(d) for d in ladder])
     else:
-        t0 = float(config["t_start"])
-        frozen = scenario.family.frozen(scenario.family.window[1])
-
         def ground(n):
-            grid = scenario.grid(n)
-            H = assemble_hamiltonian(frozen, free_coefficients(grid.dim), t0,
-                                     grid, bc)
+            H = frozen_hamiltonian(scenario.family, scenario.family.window[1],
+                                   scenario.grid(n), bc)
             return eigenpairs(H, k=1)[0][0]
 
         # each rung against its 4n reference, each grid solved once

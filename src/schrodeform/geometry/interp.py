@@ -14,6 +14,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.interpolate import NdBSpline, make_interp_spline
 
+from ..errors import InvalidInputError
 from .grid import ReferenceGrid
 
 
@@ -31,9 +32,15 @@ def _axis_factors(grid: ReferenceGrid):
 
 def nodal_spline(grid: ReferenceGrid, values: np.ndarray):
     """Node-exact spline of (n_nodes, *channels) samples; pts -> (n_pts, *channels)."""
+    values = np.asarray(values)
+    if values.shape[:1] != (grid.n_nodes,):
+        raise InvalidInputError(f"nodal_spline needs {grid.n_nodes} node "
+                                f"samples, got an array of shape {values.shape}")
+    if not np.all(np.isfinite(values)):
+        raise InvalidInputError("nodal_spline samples must be finite")
     knots, degrees, inverses = grid.cached("nodal_spline",
                                            lambda: _axis_factors(grid))
-    coef = grid.reshape(np.asarray(values))
+    coef = grid.reshape(values)
     for a, inverse in enumerate(inverses):
         coef = np.moveaxis(np.tensordot(inverse, coef, axes=(1, a)), 0, a)
     spline = NdBSpline(knots, coef, degrees)

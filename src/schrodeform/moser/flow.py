@@ -35,14 +35,12 @@ class _FlowField:
     """Velocity U = -(1/g) L^{-1}(df/dt / f(t0)) of the re-anchored density.
 
     Here g = f(t) / f(t0) is read at the anchor's pull-back q of each point.
-    The field holds a stage table: one entry per distinct stage time, built
-    the first time that time is reached, with one right-inverse solve.  The
-    entry is a single nodal spline whose channels are the velocity u(t) and
-    the density's nodal samples f(t, .) and f(t0, .).  With the identity
-    anchor one evaluation at the stage points gives u and g together; with
-    an anchor map, u is read at the points and g at q.  The repeated RK4
-    midpoint, the backward passes and `ratio` at the sample times (which are
-    stage times) read the table and make no further density or rate call.
+    ``stage(t)`` builds the field at one time with one right-inverse solve:
+    a single nodal spline whose channels are the velocity u(t) and the
+    density's nodal samples f(t, .) and f(t0, .).  With the identity anchor
+    one evaluation at the stage points gives u and g together; with an
+    anchor map, u is read at the points and g at q.  `moser_flow` builds one
+    such stage per time of its stage schedule and reads them by index.
     """
 
     def __init__(self, density: DensityFamily, grid: ReferenceGrid, t0: float,
@@ -60,44 +58,44 @@ class _FlowField:
             self._pull = nodal_spline(grid, anchor.inverse_values)
             self._pull_nodes = self._pull(grid.nodes)
             self._f0_pulled = density(t0, self._pull_nodes)
-        self._table: dict = {}
 
-    def _entry(self, t: float):
-        key = round(float(t), 12)
-        if key not in self._table:
-            rate = self.density.rate(t, self._pull_nodes) / self._f0_pulled
-            u = self.rinv.apply(rate).node_values.real
-            self._table[key] = nodal_spline(self.grid, np.column_stack(
-                [u, self.density(t, self.grid.nodes), self._f0_nodes]))
-        return self._table[key]
+    def stage(self, t: float):
+        rate = self.density.rate(t, self._pull_nodes) / self._f0_pulled
+        u = self.rinv.apply(rate).node_values.real
+        return nodal_spline(self.grid, np.column_stack(
+            [u, self.density(t, self.grid.nodes), self._f0_nodes]))
 
-    def ratio(self, t: float, pts: np.ndarray) -> np.ndarray:
-        """g = f(t) / f(t0) at the pull-back of `pts`."""
+    def ratio(self, stage, pts: np.ndarray) -> np.ndarray:
+        """g = f(t) / f(t0) at the pull-back of `pts`, from a built stage."""
         q = pts if self._pull is None else self._pull(pts)
-        f = self._entry(t)(q)
+        f = stage(q)
         return f[:, -2] / f[:, -1]
 
-    def __call__(self, t: float, pts: np.ndarray) -> np.ndarray:
-        spline = self._entry(t)
-        vals = spline(pts)
-        f = vals if self._pull is None else spline(self._pull(pts))
+    def velocity(self, stage, pts: np.ndarray) -> np.ndarray:
+        vals = stage(pts)
+        f = vals if self._pull is None else stage(self._pull(pts))
         return -vals[:, :-2] / (f[:, -2] / f[:, -1])[:, None]
+
+    def __call__(self, t: float, pts: np.ndarray) -> np.ndarray:
+        """U(t, pts) through a stage built for this call."""
+        return self.velocity(self.stage(t), pts)
 
 
 def _rk4_span(velocity, pts: np.ndarray, ta: float, tb: float, n_steps: int,
               grid: ReferenceGrid) -> np.ndarray:
-    """Integrate all points from ta to tb (either direction) with RK4."""
+    """Integrate all points from ta to tb (either direction) with RK4.
+
+    ``velocity(i, pts)`` reads stage i: step k reads 2k, 2k + 1 and 2k + 2."""
     pts = np.array(pts, dtype=float)
     h = (tb - ta) / n_steps
     band = grid.min_spacing / 100.0
     for k in range(n_steps):
-        t = ta + k * h
-        k1 = velocity(t, pts)
-        k2 = velocity(t + h / 2, pts + (h / 2) * k1)
-        k3 = velocity(t + h / 2, pts + (h / 2) * k2)
-        k4 = velocity(t + h, pts + h * k3)
+        k1 = velocity(2 * k, pts)
+        k2 = velocity(2 * k + 1, pts + (h / 2) * k1)
+        k3 = velocity(2 * k + 1, pts + (h / 2) * k2)
+        k4 = velocity(2 * k + 2, pts + h * k3)
         pts = pts + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
-        _enforce_domain(pts, grid, band, t)
+        _enforce_domain(pts, grid, band, ta + k * h)
     return pts
 
 
@@ -119,7 +117,7 @@ def _substeps(span: float, total_span: float, samples: int) -> int:
 
 
 def moser_flow(density: DensityFamily, grid: ReferenceGrid, time_samples,
-               anchor: MoserMap | None = None, validate: bool = True):
+               anchor: MoserMap | None = None):
     """Maps with det D phi(t) = f(t) at each sample, by the flow method.
 
     The density must be identically 1 at the first sample time, or an anchor
@@ -128,8 +126,7 @@ def moser_flow(density: DensityFamily, grid: ReferenceGrid, time_samples,
     time_samples = [float(t) for t in time_samples]
     if sorted(time_samples) != time_samples:
         raise InvalidInputError("time samples must be ascending")
-    if validate:
-        density.validate(grid, time_samples)
+    density.validate(grid, time_samples)
     t0 = time_samples[0]
 
     f0 = density(t0, grid.nodes)
@@ -139,17 +136,28 @@ def moser_flow(density: DensityFamily, grid: ReferenceGrid, time_samples,
                 "moser_flow needs f(t0) == 1 or an explicit anchor map")
         anchor = identity_moser_map(grid, t0)
 
-    velocity = _FlowField(density, grid, t0, anchor)
+    field = _FlowField(density, grid, t0, anchor)
     total = time_samples[-1] - t0
-    counts = [_substeps(tb - ta, total, len(time_samples))
-              for ta, tb in zip(time_samples[:-1], time_samples[1:])]
+    spans = list(zip(time_samples[:-1], time_samples[1:]))
+    counts = [_substeps(tb - ta, total, len(time_samples)) for ta, tb in spans]
+    # the stage schedule: t0 (unless t0 is the only sample), then each RK4
+    # step's t + h/2 and t + h as `_rk4_span` computes them.  A step's start
+    # t is its predecessor's end, the float reached first; sample k's time
+    # is stage ends[k].
+    times = [t0] if spans else []
+    for (ta, tb), n in zip(spans, counts):
+        h = (tb - ta) / n if n else 0.0
+        times += [ta + k * h + dh for k in range(n) for dh in (h / 2, h)]
+    table = [field.stage(t) for t in times]
+    ends = np.cumsum([0] + counts) * 2
 
     # forward pass: psi(t_k) for the inverse maps
     forward = [grid.nodes.copy()]
     pos = grid.nodes.copy()
-    for (ta, tb), n in zip(zip(time_samples[:-1], time_samples[1:]), counts):
+    for j, ((ta, tb), n) in enumerate(zip(spans, counts)):
         if n:
-            pos = _rk4_span(velocity, pos, ta, tb, n, grid)
+            pos = _rk4_span(lambda i, p: field.velocity(table[ends[j] + i], p),
+                            pos, ta, tb, n, grid)
         forward.append(pos.copy())
 
     maps = []
@@ -161,22 +169,24 @@ def moser_flow(density: DensityFamily, grid: ReferenceGrid, time_samples,
             continue
         # phi-tilde(t_k) composed with the anchor: integrate backward from the
         # anchor image points, so the composition needs no interpolation.
-        back = _integrate_backward(velocity, anchor.values, time_samples, counts, k, grid)
+        back = _integrate_backward(field, table, ends, anchor.values,
+                                   spans, counts, k, grid)
         inverse = anchor.inverse(forward[k]) if anchor.method != "identity" \
             else forward[k]
         mm = build_moser_map(grid, tk, back, inverse,
                              density(tk, grid.nodes), method="flow")
-        ratio = velocity.ratio(tk, forward[k])
+        ratio = field.ratio(table[ends[k]], forward[k])
         maps.append(replace(mm, flow_consistency=float(np.max(np.abs(
             nodal_determinant(grid, forward[k]) * ratio - 1.0)))))
     return maps
 
 
-def _integrate_backward(velocity, start_pts, time_samples, counts, k, grid):
+def _integrate_backward(field, table, ends, start_pts, spans, counts, k, grid):
+    """Carry points from sample k to the first, each span's stages reversed."""
     pos = np.array(start_pts, dtype=float)
-    for j in range(k, 0, -1):
-        ta, tb = time_samples[j], time_samples[j - 1]
-        n = counts[j - 1]
+    for j in range(k - 1, -1, -1):
+        (ta, tb), n = spans[j], counts[j]
         if n:
-            pos = _rk4_span(velocity, pos, ta, tb, n, grid)
+            pos = _rk4_span(lambda i, p: field.velocity(table[ends[j + 1] - i], p),
+                            pos, tb, ta, n, grid)
     return pos

@@ -52,27 +52,31 @@ def _static_flow(f_nodal: np.ndarray, grid: ReferenceGrid, t: float) -> MoserMap
         return interp(pts) - 1.0
 
     density = DensityFamily(f_s, df_s, window=(0.0, 1.0))
-    mm = moser_flow(density, grid, [0.0, 1.0], validate=False)[-1]
+    mm = moser_flow(density, grid, [0.0, 1.0])[-1]
     return build_moser_map(grid, t, mm.values, mm.inverse_values, f_nodal,
                            method="static_flow")
 
 
 class _SmoothedDensity:
-    """Gaussian-smoothed, average-normalized view of a density family."""
+    """Gaussian-smoothed, average-normalized view of a density family.
+
+    It keeps the nodal f1 and df1 of the latest time read only: the flow
+    reads both at each stage time back to back, in schedule order.
+    """
 
     def __init__(self, density: DensityFamily, grid: ReferenceGrid, width: float):
         self.density = density
         self.grid = grid
         self.sigma = [width / s for s in grid.spacing]
-        self._cache: dict = {}
+        self._t = None
+        self._latest = None
 
     def _smooth(self, nodal: np.ndarray) -> np.ndarray:
         shaped = self.grid.reshape(nodal)
         return gaussian_filter(shaped, self.sigma, mode="nearest").reshape(-1)
 
     def _entry(self, t: float):
-        key = round(float(t), 12)
-        if key not in self._cache:
+        if t != self._t:
             w, meas = self.grid.weights, self.grid.measure
             s = self._smooth(self.density(t, self.grid.nodes))
             ds = self._smooth(self.density.rate(t, self.grid.nodes))
@@ -81,16 +85,8 @@ class _SmoothedDensity:
             dc = -meas * dtotal / total ** 2
             f1 = c * s
             df1 = dc * s + c * ds
-            # the flow reads each stage time once (its stage table serves
-            # the backward pass), so the bound costs only the rebuilds of the
-            # sample times read again after the flow, and keeps memory flat
-            if len(self._cache) > 64:
-                self._cache.clear()
-            self._cache[key] = [f1, df1, None]
-        return self._cache[key]
-
-    def nodal(self, t: float) -> np.ndarray:
-        return self._entry(t)[0]
+            self._t, self._latest = t, [f1, df1, None]
+        return self._latest
 
     def _read(self, t: float, pts, channel: int) -> np.ndarray:
         """f1 (channel 0) or df1 (channel 1) at `pts`.
@@ -123,8 +119,8 @@ def moser_combined(density: DensityFamily, grid: ReferenceGrid, time_samples):
     last_failure = "no attempt"
     for attempt in range(_RETRIES + 1):
         width = 2.0 * grid.min_spacing * 0.5 ** attempt
-        smooth = _SmoothedDensity(density, grid, width)
-        f1_t0 = smooth.nodal(t0)
+        f1 = _SmoothedDensity(density, grid, width).family()
+        f1_t0 = f1(t0, grid.nodes)
         if np.max(np.abs(f1_t0 - 1.0)) <= 1e-12:
             anchor = identity_moser_map(grid, t0)
         else:
@@ -133,13 +129,12 @@ def moser_combined(density: DensityFamily, grid: ReferenceGrid, time_samples):
         if len(time_samples) == 1:
             flow_maps = [anchor]
         else:
-            flow_maps = moser_flow(smooth.family(), grid, time_samples,
-                                   anchor=anchor, validate=False)
+            flow_maps = moser_flow(f1, grid, time_samples, anchor=anchor)
 
         maps, ok = [], True
         for tk, mm1 in zip(time_samples, flow_maps):
             q = mm1.inverse(grid.nodes)
-            f2 = density(tk, q) / smooth.family()(tk, q)
+            f2 = density(tk, q) / f1(tk, q)
             f2 *= grid.measure / float(np.sum(grid.weights * f2))
             dev = float(np.max(np.abs(f2 - 1.0)))
             if dev > CONTRACTION_BOUND:
@@ -182,48 +177,36 @@ def _volume_density(family: DiffeoFamily, grid: ReferenceGrid):
     """The density f = meas0 det J(t, .) / vol(t) of a family, and vol.
 
     With L = d/dt log det J, the rate of f is f (L - dvol/vol).  vol and
-    dvol are node quadratures of det J and det J L, computed once per t.
-    Reads of f and its rate at the grid's own node array reuse the nodal
-    (det J, L) of the last time computed: the smoothed density reads both
-    at one time back to back, so one time's arrays suffice.
+    dvol are node quadratures of det J and det J L.  The nodal (det J, L)
+    and the quadratures of the latest time read are kept: the smoothed
+    density reads f and its rate at one time back to back, and a read at
+    any other time recomputes them.
     """
     meas0 = grid.measure
-    cache: dict = {}
-    last: dict = {}
+    latest = [None, None]
 
     def arrays(t):
-        key = round(float(t), 12)
-        if key not in last:
+        if t != latest[0]:
             det, log_rate = det_and_log_derivative(family, t, grid.nodes)
-            last.clear()
-            last[key] = det, log_rate
-            cache[key] = (float(np.sum(grid.weights * det)),
-                          float(np.sum(grid.weights * det * log_rate)))
-        return last[key]
-
-    def quadratures(t):
-        key = round(float(t), 12)
-        if key not in cache:
-            arrays(t)
-        return cache[key]
+            latest[:] = t, (det, log_rate,
+                            float(np.sum(grid.weights * det)),
+                            float(np.sum(grid.weights * det * log_rate)))
+        return latest[1]
 
     def f_eval(t, pts):
-        if pts is grid.nodes:
-            det = arrays(t)[0]
-        else:
+        det, _, vol, _ = arrays(t)
+        if pts is not grid.nodes:
             det = smallmat.det(family.jacobian_matrix(t, pts))
-        return meas0 / quadratures(t)[0] * det
+        return meas0 / vol * det
 
     def f_rate(t, pts):
-        if pts is grid.nodes:
-            det, log_rate = arrays(t)
-        else:
+        det, log_rate, vol, dvol = arrays(t)
+        if pts is not grid.nodes:
             det, log_rate = det_and_log_derivative(family, t, pts)
-        vol, dvol = quadratures(t)
         return meas0 / vol * det * (log_rate - dvol / vol)
 
     return (DensityFamily(f_eval, f_rate, window=family.window),
-            lambda t: quadratures(t)[0])
+            lambda t: arrays(t)[2])
 
 
 def normalize_diffeo(family: DiffeoFamily, grid: ReferenceGrid,

@@ -69,11 +69,16 @@ def slowed_family(family: DiffeoFamily, epsilon: float) -> DiffeoFamily:
     return fam
 
 
+def frozen_hamiltonian(family: DiffeoFamily, t: float, grid: ReferenceGrid,
+                       bc: str = DIRICHLET):
+    """The free generator of the motionless snapshot ``family.frozen(t)``."""
+    return assemble_hamiltonian(family.frozen(t), free_coefficients(grid.dim),
+                                t, grid, bc)
+
+
 def _frozen_branch(family: DiffeoFamily, tau: float, grid: ReferenceGrid,
                    bc: str, k: int) -> SpectralBranch:
-    frozen = family.frozen(tau)
-    H = assemble_hamiltonian(frozen, free_coefficients(grid.dim), tau, grid, bc)
-    return spectral_projector(H, k)
+    return spectral_projector(frozen_hamiltonian(family, tau, grid, bc), k)
 
 
 def check_branch_path(family: DiffeoFamily, grid: ReferenceGrid, k: int,

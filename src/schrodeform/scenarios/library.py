@@ -30,6 +30,7 @@ from ..operators import (
 from ..geometry.stencils import face_coords, face_weights
 from ..geometry.diffeo import jacobian_field
 from ..propagator import PropagatorConfig, evolve
+from .adiabatic import frozen_hamiltonian
 from .families import (
     _path_values,
     homothety_family,
@@ -82,17 +83,12 @@ class ScenarioDef:
         t0 = self.family.window[0] if t is None else t
         if callable(self.initial_state):
             return self.initial_state(grid)
-        frozen = self.family.frozen(t0)
-        H = assemble_hamiltonian(frozen, free_coefficients(grid.dim), t0,
-                                 grid, self.bc)
-        branch = spectral_projector(H, int(self.initial_state))
-        return branch.eigenvector
+        H = frozen_hamiltonian(self.family, t0, grid, self.bc)
+        return spectral_projector(H, int(self.initial_state)).eigenvector
 
     def reference_states(self, grid: ReferenceGrid, t: float | None = None):
         t0 = self.family.window[0] if t is None else t
-        frozen = self.family.frozen(t0)
-        H = assemble_hamiltonian(frozen, free_coefficients(grid.dim), t0,
-                                 grid, self.bc)
+        H = frozen_hamiltonian(self.family, t0, grid, self.bc)
         return [spectral_projector(H, k).eigenvector for k in self.observables]
 
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.interpolate import CubicSpline, RectBivariateSpline, make_interp_spline
 
+from schrodeform.errors import InvalidInputError
 from schrodeform.geometry import ReferenceGrid
 from schrodeform.geometry.interp import nodal_spline
 
@@ -76,3 +77,22 @@ def test_two_cell_interval_is_quadratic(dtype):
     pts = _random_points(grid)
     want = make_interp_spline(grid.axes[0], values, k=2)(pts[:, 0])
     assert np.max(np.abs(spline(pts) - want)) <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("shape", [(10,), (80, 2), (2, 81), ()], ids=str)
+def test_nodal_spline_rejects_wrong_node_count(shape):
+    # 81 nodes: a raw reshape error before, now a typed one
+    grid = ReferenceGrid.rectangle(8)
+    with pytest.raises(InvalidInputError, match="81 node samples"):
+        nodal_spline(grid, np.ones(shape))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(1.0, np.nan)],
+                         ids=["nan", "inf", "-inf", "complex-nan"])
+def test_nodal_spline_rejects_non_finite_samples(bad):
+    # a NaN node used to give a spline that is NaN everywhere
+    grid = ReferenceGrid.rectangle(8)
+    values = _samples(grid, (2,), complex if isinstance(bad, complex) else float)
+    values[40, 1] = bad
+    with pytest.raises(InvalidInputError, match="finite"):
+        nodal_spline(grid, values)

@@ -205,6 +205,17 @@ def test_flow_stage_table_reads_each_stage_time_once(monkeypatch):
     # f(t0) == 1 check, the field's f(t0) and the two maps' targets
     assert calls["density"] == 401 + 6
 
+    # a third sample, and a repeated one (a zero-step span): the two spans of
+    # 100 steps share their end point, so there are again 401 stage times
+    for samples in ([0.0, 0.5, 1.0], [0.0, 0.5, 0.5, 1.0]):
+        calls.update(density=0, rate=0, apply=0, backward=0)
+        moser_flow(DensityFamily(f, df), grid, samples)
+        assert calls["rate"] == 401
+        assert calls["apply"] == 401
+        assert calls["backward"] == 0
+        # validate and the maps' targets read each sample once
+        assert calls["density"] == 401 + 2 + 2 * len(samples)
+
 
 def _spline_density(grid, amplitude):
     shape = nodal_spline(grid, np.sin(2 * np.pi * grid.nodes[:, 0])

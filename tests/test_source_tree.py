@@ -1,8 +1,8 @@
 """Guards on the package source: every import sits at module level,
 SuperLU is called from ``sparse_lu`` only, processes are started from
-``parallel`` only, and no module touches numpy's legacy global RNG (outputs
-are deterministic because every random draw comes from a seeded
-``np.random.default_rng``)."""
+``parallel`` only, the Moser code keys nothing by a rounded time, and no
+module touches numpy's legacy global RNG (outputs are deterministic because
+every random draw comes from a seeded ``np.random.default_rng``)."""
 
 import ast
 from pathlib import Path
@@ -94,3 +94,15 @@ def test_only_parallel_starts_processes():
         forking += [f"{path.relative_to(SRC)}:{node.lineno}"
                     for node in ast.walk(tree) if _forks(node)]
     assert not forking, f"processes started outside parallel.py: {forking}"
+
+
+def test_moser_code_never_rounds():
+    # the flow reads its stages by index; a round(t, 12) key would merge
+    # nearby stage floats behind the schedule's back
+    rounding = []
+    for path in sorted((SRC / "moser").rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        rounding += [f"{path.relative_to(SRC)}:{node.lineno}"
+                     for node in ast.walk(tree)
+                     if isinstance(node, ast.Call) and "round" in _names(node.func)]
+    assert not rounding, f"round( called under moser/: {rounding}"
