@@ -40,21 +40,25 @@ from .scenarios import (
 from .scenarios.adiabatic import frozen_hamiltonian
 
 
-# scenario name -> (accepted params keys, builder from the params object)
+# scenario name -> (constructor, {accepted params key: type it is coerced to})
 _SCENARIOS = {
-    "moving_interval": (("l0", "l1", "smooth"), lambda p: moving_interval_scenario(
-        l0=float(p.get("l0", 1.0)), l1=float(p.get("l1", 1.5)),
-        smooth=bool(p.get("smooth", False)))),
-    "translation": ((), lambda p: translation_scenario()),
-    "rotation": (("omega",), lambda p: rotation_scenario(
-        omega=float(p.get("omega", 1.0)))),
-    "homothety": ((), lambda p: homothety_scenario()),
-    "cylinder": ((), lambda p: cylinder_scenario()),
+    "moving_interval": (moving_interval_scenario,
+                        {"l0": float, "l1": float, "smooth": bool}),
+    "translation": (translation_scenario, {}),
+    "rotation": (rotation_scenario, {"omega": float}),
+    "homothety": (homothety_scenario, {}),
+    "cylinder": (cylinder_scenario, {}),
 }
 
 
+def _construct(name: str, params: dict):
+    """The named scenario, built from the given params only, each coerced."""
+    build, types = _SCENARIOS[name]
+    return build(**{key: types[key](val) for key, val in params.items()})
+
+
 def _build_scenario(config: RunConfig):
-    return _SCENARIOS[config["scenario"]][1](config["params"])
+    return _construct(config["scenario"], config["params"])
 
 
 def _build_smooth_scenario(config: RunConfig):
@@ -67,7 +71,7 @@ def _build_smooth_scenario(config: RunConfig):
     params = config["params"]
     if config["scenario"] == "moving_interval":
         params = dict(params, smooth=True)
-    return _SCENARIOS[config["scenario"]][1](params)
+    return _construct(config["scenario"], params)
 
 
 _DENSITIES = {
@@ -167,7 +171,7 @@ class RunConfig:
             raise ConfigError(
                 f"unknown scenario {d['scenario']!r}; available: "
                 f"{sorted(_SCENARIOS)}")
-        accepted = _SCENARIOS[d["scenario"]][0]
+        accepted = _SCENARIOS[d["scenario"]][1]
         unknown = sorted(set(d["params"]) - set(accepted))
         if unknown:
             raise ConfigError(

@@ -40,7 +40,8 @@ class DegenerateJacobianError(SchrodeformError):
         self.t = t
         self.y = y
         self.det = det
-        super().__init__(f"det J = {det:.3e} <= 0 at t={t}, y={y}")
+        super().__init__(f"det J = {det:.3e} is not positive and finite "
+                         f"at t={t}, y={y}")
 
     def __reduce__(self):
         # rebuilt from (t, y, det), not from the message, so that the error

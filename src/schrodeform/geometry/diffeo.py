@@ -117,7 +117,7 @@ class DiffeoFamily:
                 f"Newton inversion did not converge at t={t}")
         return y
 
-    def frozen(self, t: float, name: Optional[str] = None) -> "DiffeoFamily":
+    def frozen(self, t: float) -> "DiffeoFamily":
         """Snapshot of the map at time t as a motionless family."""
         t0 = float(t)
         return DiffeoFamily(
@@ -129,7 +129,7 @@ class DiffeoFamily:
             inverse=(None if self.inverse is None
                      else (lambda s, x: self.inverse(t0, x))),
             window=(min(0.0, t0), max(1.0, t0)),
-            name=name or f"{self.name}@t={t0:g}",
+            name=f"{self.name}@t={t0:g}",
         )
 
 
@@ -214,7 +214,8 @@ def jacobian_at(family: DiffeoFamily, t: float, y: np.ndarray) -> JacobianData:
 
 
 def jacobian_field(family: DiffeoFamily, t, pts: np.ndarray):
-    """Vectorized (J, det, J^{-1}) over many points; det must stay positive.
+    """Vectorized (J, det, J^{-1}) over many points; det must stay positive
+    and finite.
 
     ``t`` is a float or an array of times that broadcasts to the points; the
     error names the scalar time and the point of the first entry, in
@@ -223,8 +224,8 @@ def jacobian_field(family: DiffeoFamily, t, pts: np.ndarray):
     family.check_time(t)
     J = family.jacobian_matrix(t, pts)
     det = smallmat.det(J)
-    # written so that a NaN determinant fails the guard
-    failed = ~(det > 0.0)
+    # written so that a NaN or infinite determinant fails the guard
+    failed = ~((det > 0.0) & (det < np.inf))
     if failed.any():
         k = int(np.argmax(failed))
         pts = np.asarray(pts, dtype=float)

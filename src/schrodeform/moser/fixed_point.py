@@ -14,7 +14,6 @@ import numpy as np
 from ..errors import (ContractionBoundExceededError, InvalidInputError,
                       NoConvergenceError)
 from ..geometry import smallmat
-from ..geometry.fields import GridFunction
 from ..geometry.grid import ReferenceGrid
 from .maps import MoserMap, build_moser_map, nodal_jacobian
 from .right_inverse import build_divergence_right_inverse
@@ -31,21 +30,13 @@ def q_residual(M: np.ndarray) -> np.ndarray:
     return out if out.shape else float(out)
 
 
-def _as_nodal(f, grid: ReferenceGrid) -> np.ndarray:
-    if isinstance(f, GridFunction):
-        return f.values.real.copy()
-    if callable(f):
-        return np.asarray(f(grid.nodes), dtype=float)
-    arr = np.asarray(f, dtype=float)
-    if arr.shape != (grid.n_nodes,):
-        raise InvalidInputError("density snapshot must have one value per node")
-    return arr
-
-
 def moser_fixed_point(f_snapshot, grid: ReferenceGrid, tol: float = 1e-10,
                       max_iter: int = 60, t: float = 0.0) -> MoserMap:
-    """Single-time map with det D phi = f, for f within the contraction bound."""
-    f = _as_nodal(f_snapshot, grid)
+    """Single-time map with det D phi = f, for nodal samples f within the
+    contraction bound."""
+    f = np.asarray(f_snapshot, dtype=float)
+    if f.shape != (grid.n_nodes,):
+        raise InvalidInputError("density snapshot must have one value per node")
     dev = float(np.max(np.abs(f - 1.0)))
     if not dev <= CONTRACTION_BOUND * (1.0 + 1e-12):   # a NaN fails too
         raise ContractionBoundExceededError(

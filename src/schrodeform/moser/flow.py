@@ -11,20 +11,13 @@ re-anchored density ratio.
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 
 import numpy as np
 
 from ..errors import FlowLeftDomainError, InvalidInputError
 from ..geometry.grid import ReferenceGrid
 from ..geometry.interp import nodal_spline
-from .maps import (
-    DensityFamily,
-    MoserMap,
-    build_moser_map,
-    identity_moser_map,
-    nodal_determinant,
-)
+from .maps import DensityFamily, MoserMap, build_moser_map, nodal_determinant
 from .right_inverse import build_divergence_right_inverse
 
 # the fewest RK4 steps a flow takes over its whole span
@@ -38,9 +31,9 @@ class _FlowField:
     ``stage(t)`` builds the field at one time with one right-inverse solve:
     a single nodal spline whose channels are the velocity u(t) and the
     density's nodal samples f(t, .) and f(t0, .).  With the identity anchor
-    one evaluation at the stage points gives u and g together; with an
-    anchor map, u is read at the points and g at q.  `moser_flow` builds one
-    such stage per time of its stage schedule and reads them by index.
+    (None) one evaluation at the stage points gives u and g together; with
+    an anchor map, u is read at the points and g at q.  `moser_flow` builds
+    one such stage per time of its stage schedule and reads them by index.
     """
 
     def __init__(self, density: DensityFamily, grid: ReferenceGrid, t0: float,
@@ -49,7 +42,7 @@ class _FlowField:
         self.grid = grid
         self.rinv = build_divergence_right_inverse(grid)
         self._f0_nodes = density(t0, grid.nodes)
-        if anchor is None or anchor.method == "identity":
+        if anchor is None:
             self._pull = None
             self._pull_nodes = grid.nodes
             self._f0_pulled = self._f0_nodes
@@ -60,10 +53,13 @@ class _FlowField:
             self._f0_pulled = density(t0, self._pull_nodes)
 
     def stage(self, t: float):
-        rate = self.density.rate(t, self._pull_nodes) / self._f0_pulled
-        u = self.rinv.apply(rate).node_values.real
-        return nodal_spline(self.grid, np.column_stack(
-            [u, self.density(t, self.grid.nodes), self._f0_nodes]))
+        rate = self.density.rate(t, self._pull_nodes)
+        f = self.density(t, self.grid.nodes)
+        for name, vals in (("rate", rate), ("density", f)):
+            if not np.isfinite(vals).all():
+                raise InvalidInputError(f"the {name} is not finite at t={t}")
+        u = self.rinv.apply(rate / self._f0_pulled).node_values.real
+        return nodal_spline(self.grid, np.column_stack([u, f, self._f0_nodes]))
 
     def ratio(self, stage, pts: np.ndarray) -> np.ndarray:
         """g = f(t) / f(t0) at the pull-back of `pts`, from a built stage."""
@@ -120,8 +116,9 @@ def moser_flow(density: DensityFamily, grid: ReferenceGrid, time_samples,
                anchor: MoserMap | None = None):
     """Maps with det D phi(t) = f(t) at each sample, by the flow method.
 
-    The density must be identically 1 at the first sample time, or an anchor
-    map with determinant f(t0) must be supplied.
+    With no anchor the flow starts from the identity, and the density must
+    be identically 1 at the first sample time; otherwise the anchor is a map
+    with determinant f(t0).
     """
     time_samples = [float(t) for t in time_samples]
     if sorted(time_samples) != time_samples:
@@ -129,12 +126,13 @@ def moser_flow(density: DensityFamily, grid: ReferenceGrid, time_samples,
     density.validate(grid, time_samples)
     t0 = time_samples[0]
 
-    f0 = density(t0, grid.nodes)
     if anchor is None:
-        if np.max(np.abs(f0 - 1.0)) > 1e-10:
+        if np.max(np.abs(density(t0, grid.nodes) - 1.0)) > 1e-10:
             raise InvalidInputError(
                 "moser_flow needs f(t0) == 1 or an explicit anchor map")
-        anchor = identity_moser_map(grid, t0)
+        start, start_inverse = grid.nodes, grid.nodes
+    else:
+        start, start_inverse = anchor.values, anchor.inverse_values
 
     field = _FlowField(density, grid, t0, anchor)
     total = time_samples[-1] - t0
@@ -163,21 +161,20 @@ def moser_flow(density: DensityFamily, grid: ReferenceGrid, time_samples,
     maps = []
     for k, tk in enumerate(time_samples):
         if k == 0:
-            maps.append(replace(build_moser_map(
-                grid, tk, anchor.values, anchor.inverse_values,
-                density(tk, grid.nodes), method="flow"), flow_consistency=0.0))
+            maps.append(build_moser_map(
+                grid, tk, start, start_inverse, density(tk, grid.nodes),
+                method="flow", flow_consistency=0.0))
             continue
         # phi-tilde(t_k) composed with the anchor: integrate backward from the
         # anchor image points, so the composition needs no interpolation.
-        back = _integrate_backward(field, table, ends, anchor.values,
+        back = _integrate_backward(field, table, ends, start,
                                    spans, counts, k, grid)
-        inverse = anchor.inverse(forward[k]) if anchor.method != "identity" \
-            else forward[k]
-        mm = build_moser_map(grid, tk, back, inverse,
-                             density(tk, grid.nodes), method="flow")
+        inverse = forward[k] if anchor is None else anchor.inverse(forward[k])
         ratio = field.ratio(table[ends[k]], forward[k])
-        maps.append(replace(mm, flow_consistency=float(np.max(np.abs(
-            nodal_determinant(grid, forward[k]) * ratio - 1.0)))))
+        maps.append(build_moser_map(
+            grid, tk, back, inverse, density(tk, grid.nodes), method="flow",
+            flow_consistency=float(np.max(np.abs(
+                nodal_determinant(grid, forward[k]) * ratio - 1.0)))))
     return maps
 
 

@@ -9,13 +9,12 @@ against the prescribed density.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Tuple
+from typing import Callable, Optional
 
 import numpy as np
 
 from ..errors import NonPositiveDensityError
 from ..geometry import smallmat
-from ..geometry.diffeo import FD_STEP
 from ..geometry.grid import ReferenceGrid
 from ..geometry.interp import nodal_spline
 from ..geometry.stencils import node_gradient
@@ -40,21 +39,20 @@ def nodal_determinant(grid: ReferenceGrid, values: np.ndarray) -> np.ndarray:
 
 @dataclass
 class DensityFamily:
-    """Strictly positive density f(t, y) with unit average over the domain."""
+    """Strictly positive density f(t, y) with unit average over the domain.
+
+    ``evaluator(t, pts)`` gives f and ``d_dt(t, pts)`` its time derivative,
+    both at one time and vectorized over points of shape (..., dim).
+    """
 
     evaluator: Callable
-    d_dt: Optional[Callable] = None
-    window: Tuple[float, float] = (0.0, 1.0)
+    d_dt: Callable
 
     def __call__(self, t: float, pts: np.ndarray) -> np.ndarray:
         return np.asarray(self.evaluator(t, pts), dtype=float)
 
     def rate(self, t: float, pts: np.ndarray) -> np.ndarray:
-        if self.d_dt is not None:
-            return np.asarray(self.d_dt(t, pts), dtype=float)
-        lo, hi = self.window
-        tp, tm = min(t + FD_STEP, hi), max(t - FD_STEP, lo)
-        return (self(tp, pts) - self(tm, pts)) / (tp - tm)
+        return np.asarray(self.d_dt(t, pts), dtype=float)
 
     def validate(self, grid: ReferenceGrid, times) -> None:
         for t in times:
@@ -143,8 +141,8 @@ def identity_moser_map(grid: ReferenceGrid, t: float = 0.0) -> MoserMap:
 
 def build_moser_map(grid: ReferenceGrid, t: float, values: np.ndarray,
                     inverse_values: np.ndarray, target: np.ndarray,
-                    method: str, iterations: int = 0,
-                    step_deltas=None) -> MoserMap:
+                    method: str, iterations: int = 0, step_deltas=None,
+                    flow_consistency: Optional[float] = None) -> MoserMap:
     """Assemble a MoserMap, pinning the boundary and recording the residual."""
     values = np.array(values, dtype=float)
     inverse_values = np.array(inverse_values, dtype=float)
@@ -156,4 +154,5 @@ def build_moser_map(grid: ReferenceGrid, t: float, values: np.ndarray,
     return MoserMap(grid=grid, t=t, values=values,
                     inverse_values=inverse_values, det_values=det,
                     det_residual=residual, method=method,
-                    iterations=iterations, step_deltas=step_deltas or [])
+                    iterations=iterations, step_deltas=step_deltas or [],
+                    flow_consistency=flow_consistency)

@@ -34,7 +34,7 @@ from ..geometry.grid import ReferenceGrid
 from ..geometry.interp import nodal_spline
 from .fixed_point import CONTRACTION_BOUND, moser_fixed_point
 from .flow import moser_flow
-from .maps import DensityFamily, MoserMap, build_moser_map, identity_moser_map
+from .maps import DensityFamily, MoserMap, build_moser_map
 
 
 # smoothing attempts after the first, each at half the previous width
@@ -51,7 +51,7 @@ def _static_flow(f_nodal: np.ndarray, grid: ReferenceGrid, t: float) -> MoserMap
     def df_s(s, pts):
         return interp(pts) - 1.0
 
-    density = DensityFamily(f_s, df_s, window=(0.0, 1.0))
+    density = DensityFamily(f_s, df_s)
     mm = moser_flow(density, grid, [0.0, 1.0])[-1]
     return build_moser_map(grid, t, mm.values, mm.inverse_values, f_nodal,
                            method="static_flow")
@@ -103,8 +103,7 @@ class _SmoothedDensity:
 
     def family(self) -> DensityFamily:
         return DensityFamily(lambda t, pts: self._read(t, pts, 0),
-                             lambda t, pts: self._read(t, pts, 1),
-                             window=self.density.window)
+                             lambda t, pts: self._read(t, pts, 1))
 
 
 def moser_combined(density: DensityFamily, grid: ReferenceGrid, time_samples):
@@ -121,15 +120,9 @@ def moser_combined(density: DensityFamily, grid: ReferenceGrid, time_samples):
         width = 2.0 * grid.min_spacing * 0.5 ** attempt
         f1 = _SmoothedDensity(density, grid, width).family()
         f1_t0 = f1(t0, grid.nodes)
-        if np.max(np.abs(f1_t0 - 1.0)) <= 1e-12:
-            anchor = identity_moser_map(grid, t0)
-        else:
-            anchor = _static_flow(f1_t0, grid, t0)
-
-        if len(time_samples) == 1:
-            flow_maps = [anchor]
-        else:
-            flow_maps = moser_flow(f1, grid, time_samples, anchor=anchor)
+        anchor = (None if np.max(np.abs(f1_t0 - 1.0)) <= 1e-12
+                  else _static_flow(f1_t0, grid, t0))
+        flow_maps = moser_flow(f1, grid, time_samples, anchor=anchor)
 
         maps, ok = [], True
         for tk, mm1 in zip(time_samples, flow_maps):
@@ -205,8 +198,7 @@ def _volume_density(family: DiffeoFamily, grid: ReferenceGrid):
             det, log_rate = det_and_log_derivative(family, t, pts)
         return meas0 / vol * det * (log_rate - dvol / vol)
 
-    return (DensityFamily(f_eval, f_rate, window=family.window),
-            lambda t: arrays(t)[2])
+    return DensityFamily(f_eval, f_rate), lambda t: arrays(t)[2]
 
 
 def normalize_diffeo(family: DiffeoFamily, grid: ReferenceGrid,

@@ -111,8 +111,7 @@ def _smallest_singular_value(D: np.ndarray) -> float:
 
 
 def isotropic_coefficients(dim: int, electric: Optional[Callable] = None,
-                           magnetic: Optional[Callable] = None,
-                           alpha: float = 1.0) -> CoefficientSet:
+                           magnetic: Optional[Callable] = None) -> CoefficientSet:
     """Identity diffusion with optional scalar potential / magnetic field."""
 
     def zero_vec(t, x):
@@ -123,7 +122,7 @@ def isotropic_coefficients(dim: int, electric: Optional[Callable] = None,
 
     # D = I, which is also the Jacobian of the identity map at every point
     return CoefficientSet(identity_family(dim).jacobian, magnetic or zero_vec,
-                          electric or zero_scal, alpha=alpha)
+                          electric or zero_scal)
 
 
 def free_coefficients(dim: int) -> CoefficientSet:
@@ -596,11 +595,11 @@ def eigenpairs(H: DiscreteHamiltonian, k: int = 5):
         dense = H.matrix.toarray()
         vals, vecs = np.linalg.eigh(dense)
         return vals[:k], vecs[:, :k]
-    sigma, opinv = _certified_shift(H)
     # deterministic generic start vector (ARPACK's default random start would
     # make results run-to-run dependent and can miss symmetry sectors)
     v0 = np.random.default_rng(1234).standard_normal(n)
     try:
+        sigma, opinv = _certified_shift(H)
         vals, vecs = spla.eigsh(H.matrix, k=k, sigma=sigma, which="LM", v0=v0,
                                 OPinv=opinv)
     except RuntimeError as exc:
@@ -621,18 +620,20 @@ def _certified_shift(H: DiscreteHamiltonian):
     at or below the Gershgorin lower bound, falls back to a shift below that
     bound, which needs no certificate; so does the non-Hermitian
     naive-Neumann realization, to which Sylvester's law does not apply.  The
-    fallback returns no operator: ARPACK then factors H - sigma I itself.
+    fallback factors H - sigma I in COLAMD order with threshold pivots, as
+    ARPACK's own shift-invert would; a singular factor raises SuperLU's
+    ``RuntimeError``.
     """
     M = H.matrix
     diag = M.diagonal().real
     row_abs = np.asarray(abs(M).sum(axis=1)).ravel() - np.abs(diag)
     bound = float(np.min(diag - row_abs))
     probes = 0
+    eye = sp.identity(M.shape[0], dtype=M.dtype, format="csc")
     if H.bc != NAIVE_NEUMANN:
         order = nested_dissection(H.grid, H.bc)
         inv = np.argsort(order)
         A = M[order][:, order].tocsc()
-        eye = sp.identity(A.shape[0], dtype=A.dtype, format="csc")
         sigma = -1.0
         while sigma > bound:
             probes += 1
@@ -653,4 +654,5 @@ def _certified_shift(H: DiscreteHamiltonian):
     sigma = bound - 1.0
     _log.debug("eigenpairs: sigma=%g probes=%d gershgorin_fallback=True",
                sigma, probes)
-    return sigma, None
+    lu = factor((M - sigma * eye).tocsc(), "COLAMD", diagonal_pivots=False)
+    return sigma, spla.LinearOperator(M.shape, matvec=lu.solve, dtype=complex)

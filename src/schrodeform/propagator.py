@@ -41,6 +41,8 @@ from .sparse_lu import factor
 
 # points evaluated per assembly pass; keeps a chunk's temporaries near 1 MB
 CHUNK_POINTS = 16384
+# largest |t_k - t| at which EvolutionTrace.snapshot_at returns snapshot k
+_SNAPSHOT_TOL = 1e-9
 
 
 @dataclass
@@ -93,9 +95,9 @@ class EvolutionTrace:
     def norm_drift(self) -> float:
         return float(np.max(np.abs(self.norms - self.norms[0])))
 
-    def snapshot_at(self, t: float, tol: float = 1e-9) -> GridFunction:
+    def snapshot_at(self, t: float) -> GridFunction:
         for tk, snap in zip(self.snapshot_times, self.snapshots):
-            if abs(tk - t) <= tol:
+            if abs(tk - t) <= _SNAPSHOT_TOL:
                 return snap
         raise SnapshotMissingError(f"no snapshot stored at t={t}")
 

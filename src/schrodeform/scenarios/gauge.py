@@ -9,7 +9,7 @@ reproduce the full magnetic evolution up to a global phase.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -17,14 +17,17 @@ from ..errors import GaugeIncompatibleError
 from ..geometry.diffeo import DiffeoFamily
 from ..geometry.fields import GridFunction
 
+# relative bound on the compatibility residual GaugeSpec.check accepts
+_COMPAT_TOL = 1e-10
+
 
 @dataclass
 class GaugeSpec:
-    """Scalar phase phi(t, x) with its gradient and time derivative."""
+    """Scalar phase phi(t, x) with its spatial gradient, both vectorized
+    over image points x of shape (..., dim)."""
 
     phase: Callable
     grad: Callable
-    d_dt: Optional[Callable] = None
 
     def compatibility_residual(self, family: DiffeoFamily, t: float,
                                pts: np.ndarray) -> float:
@@ -34,12 +37,11 @@ class GaugeSpec:
         g = np.asarray(self.grad(t, x), dtype=float)
         return float(np.max(np.abs(vel - 2.0 * g)))
 
-    def check(self, family: DiffeoFamily, t: float, pts: np.ndarray,
-              tol: float = 1e-10) -> None:
+    def check(self, family: DiffeoFamily, t: float, pts: np.ndarray) -> None:
         res = self.compatibility_residual(family, t, pts)
         vel = np.asarray(family.velocity(t, pts), dtype=float)
         scale = max(1.0, float(np.max(np.abs(vel))))
-        if not res <= tol * scale:      # a NaN residual fails too
+        if not res <= _COMPAT_TOL * scale:      # a NaN residual fails too
             raise GaugeIncompatibleError(
                 f"gauge does not rectify the motion field: residual {res:.3e}")
 

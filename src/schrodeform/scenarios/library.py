@@ -48,19 +48,22 @@ class ReducedFormulation:
     """Gauge-simplified twin equation on the fixed domain.
 
     The reduced dynamics run in the clock ``tau = time_map(t)`` with the
-    identity family and the given coefficients; ``phase_rate`` is the rate of
-    the stripped space-independent phase (recorded, never applied: fidelity
-    metrics are phase-free).
+    identity family and the given coefficients.  The gauge also strips a
+    space-independent phase, which is not tracked: fidelity metrics are
+    phase-free.
     """
 
     coeffs: CoefficientSet
     time_map: Callable = lambda t: t
-    phase_rate: Optional[Callable] = None
 
 
 @dataclass(frozen=True)
 class ScenarioDef:
-    """A runnable moving-domain configuration."""
+    """A runnable moving-domain configuration.
+
+    A run starts from eigenstate ``initial_state`` of the frozen generator
+    and records its overlaps with that generator's ground state.
+    """
 
     name: str
     dim: int
@@ -68,8 +71,7 @@ class ScenarioDef:
     coeffs: CoefficientSet
     bc: str
     make_grid: Callable
-    initial_state: int | Callable = 0
-    observables: tuple = (0,)
+    initial_state: int = 0
     gauge: Optional[GaugeSpec] = None
     reduced: Optional[ReducedFormulation] = None
     self_test: Optional[Callable] = None
@@ -79,41 +81,39 @@ class ScenarioDef:
         return self.make_grid(cells)
 
     def build_initial(self, grid: ReferenceGrid, t: float | None = None):
-        """Initial state: eigenstate index of the frozen generator, or samples."""
+        """Eigenstate ``initial_state`` of the generator frozen at t."""
         t0 = self.family.window[0] if t is None else t
-        if callable(self.initial_state):
-            return self.initial_state(grid)
         H = frozen_hamiltonian(self.family, t0, grid, self.bc)
-        return spectral_projector(H, int(self.initial_state)).eigenvector
+        return spectral_projector(H, self.initial_state).eigenvector
 
     def reference_states(self, grid: ReferenceGrid, t: float | None = None):
+        """The ground state of the generator frozen at t, as a one-item list."""
         t0 = self.family.window[0] if t is None else t
         H = frozen_hamiltonian(self.family, t0, grid, self.bc)
-        return [spectral_projector(H, k).eigenvector for k in self.observables]
+        return [spectral_projector(H, 0).eigenvector]
 
 
 # -- scenario constructors ----------------------------------------------------
 
 def moving_interval_scenario(l0: float = 1.0, l1: float = 1.5,
-                             window=(0.0, 1.0), smooth: bool = False,
-                             bc: str = DIRICHLET) -> ScenarioDef:
-    """Interval (0, l(t)) with linear or C^2-ramped length sweep l0 -> l1."""
+                             smooth: bool = False) -> ScenarioDef:
+    """Interval (0, l(t)) with linear or C^2-ramped length sweep l0 -> l1
+    over 0 <= t <= 1."""
     if smooth:
-        fam = ramp_interval_family(l0, l1, window)
+        fam = ramp_interval_family(l0, l1)
     else:
-        rate = (l1 - l0) / (window[1] - window[0])
-        fam = interval_family(lambda t: l0 + rate * (t - window[0]),
-                              lambda t: rate, window=window)
+        rate = l1 - l0
+        fam = interval_family(lambda t: l0 + rate * t, lambda t: rate)
     return ScenarioDef(
         name="moving_interval", dim=1, family=fam,
-        coeffs=free_coefficients(1), bc=bc,
+        coeffs=free_coefficients(1), bc=DIRICHLET,
         make_grid=ReferenceGrid.interval,
         metadata={"l0": l0, "l1": l1, "smooth": smooth},
     )
 
 
 def translation_scenario(path=None, velocity=None, accel=None,
-                         dim: int = 1, window=(0.0, 1.0)) -> ScenarioDef:
+                         dim: int = 1) -> ScenarioDef:
     """Translated domain h = y + D(t); default path D(t) = t^2/2 along axis 1.
 
     Gauge phi = (1/2) <D'(t) | x> (the compatibility identity
@@ -127,7 +127,7 @@ def translation_scenario(path=None, velocity=None, accel=None,
         accel = lambda t: np.array([1.0] + [0.0] * (dim - 1))
     if velocity is None or accel is None:
         raise InvalidInputError("translation scenario needs velocity and accel paths")
-    fam = translation_family(path, velocity, dim=dim, window=window)
+    fam = translation_family(path, velocity, dim=dim)
 
     def vvec(t):
         return _path_values(velocity, t)
@@ -139,14 +139,11 @@ def translation_scenario(path=None, velocity=None, accel=None,
         phase=lambda t, x: 0.5 * np.asarray(x) @ vvec(t),
         grad=lambda t, x: np.broadcast_to(0.5 * vvec(t),
                                           np.asarray(x).shape).copy(),
-        d_dt=lambda t, x: 0.5 * np.asarray(x) @ avec(t),
     )
     reduced = ReducedFormulation(
         coeffs=isotropic_coefficients(
             dim, electric=lambda t, x: 0.5 * np.sum(np.asarray(x) * avec(t), axis=-1)),
         time_map=lambda t: t,
-        phase_rate=lambda t: 0.5 * float(avec(t) @ np.atleast_1d(path(t)))
-        + 0.25 * float(vvec(t) @ vvec(t)),
     )
     make_grid = (ReferenceGrid.interval if dim == 1
                  else lambda n: ReferenceGrid.rectangle(n))
@@ -177,7 +174,7 @@ def rotation_magnetic_coefficients(omega: float) -> CoefficientSet:
     return isotropic_coefficients(2, electric=v_field, magnetic=a_field)
 
 
-def rotation_scenario(omega: float = 1.0, window=(0.0, 1.0)) -> ScenarioDef:
+def rotation_scenario(omega: float = 1.0) -> ScenarioDef:
     """Rotating planar domain (centered square reference).
 
     Its self-test compares two equivalent fixed-domain assemblies: the
@@ -185,15 +182,16 @@ def rotation_scenario(omega: float = 1.0, window=(0.0, 1.0)) -> ScenarioDef:
     magnetic-square form of :func:`rotation_magnetic_coefficients`; because
     the rotation generator is divergence-free the two matrices are identical.
     """
-    fam = rotation_family(omega, window=window)
+    fam = rotation_family(omega)
     magnetic_coeffs = rotation_magnetic_coefficients(omega)
 
     def make_grid(n):
         return ReferenceGrid.rectangle(n, ((-0.5, 0.5), (-0.5, 0.5)))
 
-    def self_test(cells: int = 64, t: float = 0.0) -> dict:
+    def self_test(cells: int = 64) -> dict:
+        t = 0.0
         grid = make_grid(cells)
-        fam_id = identity_family(2, window)
+        fam_id = identity_family(2)
         Hm = assemble_hamiltonian(fam_id, magnetic_coeffs, t, grid, DIRICHLET)
         # transport form -div grad + (i w / 2)(b . grad - div(b .)) with
         # b = y_perp, through the same face machinery as the magnetic assembly
@@ -220,8 +218,12 @@ def rotation_scenario(omega: float = 1.0, window=(0.0, 1.0)) -> ScenarioDef:
     )
 
 
-def _numeric_time_map(scale, window, samples: int = 4001):
-    ts = np.linspace(window[0], window[1], samples)
+# trapezoid nodes of the homothety clock tau(t) = int 1/f^2 over the window
+_TIME_MAP_SAMPLES = 4001
+
+
+def _numeric_time_map(scale, window):
+    ts = np.linspace(window[0], window[1], _TIME_MAP_SAMPLES)
     rates = 1.0 / np.array([scale(t) for t in ts]) ** 2
     if np.any(rates <= 0):
         raise NonMonotoneReparametrizationError("1/f^2 must stay positive")
@@ -238,9 +240,8 @@ def _numeric_time_map(scale, window, samples: int = 4001):
     return forward, backward
 
 
-def homothety_scenario(scale=None, dscale=None, ddscale=None, dim: int = 1,
-                       window=(0.0, 1.0)) -> ScenarioDef:
-    """Uniform dilation h = f(t) y; default f(t) = 1 + t/2.
+def homothety_scenario(scale=None, dscale=None, ddscale=None) -> ScenarioDef:
+    """Dilation h = f(t) y of the unit interval; default f(t) = 1 + t/2.
 
     Gauge phi = (f'/f) |x|^2 / 4; the reduced equation runs in the
     reparametrized clock tau = int 1/f^2 and reads
@@ -253,7 +254,7 @@ def homothety_scenario(scale=None, dscale=None, ddscale=None, dim: int = 1,
         ddscale = lambda t: 0.0
     if dscale is None:
         raise InvalidInputError("homothety scenario needs the scale derivative")
-    fam = homothety_family(scale, dscale, dim=dim, window=window)
+    fam = homothety_family(scale, dscale)
 
     def rate(t):
         return dscale(t) / scale(t)
@@ -262,12 +263,9 @@ def homothety_scenario(scale=None, dscale=None, ddscale=None, dim: int = 1,
         phase=lambda t, x: 0.25 * rate(t) * np.sum(
             np.asarray(x, dtype=float) ** 2, axis=-1),
         grad=lambda t, x: 0.5 * rate(t) * np.asarray(x, dtype=float),
-        d_dt=(None if ddscale is None else (
-            lambda t, x: 0.25 * (ddscale(t) / scale(t) - rate(t) ** 2)
-            * np.sum(np.asarray(x, dtype=float) ** 2, axis=-1))),
     )
 
-    tau_of_t, t_of_tau = _numeric_time_map(scale, window)
+    tau_of_t, t_of_tau = _numeric_time_map(scale, fam.window)
     reduced = None
     if ddscale is not None:
         def reduced_potential(tau, y):
@@ -277,20 +275,18 @@ def homothety_scenario(scale=None, dscale=None, ddscale=None, dim: int = 1,
                 np.asarray(y, dtype=float) ** 2, axis=-1)
 
         reduced = ReducedFormulation(
-            coeffs=isotropic_coefficients(dim, electric=reduced_potential),
+            coeffs=isotropic_coefficients(1, electric=reduced_potential),
             time_map=tau_of_t,
         )
 
-    make_grid = (ReferenceGrid.interval if dim == 1
-                 else lambda n: ReferenceGrid.rectangle(n))
     return ScenarioDef(
-        name="homothety", dim=dim, family=fam, coeffs=free_coefficients(dim),
-        bc=DIRICHLET, make_grid=make_grid, gauge=gauge, reduced=reduced,
-        metadata={"tau_end": tau_of_t(window[1])},
+        name="homothety", dim=1, family=fam, coeffs=free_coefficients(1),
+        bc=DIRICHLET, make_grid=ReferenceGrid.interval, gauge=gauge,
+        reduced=reduced, metadata={"tau_end": tau_of_t(fam.window[1])},
     )
 
 
-def cylinder_scenario(length=None, dlength=None, window=(0.0, 1.0)) -> ScenarioDef:
+def cylinder_scenario(length=None, dlength=None) -> ScenarioDef:
     """Axially stretched cylinder, reduced to its axis (0, l(t)).
 
     Transverse modes decouple; the axial problem carries the magnetic
@@ -300,7 +296,7 @@ def cylinder_scenario(length=None, dlength=None, window=(0.0, 1.0)) -> ScenarioD
     if length is None:
         length = lambda t: 1.0 + 0.3 * t
         dlength = lambda t: 0.3
-    fam = interval_family(length, dlength, window=window)
+    fam = interval_family(length, dlength)
     return ScenarioDef(
         name="cylinder", dim=1, family=fam, coeffs=free_coefficients(1),
         bc=MAGNETIC_NEUMANN, make_grid=ReferenceGrid.interval,

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from schrodeform.errors import (
     ContractionBoundExceededError,
     FlowLeftDomainError,
+    InvalidInputError,
     NonPositiveDensityError,
     PipelineFailedError,
 )
@@ -164,6 +165,21 @@ def test_flow_rejects_negative_density():
         lambda t, p: 1.0 - 2.0 * t * p[..., 0],
         lambda t, p: -2.0 * p[..., 0])
     with pytest.raises(NonPositiveDensityError):
+        moser_flow(dens, grid, [0.0, 1.0])
+
+
+@pytest.mark.parametrize("nan_rate, name", [(True, "rate"), (False, "density")])
+def test_flow_names_a_non_finite_stage_density(nan_rate, name):
+    # finite at both samples, so validate passes; NaN at the stages between
+    grid = ReferenceGrid.rectangle(8)
+    base = _sine_density_2d(0.1)
+
+    def gap(t):
+        return np.nan if 0.4 < t < 0.6 else 1.0
+
+    dens = DensityFamily(lambda t, p: gap(t) * base(t, p),
+                         lambda t, p: (gap(t) if nan_rate else 1.0) * base.rate(t, p))
+    with pytest.raises(InvalidInputError, match=rf"the {name} is not finite at t=0\.4025"):
         moser_flow(dens, grid, [0.0, 1.0])
 
 

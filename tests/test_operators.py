@@ -337,6 +337,14 @@ def test_sparse_eigenpairs_match_dense(bc, n_dofs):
     _assert_matches_dense(H)
 
 
+def _assert_inverts_shift(H, sigma, opinv):
+    """opinv solves (H - sigma I) x = b to a relative residual of 1e-10."""
+    b = np.random.default_rng(3).standard_normal(H.n_dofs) + 0j
+    x = opinv.matvec(b)
+    residual = H.matrix @ x - sigma * x - b
+    assert np.linalg.norm(residual) <= 1e-10 * np.linalg.norm(b)
+
+
 def _shift_record(caplog, H):
     """Run the shift search on H; return its shift and its DEBUG record."""
     caplog.clear()
@@ -364,7 +372,7 @@ def test_deepest_well_falls_back_to_gershgorin(caplog):
     # makes before it passes the Gershgorin bound
     H = _warped(MAGNETIC_NEUMANN, _bump(-1e5))
     sigma, opinv, message = _shift_record(caplog, H)
-    assert opinv is None
+    _assert_inverts_shift(H, sigma, opinv)
     assert "probes=9 gershgorin_fallback=True" in message
     diag = H.matrix.diagonal().real
     row_abs = np.asarray(abs(H.matrix).sum(axis=1)).ravel() - np.abs(diag)
@@ -390,9 +398,26 @@ def test_naive_neumann_keeps_the_gershgorin_shift(caplog):
     # not Hermitian on a moving boundary, so no inertia certificate applies
     H = _warped(NAIVE_NEUMANN, t=0.5)
     assert H.hermiticity_residual() > 1e-6
-    _, opinv, message = _shift_record(caplog, H)
-    assert opinv is None
+    sigma, opinv, message = _shift_record(caplog, H)
+    _assert_inverts_shift(H, sigma, opinv)
     assert "probes=0 gershgorin_fallback=True" in message
+
+
+@pytest.mark.parametrize("case", ["deepest_well", "naive_neumann"])
+def test_gershgorin_fallback_factors_through_sparse_lu(monkeypatch, case):
+    # the fallback hands ARPACK its own factor of H - sigma I, so ARPACK's
+    # internal SuperLU path is never taken
+    from scipy.sparse.linalg._eigen.arpack import arpack
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("ARPACK factored H - sigma I itself")
+
+    monkeypatch.setattr(arpack, "SpLuInv", refuse)
+    if case == "deepest_well":
+        _assert_matches_dense(_warped(MAGNETIC_NEUMANN, _bump(-1e5)))
+    else:
+        vals, vecs = eigenpairs(_warped(NAIVE_NEUMANN, t=0.5), k=3)
+        assert np.isfinite(vals).all() and np.isfinite(vecs).all()
 
 
 def test_eigenpairs_logs_its_shift_at_debug_only(caplog):

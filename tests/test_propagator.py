@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -355,6 +357,27 @@ def test_degenerate_jacobian_in_a_chunk_names_its_time():
     config = PropagatorConfig(dt=0.1, t_start=0.0, t_end=1.0)
     with pytest.raises(DegenerateJacobianError, match="t=0.55"):
         evolve(fam, free_coefficients(1), DIRICHLET, v0, config)
+
+
+@pytest.mark.parametrize("grid", [ReferenceGrid.interval(50),
+                                  ReferenceGrid.rectangle(12)])
+def test_infinite_jacobian_is_degenerate_before_any_warning(grid):
+    from schrodeform.errors import DegenerateJacobianError
+
+    def scale(t):
+        return np.where(np.asarray(t) > 0.5, np.inf, 1.0)
+
+    def zero(t):
+        return np.zeros(np.shape(t))
+
+    fam = diagonal_family((scale,) * grid.dim, (zero,) * grid.dim)
+    v0 = GridFunction(grid, np.prod(np.sin(np.pi * grid.nodes), axis=-1)
+                      .astype(complex))
+    config = PropagatorConfig(dt=0.01, t_start=0.0, t_end=1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(DegenerateJacobianError, match=r"= inf .*t=0\.505,"):
+            evolve(fam, free_coefficients(grid.dim), DIRICHLET, v0, config)
 
 
 # -- the nested-dissection LU ----------------------------------------------------
