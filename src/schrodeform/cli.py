@@ -51,10 +51,24 @@ _SCENARIOS = {
 }
 
 
+def _coerce(key: str, val, kind):
+    """`val` as `kind`; a flag takes only a JSON boolean."""
+    if kind is bool:
+        if isinstance(val, bool):
+            return val
+    else:
+        try:
+            return kind(val)
+        except (TypeError, ValueError):
+            pass
+    raise ConfigError(f"params.{key} must be a "
+                      f"{'JSON boolean' if kind is bool else 'number'}, got {val!r}")
+
+
 def _construct(name: str, params: dict):
     """The named scenario, built from the given params only, each coerced."""
     build, types = _SCENARIOS[name]
-    return build(**{key: types[key](val) for key, val in params.items()})
+    return build(**{key: _coerce(key, val, types[key]) for key, val in params.items()})
 
 
 def _build_scenario(config: RunConfig):
@@ -483,10 +497,11 @@ def run_converge(config: RunConfig) -> int:
                                    scenario.grid(n), bc)
             return eigenpairs(H, k=1)[0][0]
 
-        # each rung against its 4n reference, each grid solved once
+        # each rung against its 4n reference, each grid solved once, on
+        # every usable CPU
         cells = list(dict.fromkeys(
             x for n in ladder for x in (int(n), 4 * int(n))))
-        lowest = dict(zip(cells, map(ground, cells)))
+        lowest = dict(zip(cells, map_jobs(ground, cells, cost=lambda n: n)))
         errs = []
         for n in ladder:
             err = float(abs(lowest[int(n)] - lowest[4 * int(n)]))
@@ -571,15 +586,13 @@ def main(argv=None) -> int:
         return 3
     try:
         return _COMMANDS[args.command](config)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 3
     except SchrodeformError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        invalid = isinstance(exc, ConfigError)
+        print(f"{'config error' if invalid else 'error'}: {exc}", file=sys.stderr)
         manifest = Manifest(config, args.command)
         manifest.note("error", {"type": type(exc).__name__, "message": str(exc)})
         manifest.write(Path(config["output"]))
-        return 1
+        return 3 if invalid else 1
 
 
 if __name__ == "__main__":

@@ -30,22 +30,40 @@ def _axis_factors(grid: ReferenceGrid):
             [u.c for u in units])
 
 
-def nodal_spline(grid: ReferenceGrid, values: np.ndarray):
-    """Node-exact spline of (n_nodes, *channels) samples; pts -> (n_pts, *channels)."""
+def spline_coefficients(grid: ReferenceGrid, values: np.ndarray) -> np.ndarray:
+    """Contiguous B-spline coefficients of (n_nodes, *channels) samples.
+
+    The result has the grid's node shape followed by the channels, as
+    `coefficient_spline` takes it.
+    """
     values = np.asarray(values)
     if values.shape[:1] != (grid.n_nodes,):
         raise InvalidInputError(f"nodal_spline needs {grid.n_nodes} node "
                                 f"samples, got an array of shape {values.shape}")
     if not np.all(np.isfinite(values)):
         raise InvalidInputError("nodal_spline samples must be finite")
-    knots, degrees, inverses = grid.cached("nodal_spline",
-                                           lambda: _axis_factors(grid))
+    _, _, inverses = grid.cached("nodal_spline", lambda: _axis_factors(grid))
     coef = grid.reshape(values)
     for a, inverse in enumerate(inverses):
         coef = np.moveaxis(np.tensordot(inverse, coef, axes=(1, a)), 0, a)
+    return np.ascontiguousarray(coef, dtype=np.result_type(coef, float))
+
+
+def coefficient_spline(grid: ReferenceGrid, coef: np.ndarray):
+    """pts -> (n_pts, *channels) from `spline_coefficients`' output.
+
+    ``NdBSpline`` copies only non-contiguous coefficients, so the spline
+    shares `coef`'s memory.
+    """
+    knots, degrees, _ = grid.cached("nodal_spline", lambda: _axis_factors(grid))
     spline = NdBSpline(knots, coef, degrees)
 
     def evaluate(pts):
         return spline(np.atleast_2d(np.asarray(pts, dtype=float)))
 
     return evaluate
+
+
+def nodal_spline(grid: ReferenceGrid, values: np.ndarray):
+    """Node-exact spline of (n_nodes, *channels) samples; pts -> (n_pts, *channels)."""
+    return coefficient_spline(grid, spline_coefficients(grid, values))

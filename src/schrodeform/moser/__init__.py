@@ -5,7 +5,6 @@ from .flow import moser_flow
 from .maps import (
     DensityFamily,
     MoserMap,
-    identity_moser_map,
     nodal_determinant,
     nodal_jacobian,
 )
@@ -23,7 +22,6 @@ __all__ = [
     "NormalizedFamily",
     "ZeroTraceField",
     "build_divergence_right_inverse",
-    "identity_moser_map",
     "moser_combined",
     "moser_fixed_point",
     "moser_flow",

@@ -16,24 +16,31 @@ import numpy as np
 
 from ..errors import FlowLeftDomainError, InvalidInputError
 from ..geometry.grid import ReferenceGrid
-from ..geometry.interp import nodal_spline
+from ..geometry.interp import (coefficient_spline, nodal_spline,
+                               spline_coefficients)
+from ..parallel import map_jobs
 from .maps import DensityFamily, MoserMap, build_moser_map, nodal_determinant
 from .right_inverse import build_divergence_right_inverse
 
 # the fewest RK4 steps a flow takes over its whole span
 _MIN_STEPS = 200
+# the most stage times one stage-table job builds: blocks this small keep
+# the parent's peak memory near the serial table's
+_STAGE_BLOCK = 25
 
 
 class _FlowField:
     """Velocity U = -(1/g) L^{-1}(df/dt / f(t0)) of the re-anchored density.
 
     Here g = f(t) / f(t0) is read at the anchor's pull-back q of each point.
-    ``stage(t)`` builds the field at one time with one right-inverse solve:
-    a single nodal spline whose channels are the velocity u(t) and the
-    density's nodal samples f(t, .) and f(t0, .).  With the identity anchor
-    (None) one evaluation at the stage points gives u and g together; with
-    an anchor map, u is read at the points and g at q.  `moser_flow` builds
-    one such stage per time of its stage schedule and reads them by index.
+    ``coefficients(t)`` builds the field at one time with one right-inverse
+    solve: the spline coefficients of the velocity u(t) and the density's
+    nodal samples f(t, .) and f(t0, .), as channels of one nodal spline, the
+    stage.  With the identity anchor (None) one evaluation of a stage at the
+    points gives u and g together; with an anchor map, u is read at the
+    points and g at q.  `moser_flow` computes the coefficients of every time
+    of its stage schedule on forked workers, wraps them in splines in the
+    parent and reads them by index.
     """
 
     def __init__(self, density: DensityFamily, grid: ReferenceGrid, t0: float,
@@ -52,14 +59,15 @@ class _FlowField:
             self._pull_nodes = self._pull(grid.nodes)
             self._f0_pulled = density(t0, self._pull_nodes)
 
-    def stage(self, t: float):
+    def coefficients(self, t: float) -> np.ndarray:
         rate = self.density.rate(t, self._pull_nodes)
         f = self.density(t, self.grid.nodes)
         for name, vals in (("rate", rate), ("density", f)):
             if not np.isfinite(vals).all():
                 raise InvalidInputError(f"the {name} is not finite at t={t}")
         u = self.rinv.apply(rate / self._f0_pulled).node_values.real
-        return nodal_spline(self.grid, np.column_stack([u, f, self._f0_nodes]))
+        return spline_coefficients(self.grid,
+                                   np.column_stack([u, f, self._f0_nodes]))
 
     def ratio(self, stage, pts: np.ndarray) -> np.ndarray:
         """g = f(t) / f(t0) at the pull-back of `pts`, from a built stage."""
@@ -74,7 +82,8 @@ class _FlowField:
 
     def __call__(self, t: float, pts: np.ndarray) -> np.ndarray:
         """U(t, pts) through a stage built for this call."""
-        return self.velocity(self.stage(t), pts)
+        return self.velocity(coefficient_spline(self.grid, self.coefficients(t)),
+                             pts)
 
 
 def _rk4_span(velocity, pts: np.ndarray, ta: float, tb: float, n_steps: int,
@@ -119,6 +128,13 @@ def moser_flow(density: DensityFamily, grid: ReferenceGrid, time_samples,
     With no anchor the flow starts from the identity, and the density must
     be identically 1 at the first sample time; otherwise the anchor is a map
     with determinant f(t0).
+
+    The work runs in two `map_jobs` calls, so on every usable CPU.  The
+    first builds the stage table in contiguous blocks of the schedule; the
+    second runs the forward pass (job 0) and the backward pass from each
+    later sample k (job k) on workers that fork after the table is built
+    and so inherit it.  The maps, and the error raised, are the same as a
+    serial run's.
     """
     time_samples = [float(t) for t in time_samples]
     if sorted(time_samples) != time_samples:
@@ -146,35 +162,47 @@ def moser_flow(density: DensityFamily, grid: ReferenceGrid, time_samples,
     for (ta, tb), n in zip(spans, counts):
         h = (tb - ta) / n if n else 0.0
         times += [ta + k * h + dh for k in range(n) for dh in (h / 2, h)]
-    table = [field.stage(t) for t in times]
-    ends = np.cumsum([0] + counts) * 2
+    blocks = [times[i:i + _STAGE_BLOCK] for i in range(0, len(times), _STAGE_BLOCK)]
+    stacks = map_jobs(lambda block: np.stack([field.coefficients(t) for t in block]),
+                      blocks, cost=len)
+    # each entry's spline wraps a contiguous view of its block's stack
+    table = [coefficient_spline(grid, coef) for stack in stacks for coef in stack]
+    steps = np.cumsum([0] + counts)
+    ends = 2 * steps
 
-    # forward pass: psi(t_k) for the inverse maps
-    forward = [grid.nodes.copy()]
-    pos = grid.nodes.copy()
-    for j, ((ta, tb), n) in enumerate(zip(spans, counts)):
-        if n:
-            pos = _rk4_span(lambda i, p: field.velocity(table[ends[j] + i], p),
-                            pos, ta, tb, n, grid)
-        forward.append(pos.copy())
+    def forward():
+        """psi(t_k) at every sample, for the inverse maps."""
+        pos = grid.nodes.copy()
+        out = [pos.copy()]
+        for j, ((ta, tb), n) in enumerate(zip(spans, counts)):
+            if n:
+                pos = _rk4_span(lambda i, p: field.velocity(table[ends[j] + i], p),
+                                pos, ta, tb, n, grid)
+            out.append(pos.copy())
+        return out
 
-    maps = []
-    for k, tk in enumerate(time_samples):
+    def trajectory(k):
+        # phi-tilde(t_k) composed with the anchor: integrate backward from
+        # the anchor image points, so the composition needs no interpolation
         if k == 0:
-            maps.append(build_moser_map(
-                grid, tk, start, start_inverse, density(tk, grid.nodes),
-                method="flow", flow_consistency=0.0))
-            continue
-        # phi-tilde(t_k) composed with the anchor: integrate backward from the
-        # anchor image points, so the composition needs no interpolation.
-        back = _integrate_backward(field, table, ends, start,
-                                   spans, counts, k, grid)
-        inverse = forward[k] if anchor is None else anchor.inverse(forward[k])
-        ratio = field.ratio(table[ends[k]], forward[k])
+            return forward()
+        return _integrate_backward(field, table, ends, start, spans, counts, k, grid)
+
+    # job 0 is the forward pass, job k the backward pass from sample k, each
+    # costing its RK4 steps; their workers fork now and inherit the table
+    passes = map_jobs(trajectory, range(len(time_samples)),
+                      cost=lambda k: int(steps[k or -1]))
+    forward_pts = passes[0]
+    maps = [build_moser_map(grid, t0, start, start_inverse, density(t0, grid.nodes),
+                            method="flow", flow_consistency=0.0)]
+    for k in range(1, len(time_samples)):
+        tk, pts = time_samples[k], forward_pts[k]
+        inverse = pts if anchor is None else anchor.inverse(pts)
+        ratio = field.ratio(table[ends[k]], pts)
         maps.append(build_moser_map(
-            grid, tk, back, inverse, density(tk, grid.nodes), method="flow",
+            grid, tk, passes[k], inverse, density(tk, grid.nodes), method="flow",
             flow_consistency=float(np.max(np.abs(
-                nodal_determinant(grid, forward[k]) * ratio - 1.0)))))
+                nodal_determinant(grid, pts) * ratio - 1.0)))))
     return maps
 
 

@@ -131,14 +131,6 @@ def _clip_to_box(pts: np.ndarray, grid: ReferenceGrid) -> np.ndarray:
     return out
 
 
-def identity_moser_map(grid: ReferenceGrid, t: float = 0.0) -> MoserMap:
-    nodes = grid.nodes.copy()
-    return MoserMap(
-        grid=grid, t=t, values=nodes, inverse_values=nodes.copy(),
-        det_values=np.ones(grid.n_nodes), det_residual=0.0,
-        method="identity")
-
-
 def build_moser_map(grid: ReferenceGrid, t: float, values: np.ndarray,
                     inverse_values: np.ndarray, target: np.ndarray,
                     method: str, iterations: int = 0, step_deltas=None,

@@ -1,15 +1,23 @@
-"""Independent evolutions on every usable CPU.
+"""Independent jobs on every usable CPU.
 
 ``map_jobs(fn, jobs, cost)`` returns ``[fn(job) for job in jobs]``.  With
 more than one job and more than one CPU in the process's affinity mask it
 runs them on ``min(len(jobs), usable CPUs)`` forked workers, largest
-``cost`` first; otherwise it runs them in-process, in job order.
+``cost`` first; otherwise it runs them in-process, in job order.  The jobs
+are evolutions (adiabatic epsilons, convergence rungs), eigensolves and the
+stage table and RK4 passes of a Moser flow.  A job that calls ``map_jobs``
+itself runs the inner jobs in-process, in its own worker: the CPUs are
+already busy.
 
 Workers are forked, not spawned, because the jobs are closures over
 families and coefficient sets, which cannot be pickled: a forked worker
 inherits ``fn`` and ``jobs`` and receives only a job index.  The library
 starts no threads of its own, and OpenBLAS quiesces its thread pool around
 a fork (Python 3.12+ still warns that a process with BLAS threads forks).
+With more jobs than workers, each worker runs OpenBLAS on one thread: the
+workers stay busy until the queue drains, so a worker's BLAS threads would
+only spin on the CPUs of the others.  With one job per worker, a job that
+outlasts the others gets their CPUs for its BLAS threads.
 Results and exceptions come back pickled, so a result must be picklable (a
 float, an array).  The error raised is the one a serial loop would raise:
 that of the first failing job in job order.  A worker that dies raises
@@ -33,13 +41,18 @@ from .errors import WorkerLostError
 _log = logging.getLogger(__name__)
 
 _PR_SET_PDEATHSIG = 1   # <linux/prctl.h>
+# thread-count setters of the OpenBLAS builds bundled with numpy (64-bit
+# integers) and scipy (32-bit), and of a system OpenBLAS
+_BLAS_THREAD_SETTERS = ("scipy_openblas_set_num_threads64_",
+                        "scipy_openblas_set_num_threads",
+                        "openblas_set_num_threads")
 
 # (fn, jobs) of the map a forked worker serves; set once per worker by
 # _install, never in the parent
 _task = None
 
 
-def _install(fn, jobs, parent):
+def _install(fn, jobs, parent, one_blas_thread):
     # die with the parent, even one killed by SIGKILL, rather than wait on
     # the call queue forever: the worker holds that pipe's write end too, so
     # it never reads EOF
@@ -49,8 +62,30 @@ def _install(fn, jobs, parent):
     prctl(_PR_SET_PDEATHSIG, signal.SIGKILL, 0, 0, 0)
     if os.getppid() != parent:          # the parent died before prctl
         os._exit(1)
+    if one_blas_thread:
+        _one_blas_thread()
     global _task
     _task = (fn, jobs)
+
+
+def _one_blas_thread():
+    """Run every loaded OpenBLAS on one thread.
+
+    On 2 CPUs, two BLAS threads per worker made a 64-cell Moser stage
+    block, whose spline coefficients are 65-row tensordots, ten times
+    slower, and a dense 800-point eigensolve three to seven times.  Yet
+    they make the 10000-step evolution of an adiabatic sweep 15-20% faster
+    once the 5000-step one has finished.
+    """
+    with open("/proc/self/maps") as maps:
+        paths = {line.split()[-1] for line in maps if "openblas" in line}
+    for path in sorted(paths):
+        lib = ctypes.CDLL(path)
+        for name in _BLAS_THREAD_SETTERS:
+            if hasattr(lib, name):
+                setter = getattr(lib, name)
+                setter.argtypes, setter.restype = (ctypes.c_int,), None
+                setter(1)
 
 
 def _timed(fn, job):
@@ -68,13 +103,16 @@ def map_jobs(fn, jobs, cost):
     """``[fn(job) for job in jobs]``, on forked workers when CPUs allow.
 
     ``cost(job)`` orders the submission (largest first), so the longest
-    evolution starts at once; results are returned in job order.
+    job starts at once; results are returned in job order.  Called from
+    one of its own workers, it runs in-process.
     """
     jobs = list(jobs)
     costs = [cost(job) for job in jobs]
-    # no affinity mask outside Linux: run in-process there
+    # run in-process with no affinity mask (outside Linux) and inside a
+    # worker, whose CPUs are already busy
     affinity = getattr(os, "sched_getaffinity", None)
-    workers = min(len(jobs), 1 if affinity is None else len(affinity(0)))
+    usable = 1 if affinity is None or _task is not None else len(affinity(0))
+    workers = min(len(jobs), usable)
     _log.debug("%d jobs on %d workers", len(jobs), max(workers, 1))
     if workers <= 1:
         timed = [_timed(fn, job) for job in jobs]
@@ -82,7 +120,8 @@ def map_jobs(fn, jobs, cost):
         order = sorted(range(len(jobs)), key=lambda i: -costs[i])
         pool = ProcessPoolExecutor(workers, mp_context=get_context("fork"),
                                    initializer=_install,
-                                   initargs=(fn, jobs, os.getpid()))
+                                   initargs=(fn, jobs, os.getpid(),
+                                             len(jobs) > workers))
         try:
             futures = {i: pool.submit(_run, i) for i in order}
             timed = [futures[i].result() for i in range(len(jobs))]

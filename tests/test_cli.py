@@ -308,6 +308,26 @@ def test_unknown_scenario_param_exit_3(tmp_path, capsys, scenario, params, accep
     assert "unknown params" in err and f"accepted: {accepted}" in err
 
 
+@pytest.mark.parametrize("params, message", [
+    ({"omega": "abc"}, "params.omega must be a number, got 'abc'"),
+    ({"smooth": "false"}, "params.smooth must be a JSON boolean, got 'false'"),
+], ids=["non_numeric_omega", "string_smooth"])
+def test_uncoercible_scenario_param_exit_3_with_manifest(tmp_path, capsys, params,
+                                                         message):
+    # "abc" used to end in a raw ValueError traceback; "false" built the
+    # smoothed interval, since bool("false") is True
+    scenario = "rotation" if "omega" in params else "moving_interval"
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps({"scenario": scenario, "params": params}))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--grid", "8", "--dt", "0.05",
+                 "--t-end", "0.1", "--output", str(out)]) == 3
+    assert message in capsys.readouterr().err
+    manifest = _manifest(out)
+    assert manifest["passed"] is False
+    assert manifest["error"] == {"type": "ConfigError", "message": message}
+
+
 @pytest.mark.parametrize("flag", ["--bc", "config"])
 def test_converge_honours_bc(tmp_path, flag):
     # converge used to assemble with the scenario's own bc whatever was given

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from schrodeform import parallel
 from schrodeform.errors import (
     ContractionBoundExceededError,
     FlowLeftDomainError,
@@ -24,7 +25,7 @@ from schrodeform.moser import (
 )
 from schrodeform.geometry.interp import nodal_spline
 from schrodeform.moser import flow as flow_module
-from schrodeform.moser.maps import identity_moser_map
+from schrodeform.moser.maps import build_moser_map
 from schrodeform.moser.pipeline import _static_flow, _volume_density
 from schrodeform.moser.right_inverse import (DivergenceRightInverse,
                                              build_divergence_right_inverse)
@@ -212,6 +213,8 @@ def test_flow_stage_table_reads_each_stage_time_once(monkeypatch):
 
     monkeypatch.setattr(DivergenceRightInverse, "apply", counted_apply)
     monkeypatch.setattr(flow_module, "_integrate_backward", watched_backward)
+    # one CPU: the counts cannot see forked workers
+    monkeypatch.setattr(parallel.os, "sched_getaffinity", lambda pid: {0})
     moser_flow(DensityFamily(f, df), grid, [0.0, 1.0])
     # 200 RK4 steps have 401 distinct stage times
     assert calls["rate"] == 401
@@ -390,7 +393,8 @@ def test_normalize_from_nontrivial_anchor_time():
 
 def test_map_check_fails_on_nan():
     grid = ReferenceGrid.rectangle(6)
-    mm = identity_moser_map(grid)
+    mm = build_moser_map(grid, 0.0, grid.nodes, grid.nodes, np.ones(grid.n_nodes),
+                         method="identity")
     mm.check()
     values = mm.values.copy()
     values[grid.boundary_indices[0]] = np.nan

@@ -1,3 +1,4 @@
+import ctypes
 import json
 import os
 import pickle
@@ -9,15 +10,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from schrodeform import errors, parallel
+from schrodeform import cli, errors, parallel
 from schrodeform.cli import main
-from schrodeform.errors import (DegenerateJacobianError, SolverDivergenceError,
-                                WorkerLostError)
+from schrodeform.errors import (DegenerateJacobianError, FlowLeftDomainError,
+                                SolverDivergenceError, WorkerLostError)
 from schrodeform.geometry import ReferenceGrid
+from schrodeform.moser import DensityFamily, moser_flow, normalize_diffeo
+from schrodeform.moser import flow as flow_module
 from schrodeform.operators import free_coefficients
 from schrodeform.propagator import PropagatorConfig, evolve
 from schrodeform.scenarios import adiabatic, adiabatic_experiment, moving_interval_scenario
-from schrodeform.scenarios.families import interval_family
+from schrodeform.scenarios.families import interval_family, stretch_warp_family
 
 
 @pytest.fixture
@@ -40,6 +43,41 @@ def test_jobs_fork_only_with_two_cpus_and_two_jobs(cpus, n_cpus, n_jobs, forked)
     pids = parallel.map_jobs(_pid, range(n_jobs), cost=lambda job: 1)
     assert len(pids) == n_jobs
     assert all((pid != os.getpid()) == forked for pid in pids)
+
+
+def _blas_threads(_job):
+    with open("/proc/self/maps") as maps:
+        paths = sorted({line.split()[-1] for line in maps if "openblas" in line})
+    counts = []
+    for path in paths:
+        lib = ctypes.CDLL(path)
+        for name in ("scipy_openblas_get_num_threads64_",
+                     "scipy_openblas_get_num_threads", "openblas_get_num_threads"):
+            if hasattr(lib, name):
+                getter = getattr(lib, name)
+                getter.argtypes, getter.restype = (), ctypes.c_int
+                counts.append(getter())
+    return counts
+
+
+def test_workers_run_openblas_on_one_thread_with_more_jobs_than_workers(cpus):
+    cpus(2)
+    for counts in parallel.map_jobs(_blas_threads, range(3), cost=lambda job: 1):
+        assert counts and set(counts) == {1}
+    # one job per worker: each keeps the parent's thread count
+    own = _blas_threads(None)
+    assert parallel.map_jobs(_blas_threads, range(2), cost=lambda job: 1) == [own, own]
+
+
+def _nested(_job):
+    return parallel.map_jobs(_pid, range(3), cost=lambda job: 1), os.getpid()
+
+
+def test_a_job_that_maps_runs_its_inner_jobs_in_its_own_worker(cpus):
+    cpus(2)
+    for inner, outer in parallel.map_jobs(_nested, range(2), cost=lambda job: 1):
+        assert outer != os.getpid()
+        assert inner == [outer] * 3
 
 
 def test_results_come_back_in_job_order_and_equal_a_serial_loop(cpus):
@@ -179,3 +217,61 @@ def test_every_error_survives_pickling(name):
     for attr in ("t", "det", "step"):
         assert getattr(back, attr, None) == getattr(err, attr, None)
     assert np.array_equal(getattr(back, "y", ()), getattr(err, "y", ()))
+
+
+# -- the Moser flow ---------------------------------------------------------
+
+def _sine2d():
+    return DensityFamily(*cli._DENSITIES["sine2d"](0.1))
+
+
+def _on_one_and_two_cpus(cpus, build):
+    cpus(1)
+    serial = build()
+    cpus(2)
+    return serial, build()
+
+
+def _assert_maps_equal(serial, forked):
+    assert len(forked) == len(serial)
+    for a, b in zip(serial, forked):
+        for name in ("values", "inverse_values", "det_values"):
+            assert np.array_equal(getattr(a, name), getattr(b, name))
+        assert a.flow_consistency == b.flow_consistency
+
+
+@pytest.mark.parametrize("samples", [[0.0, 1.0], [0.0, 0.5, 0.5, 1.0], [0.0]],
+                         ids=["one_span", "repeated_sample", "one_sample"])
+def test_flow_on_two_cpus_equals_one_cpu(cpus, samples):
+    # the repeated sample is a zero-step span between two backward jobs
+    grid = ReferenceGrid.rectangle(8)
+    _assert_maps_equal(*_on_one_and_two_cpus(
+        cpus, lambda: moser_flow(_sine2d(), grid, samples)))
+
+
+def test_static_anchor_normalization_on_two_cpus_equals_one_cpu(cpus):
+    grid = ReferenceGrid.rectangle(8)
+    _assert_maps_equal(*_on_one_and_two_cpus(
+        cpus, lambda: normalize_diffeo(stretch_warp_family(), grid,
+                                       [0.5, 1.0]).moser_maps))
+
+
+def test_flow_leaving_the_domain_in_a_worker_raises_the_serial_error(cpus,
+                                                                      monkeypatch):
+    rk4 = flow_module._rk4_span
+
+    def escaping(velocity, pts, ta, tb, n, grid):
+        if tb < ta:     # backward passes drift through the right wall
+            velocity = lambda i, p: -np.ones_like(p)    # noqa: E731
+        return rk4(velocity, pts, ta, tb, n, grid)
+
+    def flow():
+        with pytest.raises(FlowLeftDomainError) as info:
+            moser_flow(_sine2d(), ReferenceGrid.rectangle(8), [0.0, 0.5, 1.0])
+        return str(info.value)
+
+    monkeypatch.setattr(flow_module, "_rk4_span", escaping)
+    serial, forked = _on_one_and_two_cpus(cpus, flow)
+    # both backward jobs fail; the one from sample 1 comes first in job order
+    assert "near t=0.5" in serial
+    assert forked == serial
