@@ -497,11 +497,13 @@ def run_converge(config: RunConfig) -> int:
                                    scenario.grid(n), bc)
             return eigenpairs(H, k=1)[0][0]
 
-        # each rung against its 4n reference, each grid solved once, on
-        # every usable CPU
+        # each rung against its 4n reference, each grid solved once.  In
+        # process: the largest grid's dense eigensolve is most of the work,
+        # and forked workers either take its second BLAS thread or spin
+        # theirs on its CPUs
         cells = list(dict.fromkeys(
             x for n in ladder for x in (int(n), 4 * int(n))))
-        lowest = dict(zip(cells, map_jobs(ground, cells, cost=lambda n: n)))
+        lowest = dict(zip(cells, map(ground, cells)))
         errs = []
         for n in ladder:
             err = float(abs(lowest[int(n)] - lowest[4 * int(n)]))

@@ -27,6 +27,14 @@ _MIN_STEPS = 200
 # the most stage times one stage-table job builds: blocks this small keep
 # the parent's peak memory near the serial table's
 _STAGE_BLOCK = 25
+# the fewest node-stages (grid nodes x stage times) a flow forks workers
+# for: on 2 CPUs a 16^2 flow of 401 stages (116k) ran faster in-process,
+# a 20^2 one (177k) forked
+_FORK_WORK = 150_000
+
+
+def _in_process(fn, jobs, cost):
+    return [fn(job) for job in jobs]
 
 
 class _FlowField:
@@ -133,8 +141,9 @@ def moser_flow(density: DensityFamily, grid: ReferenceGrid, time_samples,
     first builds the stage table in contiguous blocks of the schedule; the
     second runs the forward pass (job 0) and the backward pass from each
     later sample k (job k) on workers that fork after the table is built
-    and so inherit it.  The maps, and the error raised, are the same as a
-    serial run's.
+    and so inherit it.  A flow of fewer than ``_FORK_WORK`` node-stages
+    runs both in-process.  The maps, and the error raised, are the same as
+    a serial run's.
     """
     time_samples = [float(t) for t in time_samples]
     if sorted(time_samples) != time_samples:
@@ -162,9 +171,10 @@ def moser_flow(density: DensityFamily, grid: ReferenceGrid, time_samples,
     for (ta, tb), n in zip(spans, counts):
         h = (tb - ta) / n if n else 0.0
         times += [ta + k * h + dh for k in range(n) for dh in (h / 2, h)]
+    run = map_jobs if grid.n_nodes * len(times) >= _FORK_WORK else _in_process
     blocks = [times[i:i + _STAGE_BLOCK] for i in range(0, len(times), _STAGE_BLOCK)]
-    stacks = map_jobs(lambda block: np.stack([field.coefficients(t) for t in block]),
-                      blocks, cost=len)
+    stacks = run(lambda block: np.stack([field.coefficients(t) for t in block]),
+                 blocks, cost=len)
     # each entry's spline wraps a contiguous view of its block's stack
     table = [coefficient_spline(grid, coef) for stack in stacks for coef in stack]
     steps = np.cumsum([0] + counts)
@@ -190,8 +200,8 @@ def moser_flow(density: DensityFamily, grid: ReferenceGrid, time_samples,
 
     # job 0 is the forward pass, job k the backward pass from sample k, each
     # costing its RK4 steps; their workers fork now and inherit the table
-    passes = map_jobs(trajectory, range(len(time_samples)),
-                      cost=lambda k: int(steps[k or -1]))
+    passes = run(trajectory, range(len(time_samples)),
+                 cost=lambda k: int(steps[k or -1]))
     forward_pts = passes[0]
     maps = [build_moser_map(grid, t0, start, start_inverse, density(t0, grid.nodes),
                             method="flow", flow_consistency=0.0)]

@@ -4,7 +4,7 @@
 more than one job and more than one CPU in the process's affinity mask it
 runs them on ``min(len(jobs), usable CPUs)`` forked workers, largest
 ``cost`` first; otherwise it runs them in-process, in job order.  The jobs
-are evolutions (adiabatic epsilons, convergence rungs), eigensolves and the
+are evolutions (adiabatic epsilons, temporal convergence rungs) and the
 stage table and RK4 passes of a Moser flow.  A job that calls ``map_jobs``
 itself runs the inner jobs in-process, in its own worker: the CPUs are
 already busy.
@@ -14,10 +14,11 @@ families and coefficient sets, which cannot be pickled: a forked worker
 inherits ``fn`` and ``jobs`` and receives only a job index.  The library
 starts no threads of its own, and OpenBLAS quiesces its thread pool around
 a fork (Python 3.12+ still warns that a process with BLAS threads forks).
-With more jobs than workers, each worker runs OpenBLAS on one thread: the
-workers stay busy until the queue drains, so a worker's BLAS threads would
-only spin on the CPUs of the others.  With one job per worker, a job that
-outlasts the others gets their CPUs for its BLAS threads.
+Unless one job costs at least as much as all the others together, each
+worker runs OpenBLAS on one thread: the workers stay busy until near the
+end, so a worker's BLAS threads would only spin on the CPUs of the others.
+A job that outlasts the others keeps the parent's threads, which it runs
+on their CPUs once they are done.
 Results and exceptions come back pickled, so a result must be picklable (a
 float, an array).  The error raised is the one a serial loop would raise:
 that of the first failing job in job order.  A worker that dies raises
@@ -73,19 +74,36 @@ def _one_blas_thread():
 
     On 2 CPUs, two BLAS threads per worker made a 64-cell Moser stage
     block, whose spline coefficients are 65-row tensordots, ten times
-    slower, and a dense 800-point eigensolve three to seven times.  Yet
-    they make the 10000-step evolution of an adiabatic sweep 15-20% faster
-    once the 5000-step one has finished.
+    slower.  Yet they make the 10000-step evolution of an adiabatic sweep
+    15-20% faster once the 5000-step one has finished.
     """
     with open("/proc/self/maps") as maps:
-        paths = {line.split()[-1] for line in maps if "openblas" in line}
+        paths = _openblas_paths(maps)
     for path in sorted(paths):
-        lib = ctypes.CDLL(path)
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:         # the cap only sets the speed
+            _log.debug("cannot load %s to cap its threads", path)
+            continue
         for name in _BLAS_THREAD_SETTERS:
             if hasattr(lib, name):
                 setter = getattr(lib, name)
                 setter.argtypes, setter.restype = (ctypes.c_int,), None
                 setter(1)
+
+
+def _openblas_paths(maps_lines):
+    """The files of the OpenBLAS libraries in lines of /proc/<pid>/maps.
+
+    The path is the sixth field, and may hold spaces; a file replaced on
+    disk since it was mapped ends in " (deleted)".
+    """
+    paths = set()
+    for line in maps_lines:
+        fields = line.rstrip("\n").split(maxsplit=5)
+        if len(fields) == 6 and "openblas" in fields[5]:
+            paths.add(fields[5].removesuffix(" (deleted)"))
+    return paths
 
 
 def _timed(fn, job):
@@ -103,8 +121,9 @@ def map_jobs(fn, jobs, cost):
     """``[fn(job) for job in jobs]``, on forked workers when CPUs allow.
 
     ``cost(job)`` orders the submission (largest first), so the longest
-    job starts at once; results are returned in job order.  Called from
-    one of its own workers, it runs in-process.
+    job starts at once, and sets the workers' BLAS threads; results are
+    returned in job order.  Called from one of its own workers, it runs
+    in-process.
     """
     jobs = list(jobs)
     costs = [cost(job) for job in jobs]
@@ -118,10 +137,11 @@ def map_jobs(fn, jobs, cost):
         timed = [_timed(fn, job) for job in jobs]
     else:
         order = sorted(range(len(jobs)), key=lambda i: -costs[i])
+        largest = costs[order[0]]
         pool = ProcessPoolExecutor(workers, mp_context=get_context("fork"),
                                    initializer=_install,
                                    initargs=(fn, jobs, os.getpid(),
-                                             len(jobs) > workers))
+                                             largest < sum(costs) - largest))
         try:
             futures = {i: pool.submit(_run, i) for i in order}
             timed = [futures[i].result() for i in range(len(jobs))]

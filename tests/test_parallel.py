@@ -47,7 +47,7 @@ def test_jobs_fork_only_with_two_cpus_and_two_jobs(cpus, n_cpus, n_jobs, forked)
 
 def _blas_threads(_job):
     with open("/proc/self/maps") as maps:
-        paths = sorted({line.split()[-1] for line in maps if "openblas" in line})
+        paths = sorted(parallel._openblas_paths(maps))
     counts = []
     for path in paths:
         lib = ctypes.CDLL(path)
@@ -60,13 +60,39 @@ def _blas_threads(_job):
     return counts
 
 
-def test_workers_run_openblas_on_one_thread_with_more_jobs_than_workers(cpus):
-    cpus(2)
-    for counts in parallel.map_jobs(_blas_threads, range(3), cost=lambda job: 1):
-        assert counts and set(counts) == {1}
-    # one job per worker: each keeps the parent's thread count
+@pytest.mark.parametrize("costs, capped", [([1, 1, 1], True), ([2, 1, 1], False),
+                                            ([1, 1], False)],
+                         ids=["even", "one_outlasts_the_rest", "one_per_worker"])
+def test_workers_run_openblas_on_one_thread_unless_one_job_outlasts_the_rest(
+        cpus, costs, capped):
     own = _blas_threads(None)
-    assert parallel.map_jobs(_blas_threads, range(2), cost=lambda job: 1) == [own, own]
+    if max(own, default=1) <= 1:
+        pytest.skip("OpenBLAS already runs on one thread here")
+    cpus(2)
+    counts = parallel.map_jobs(_blas_threads, costs, cost=lambda c: c)
+    assert counts == [[1] * len(own) if capped else own] * len(costs)
+
+
+def test_openblas_paths_keep_spaces_and_drop_the_deleted_mark():
+    lines = [
+        "7f0a1000-7f0a2000 r-xp 00000000 08:01 4242     "
+        "/home/u/My Projects/venv/lib/libscipy_openblas64_-1a2b.so\n",
+        "7f0b1000-7f0b2000 r-xp 00000000 08:01 4343     "
+        "/opt/lib/libopenblas.so.0 (deleted)\n",
+        "7f0c1000-7f0c2000 r-xp 00000000 08:01 4444     /usr/lib/libm.so.6\n",
+        "7f0d1000-7f0d2000 rw-p 00000000 00:00 0 \n",
+    ]
+    assert parallel._openblas_paths(lines) == {
+        "/home/u/My Projects/venv/lib/libscipy_openblas64_-1a2b.so",
+        "/opt/lib/libopenblas.so.0"}
+
+
+def test_an_openblas_that_will_not_load_leaves_the_map_running(cpus, monkeypatch):
+    monkeypatch.setattr(parallel, "_openblas_paths",
+                        lambda maps: {"/no such dir/libopenblas.so"})
+    cpus(2)
+    pids = parallel.map_jobs(_pid, range(3), cost=lambda job: 1)
+    assert len(pids) == 3 and os.getpid() not in pids
 
 
 def _nested(_job):
@@ -225,6 +251,12 @@ def _sine2d():
     return DensityFamily(*cli._DENSITIES["sine2d"](0.1))
 
 
+@pytest.fixture
+def forking_flows(monkeypatch):
+    """Fork workers for a flow however small it is."""
+    monkeypatch.setattr(flow_module, "_FORK_WORK", 0)
+
+
 def _on_one_and_two_cpus(cpus, build):
     cpus(1)
     serial = build()
@@ -242,22 +274,23 @@ def _assert_maps_equal(serial, forked):
 
 @pytest.mark.parametrize("samples", [[0.0, 1.0], [0.0, 0.5, 0.5, 1.0], [0.0]],
                          ids=["one_span", "repeated_sample", "one_sample"])
-def test_flow_on_two_cpus_equals_one_cpu(cpus, samples):
+def test_flow_on_two_cpus_equals_one_cpu(cpus, forking_flows, samples):
     # the repeated sample is a zero-step span between two backward jobs
     grid = ReferenceGrid.rectangle(8)
     _assert_maps_equal(*_on_one_and_two_cpus(
         cpus, lambda: moser_flow(_sine2d(), grid, samples)))
 
 
-def test_static_anchor_normalization_on_two_cpus_equals_one_cpu(cpus):
+def test_static_anchor_normalization_on_two_cpus_equals_one_cpu(cpus,
+                                                                 forking_flows):
     grid = ReferenceGrid.rectangle(8)
     _assert_maps_equal(*_on_one_and_two_cpus(
         cpus, lambda: normalize_diffeo(stretch_warp_family(), grid,
                                        [0.5, 1.0]).moser_maps))
 
 
-def test_flow_leaving_the_domain_in_a_worker_raises_the_serial_error(cpus,
-                                                                      monkeypatch):
+def test_flow_leaving_the_domain_in_a_worker_raises_the_serial_error(
+        cpus, forking_flows, monkeypatch):
     rk4 = flow_module._rk4_span
 
     def escaping(velocity, pts, ta, tb, n, grid):
@@ -275,3 +308,22 @@ def test_flow_leaving_the_domain_in_a_worker_raises_the_serial_error(cpus,
     # both backward jobs fail; the one from sample 1 comes first in job order
     assert "near t=0.5" in serial
     assert forked == serial
+
+
+def test_a_flow_forks_from_its_fork_work_up(cpus, monkeypatch):
+    calls = []
+
+    def counting(fn, jobs, cost):
+        calls.append(fn)
+        return [fn(job) for job in jobs]
+
+    monkeypatch.setattr(flow_module, "map_jobs", counting)
+    cpus(2)
+    grid = ReferenceGrid.rectangle(8)
+    node_stages = grid.n_nodes * (2 * flow_module._MIN_STEPS + 1)
+    assert node_stages < flow_module._FORK_WORK
+    moser_flow(_sine2d(), grid, [0.0, 1.0])
+    assert calls == []
+    monkeypatch.setattr(flow_module, "_FORK_WORK", node_stages)
+    moser_flow(_sine2d(), grid, [0.0, 1.0])
+    assert len(calls) == 2      # the stage table and the passes
