@@ -498,9 +498,9 @@ def run_converge(config: RunConfig) -> int:
             return eigenpairs(H, k=1)[0][0]
 
         # each rung against its 4n reference, each grid solved once.  In
-        # process: the largest grid's dense eigensolve is most of the work,
-        # and forked workers either take its second BLAS thread or spin
-        # theirs on its CPUs
+        # process: the largest grid's dense eigensolve is most of the work
+        # and runs on every CPU's BLAS thread, which forked workers would
+        # contend for
         cells = list(dict.fromkeys(
             x for n in ladder for x in (int(n), 4 * int(n))))
         lowest = dict(zip(cells, map(ground, cells)))

@@ -11,6 +11,7 @@ re-anchored density ratio.
 from __future__ import annotations
 
 import math
+import mmap
 
 import numpy as np
 
@@ -24,13 +25,14 @@ from .right_inverse import build_divergence_right_inverse
 
 # the fewest RK4 steps a flow takes over its whole span
 _MIN_STEPS = 200
-# the most stage times one stage-table job builds: blocks this small keep
-# the parent's peak memory near the serial table's
+# the most stage times one stage-table job builds: small blocks let a worker
+# that runs ahead take more of the table (on 2 CPUs one block per CPU made a
+# 40^2 and a 64^2 flow 4-10% slower)
 _STAGE_BLOCK = 25
 # the fewest node-stages (grid nodes x stage times) a flow forks workers
-# for: on 2 CPUs a 16^2 flow of 401 stages (116k) ran faster in-process,
-# a 20^2 one (177k) forked
-_FORK_WORK = 150_000
+# for: on 2 CPUs an 8^2 flow of 401 stages (32k) ran faster in-process, a
+# 14^2 one (90k) forked; 1D flows of 64 to 256 cells ran as fast either way
+_FORK_WORK = 90_000
 
 
 def _in_process(fn, jobs, cost):
@@ -41,14 +43,14 @@ class _FlowField:
     """Velocity U = -(1/g) L^{-1}(df/dt / f(t0)) of the re-anchored density.
 
     Here g = f(t) / f(t0) is read at the anchor's pull-back q of each point.
-    ``coefficients(t)`` builds the field at one time with one right-inverse
-    solve: the spline coefficients of the velocity u(t) and the density's
-    nodal samples f(t, .) and f(t0, .), as channels of one nodal spline, the
-    stage.  With the identity anchor (None) one evaluation of a stage at the
-    points gives u and g together; with an anchor map, u is read at the
-    points and g at q.  `moser_flow` computes the coefficients of every time
-    of its stage schedule on forked workers, wraps them in splines in the
-    parent and reads them by index.
+    ``samples(t)`` builds the field at one time with one right-inverse
+    solve: the nodal samples of the velocity u(t) and of the density
+    f(t, .) and f(t0, .), the channels of one nodal spline, the stage.
+    With the identity anchor (None) one evaluation of a stage at the points
+    gives u and g together; with an anchor map, u is read at the points and
+    g at q.  `moser_flow` computes the samples of every time of its stage
+    schedule on forked workers, fits their splines in the parent and reads
+    them by index.
     """
 
     def __init__(self, density: DensityFamily, grid: ReferenceGrid, t0: float,
@@ -67,15 +69,14 @@ class _FlowField:
             self._pull_nodes = self._pull(grid.nodes)
             self._f0_pulled = density(t0, self._pull_nodes)
 
-    def coefficients(self, t: float) -> np.ndarray:
+    def samples(self, t: float) -> np.ndarray:
         rate = self.density.rate(t, self._pull_nodes)
         f = self.density(t, self.grid.nodes)
         for name, vals in (("rate", rate), ("density", f)):
             if not np.isfinite(vals).all():
                 raise InvalidInputError(f"the {name} is not finite at t={t}")
         u = self.rinv.apply(rate / self._f0_pulled).node_values.real
-        return spline_coefficients(self.grid,
-                                   np.column_stack([u, f, self._f0_nodes]))
+        return np.column_stack([u, f, self._f0_nodes])
 
     def ratio(self, stage, pts: np.ndarray) -> np.ndarray:
         """g = f(t) / f(t0) at the pull-back of `pts`, from a built stage."""
@@ -87,11 +88,6 @@ class _FlowField:
         vals = stage(pts)
         f = vals if self._pull is None else stage(self._pull(pts))
         return -vals[:, :-2] / (f[:, -2] / f[:, -1])[:, None]
-
-    def __call__(self, t: float, pts: np.ndarray) -> np.ndarray:
-        """U(t, pts) through a stage built for this call."""
-        return self.velocity(coefficient_spline(self.grid, self.coefficients(t)),
-                             pts)
 
 
 def _rk4_span(velocity, pts: np.ndarray, ta: float, tb: float, n_steps: int,
@@ -138,12 +134,14 @@ def moser_flow(density: DensityFamily, grid: ReferenceGrid, time_samples,
     with determinant f(t0).
 
     The work runs in two `map_jobs` calls, so on every usable CPU.  The
-    first builds the stage table in contiguous blocks of the schedule; the
-    second runs the forward pass (job 0) and the backward pass from each
-    later sample k (job k) on workers that fork after the table is built
-    and so inherit it.  A flow of fewer than ``_FORK_WORK`` node-stages
-    runs both in-process.  The maps, and the error raised, are the same as
-    a serial run's.
+    first writes the nodal samples of the stage table, in contiguous blocks
+    of the schedule, into an array in shared memory; the parent then
+    replaces each row by its spline coefficients in place.  The second runs
+    the forward pass (job 0) and the backward pass from each later sample k
+    (job k) on workers that fork after the table is built and so inherit
+    it.  A flow of fewer than ``_FORK_WORK`` node-stages runs both
+    in-process.  The maps, and the error raised, are the same as a serial
+    run's.
     """
     time_samples = [float(t) for t in time_samples]
     if sorted(time_samples) != time_samples:
@@ -172,11 +170,26 @@ def moser_flow(density: DensityFamily, grid: ReferenceGrid, time_samples,
         h = (tb - ta) / n if n else 0.0
         times += [ta + k * h + dh for k in range(n) for dh in (h / 2, h)]
     run = map_jobs if grid.n_nodes * len(times) >= _FORK_WORK else _in_process
-    blocks = [times[i:i + _STAGE_BLOCK] for i in range(0, len(times), _STAGE_BLOCK)]
-    stacks = run(lambda block: np.stack([field.coefficients(t) for t in block]),
-                 blocks, cost=len)
-    # each entry's spline wraps a contiguous view of its block's stack
-    table = [coefficient_spline(grid, coef) for stack in stacks for coef in stack]
+    # the workers write their stages' samples into one shared mapping (at
+    # least one byte: a one-sample flow has an empty schedule); pickled
+    # back, their buffers would outlive the fits and raise peak memory.  The
+    # parent fits each row's spline in place: in a worker, the fits' matrix
+    # products would spin BLAS threads on the other workers' CPUs
+    channels = grid.dim + 2
+    shape = (len(times), grid.n_nodes, channels)
+    samples = np.ndarray(shape, float,
+                         buffer=mmap.mmap(-1, max(math.prod(shape) * 8, 1)))
+
+    def fill(block):
+        for i in block:
+            samples[i] = field.samples(times[i])
+
+    run(fill, [range(i, min(i + _STAGE_BLOCK, len(times)))
+               for i in range(0, len(times), _STAGE_BLOCK)], cost=len)
+    table = []
+    for row in samples:
+        row[...] = spline_coefficients(grid, row).reshape(row.shape)
+        table.append(coefficient_spline(grid, row.reshape(grid.shape + (channels,))))
     steps = np.cumsum([0] + counts)
     ends = 2 * steps
 

@@ -14,11 +14,6 @@ families and coefficient sets, which cannot be pickled: a forked worker
 inherits ``fn`` and ``jobs`` and receives only a job index.  The library
 starts no threads of its own, and OpenBLAS quiesces its thread pool around
 a fork (Python 3.12+ still warns that a process with BLAS threads forks).
-Unless one job costs at least as much as all the others together, each
-worker runs OpenBLAS on one thread: the workers stay busy until near the
-end, so a worker's BLAS threads would only spin on the CPUs of the others.
-A job that outlasts the others keeps the parent's threads, which it runs
-on their CPUs once they are done.
 Results and exceptions come back pickled, so a result must be picklable (a
 float, an array).  The error raised is the one a serial loop would raise:
 that of the first failing job in job order.  A worker that dies raises
@@ -42,18 +37,13 @@ from .errors import WorkerLostError
 _log = logging.getLogger(__name__)
 
 _PR_SET_PDEATHSIG = 1   # <linux/prctl.h>
-# thread-count setters of the OpenBLAS builds bundled with numpy (64-bit
-# integers) and scipy (32-bit), and of a system OpenBLAS
-_BLAS_THREAD_SETTERS = ("scipy_openblas_set_num_threads64_",
-                        "scipy_openblas_set_num_threads",
-                        "openblas_set_num_threads")
 
 # (fn, jobs) of the map a forked worker serves; set once per worker by
 # _install, never in the parent
 _task = None
 
 
-def _install(fn, jobs, parent, one_blas_thread):
+def _install(fn, jobs, parent):
     # die with the parent, even one killed by SIGKILL, rather than wait on
     # the call queue forever: the worker holds that pipe's write end too, so
     # it never reads EOF
@@ -63,47 +53,8 @@ def _install(fn, jobs, parent, one_blas_thread):
     prctl(_PR_SET_PDEATHSIG, signal.SIGKILL, 0, 0, 0)
     if os.getppid() != parent:          # the parent died before prctl
         os._exit(1)
-    if one_blas_thread:
-        _one_blas_thread()
     global _task
     _task = (fn, jobs)
-
-
-def _one_blas_thread():
-    """Run every loaded OpenBLAS on one thread.
-
-    On 2 CPUs, two BLAS threads per worker made a 64-cell Moser stage
-    block, whose spline coefficients are 65-row tensordots, ten times
-    slower.  Yet they make the 10000-step evolution of an adiabatic sweep
-    15-20% faster once the 5000-step one has finished.
-    """
-    with open("/proc/self/maps") as maps:
-        paths = _openblas_paths(maps)
-    for path in sorted(paths):
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:         # the cap only sets the speed
-            _log.debug("cannot load %s to cap its threads", path)
-            continue
-        for name in _BLAS_THREAD_SETTERS:
-            if hasattr(lib, name):
-                setter = getattr(lib, name)
-                setter.argtypes, setter.restype = (ctypes.c_int,), None
-                setter(1)
-
-
-def _openblas_paths(maps_lines):
-    """The files of the OpenBLAS libraries in lines of /proc/<pid>/maps.
-
-    The path is the sixth field, and may hold spaces; a file replaced on
-    disk since it was mapped ends in " (deleted)".
-    """
-    paths = set()
-    for line in maps_lines:
-        fields = line.rstrip("\n").split(maxsplit=5)
-        if len(fields) == 6 and "openblas" in fields[5]:
-            paths.add(fields[5].removesuffix(" (deleted)"))
-    return paths
 
 
 def _timed(fn, job):
@@ -121,9 +72,8 @@ def map_jobs(fn, jobs, cost):
     """``[fn(job) for job in jobs]``, on forked workers when CPUs allow.
 
     ``cost(job)`` orders the submission (largest first), so the longest
-    job starts at once, and sets the workers' BLAS threads; results are
-    returned in job order.  Called from one of its own workers, it runs
-    in-process.
+    job starts at once; results are returned in job order.  Called from
+    one of its own workers, it runs in-process.
     """
     jobs = list(jobs)
     costs = [cost(job) for job in jobs]
@@ -137,11 +87,9 @@ def map_jobs(fn, jobs, cost):
         timed = [_timed(fn, job) for job in jobs]
     else:
         order = sorted(range(len(jobs)), key=lambda i: -costs[i])
-        largest = costs[order[0]]
         pool = ProcessPoolExecutor(workers, mp_context=get_context("fork"),
                                    initializer=_install,
-                                   initargs=(fn, jobs, os.getpid(),
-                                             largest < sum(costs) - largest))
+                                   initargs=(fn, jobs, os.getpid()))
         try:
             futures = {i: pool.submit(_run, i) for i in order}
             timed = [futures[i].result() for i in range(len(jobs))]

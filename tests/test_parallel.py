@@ -1,4 +1,3 @@
-import ctypes
 import json
 import os
 import pickle
@@ -43,56 +42,6 @@ def test_jobs_fork_only_with_two_cpus_and_two_jobs(cpus, n_cpus, n_jobs, forked)
     pids = parallel.map_jobs(_pid, range(n_jobs), cost=lambda job: 1)
     assert len(pids) == n_jobs
     assert all((pid != os.getpid()) == forked for pid in pids)
-
-
-def _blas_threads(_job):
-    with open("/proc/self/maps") as maps:
-        paths = sorted(parallel._openblas_paths(maps))
-    counts = []
-    for path in paths:
-        lib = ctypes.CDLL(path)
-        for name in ("scipy_openblas_get_num_threads64_",
-                     "scipy_openblas_get_num_threads", "openblas_get_num_threads"):
-            if hasattr(lib, name):
-                getter = getattr(lib, name)
-                getter.argtypes, getter.restype = (), ctypes.c_int
-                counts.append(getter())
-    return counts
-
-
-@pytest.mark.parametrize("costs, capped", [([1, 1, 1], True), ([2, 1, 1], False),
-                                            ([1, 1], False)],
-                         ids=["even", "one_outlasts_the_rest", "one_per_worker"])
-def test_workers_run_openblas_on_one_thread_unless_one_job_outlasts_the_rest(
-        cpus, costs, capped):
-    own = _blas_threads(None)
-    if max(own, default=1) <= 1:
-        pytest.skip("OpenBLAS already runs on one thread here")
-    cpus(2)
-    counts = parallel.map_jobs(_blas_threads, costs, cost=lambda c: c)
-    assert counts == [[1] * len(own) if capped else own] * len(costs)
-
-
-def test_openblas_paths_keep_spaces_and_drop_the_deleted_mark():
-    lines = [
-        "7f0a1000-7f0a2000 r-xp 00000000 08:01 4242     "
-        "/home/u/My Projects/venv/lib/libscipy_openblas64_-1a2b.so\n",
-        "7f0b1000-7f0b2000 r-xp 00000000 08:01 4343     "
-        "/opt/lib/libopenblas.so.0 (deleted)\n",
-        "7f0c1000-7f0c2000 r-xp 00000000 08:01 4444     /usr/lib/libm.so.6\n",
-        "7f0d1000-7f0d2000 rw-p 00000000 00:00 0 \n",
-    ]
-    assert parallel._openblas_paths(lines) == {
-        "/home/u/My Projects/venv/lib/libscipy_openblas64_-1a2b.so",
-        "/opt/lib/libopenblas.so.0"}
-
-
-def test_an_openblas_that_will_not_load_leaves_the_map_running(cpus, monkeypatch):
-    monkeypatch.setattr(parallel, "_openblas_paths",
-                        lambda maps: {"/no such dir/libopenblas.so"})
-    cpus(2)
-    pids = parallel.map_jobs(_pid, range(3), cost=lambda job: 1)
-    assert len(pids) == 3 and os.getpid() not in pids
 
 
 def _nested(_job):
@@ -272,13 +221,19 @@ def _assert_maps_equal(serial, forked):
         assert a.flow_consistency == b.flow_consistency
 
 
-@pytest.mark.parametrize("samples", [[0.0, 1.0], [0.0, 0.5, 0.5, 1.0], [0.0]],
-                         ids=["one_span", "repeated_sample", "one_sample"])
-def test_flow_on_two_cpus_equals_one_cpu(cpus, forking_flows, samples):
-    # the repeated sample is a zero-step span between two backward jobs
-    grid = ReferenceGrid.rectangle(8)
+@pytest.mark.parametrize("density, grid, samples", [
+    ("sine2d", ReferenceGrid.rectangle(8), [0.0, 1.0]),
+    ("sine2d", ReferenceGrid.rectangle(8), [0.0, 0.5, 0.5, 1.0]),
+    ("sine2d", ReferenceGrid.rectangle(8), [0.0]),
+    ("sine1d", ReferenceGrid.interval(64), [0.0, 1.0])],
+    ids=["one_span", "repeated_sample", "one_sample", "interval"])
+def test_flow_on_two_cpus_equals_one_cpu(cpus, forking_flows, density, grid,
+                                         samples):
+    # the repeated sample is a zero-step span between two backward jobs; on
+    # the interval u has one component, so the stage table has three columns
+    family = DensityFamily(*cli._DENSITIES[density](0.1))
     _assert_maps_equal(*_on_one_and_two_cpus(
-        cpus, lambda: moser_flow(_sine2d(), grid, samples)))
+        cpus, lambda: moser_flow(family, grid, samples)))
 
 
 def test_static_anchor_normalization_on_two_cpus_equals_one_cpu(cpus,
