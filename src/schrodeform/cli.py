@@ -51,39 +51,53 @@ _SCENARIOS = {
 }
 
 
+_KIND_NAMES = {int: "number", float: "number", bool: "JSON boolean",
+              str: "string", dict: "JSON object"}
+
+
 def _coerce(key: str, val, kind):
-    """`val` as `kind`; a flag takes only a JSON boolean."""
-    if kind is bool:
-        if isinstance(val, bool):
+    """`val` as `kind`: a finite number for int and float (an int truncates),
+    a value of the JSON type itself for bool, str and dict, and for a list
+    ``[kind]`` a list whose entries each coerce to ``kind``."""
+    if isinstance(kind, list):
+        if isinstance(val, list):
+            return [_coerce(f"{key}[{i}]", v, kind[0]) for i, v in enumerate(val)]
+    elif kind in (bool, str, dict):
+        if isinstance(val, kind):
             return val
-    else:
+    elif not isinstance(val, bool):
         try:
-            return kind(val)
-        except (TypeError, ValueError):
+            num = float(val)
+        except (TypeError, ValueError, OverflowError):
             pass
-    raise ConfigError(f"params.{key} must be a "
-                      f"{'JSON boolean' if kind is bool else 'number'}, got {val!r}")
+        else:
+            if not math.isfinite(num):
+                raise ConfigError(f"{key} must be finite, got {val!r}")
+            return kind(num)
+    name = "list" if isinstance(kind, list) else _KIND_NAMES[kind]
+    raise ConfigError(f"{key} must be a {name}, got {val!r}")
 
 
 def _construct(name: str, params: dict):
     """The named scenario, built from the given params only, each coerced."""
     build, types = _SCENARIOS[name]
-    return build(**{key: _coerce(key, val, types[key]) for key, val in params.items()})
+    return build(**{key: _coerce(f"params.{key}", val, types[key])
+                    for key, val in params.items()})
 
 
-def _build_scenario(config: RunConfig):
-    return _construct(config["scenario"], config["params"])
-
-
-def _build_smooth_scenario(config: RunConfig):
+def _build_smooth_scenario(config: RunConfig, command: str):
     """The configured scenario, with a moving interval on its C^2 ramp.
 
     Adiabatic sweeps and order fits need motion-compatible initial data: a
     C^2 ramp starts from rest, so the eigenstate initial data matches the
-    generator.
+    generator.  An explicit ``smooth: false`` is refused, not overridden.
     """
     params = config["params"]
     if config["scenario"] == "moving_interval":
+        if not _coerce("params.smooth", params.get("smooth", True), bool):
+            raise ConfigError(f"{command} takes no params.smooth: false: its "
+                              "eigenstate initial data needs the interval's "
+                              "C^2 ramp, which starts from rest")
         params = dict(params, smooth=True)
     return _construct(config["scenario"], params)
 
@@ -106,38 +120,40 @@ _DENSITIES = {
 # -- config -------------------------------------------------------------------
 
 class RunConfig:
-    """Merged file + flag configuration with validation."""
+    """Merged file + flag configuration, each given value coerced to its
+    type and the whole validated."""
 
+    # key -> (default, type every given value is coerced to)
     DEFAULTS = {
-        "scenario": "moving_interval",
-        "params": {},
-        "grid": 200,
-        "dt": 1e-3,
-        "bc": None,
-        "epsilon": [0.2, 0.1, 0.05, 0.02, 0.01],
-        "output": "runs/out",
-        "snapshot_stride": 0,
-        "self_test": False,
-        "t_start": 0.0,
-        "t_end": 1.0,
-        "solver_tol": 1e-12,
-        "norm_drift_tol": 1e-8,
-        "density": "sine2d",
-        "amplitude": 0.1,
-        "samples": [0.0, 1.0],
-        "det_residual_tol": 1e-3,
-        "mode": "temporal",
-        "ladder": None,
+        "scenario": ("moving_interval", str),
+        "params": ({}, dict),
+        "grid": (200, int),
+        "dt": (1e-3, float),
+        "bc": (None, str),
+        "epsilon": ([0.2, 0.1, 0.05, 0.02, 0.01], [float]),
+        "output": ("runs/out", str),
+        "snapshot_stride": (0, int),
+        "self_test": (False, bool),
+        "t_start": (0.0, float),
+        "t_end": (1.0, float),
+        "solver_tol": (1e-12, float),
+        "norm_drift_tol": (1e-8, float),
+        "density": ("sine2d", str),
+        "amplitude": (0.1, float),
+        "samples": ([0.0, 1.0], [float]),
+        "det_residual_tol": (1e-3, float),
+        "mode": ("temporal", str),
+        "ladder": (None, [float]),
     }
 
     def __init__(self, data: dict):
-        merged = dict(self.DEFAULTS)
-        unknown = set(data) - set(merged)
+        unknown = set(data) - set(self.DEFAULTS)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         self.given = frozenset(k for k, v in data.items() if v is not None)
-        merged.update({k: data[k] for k in self.given})
-        self.data = merged
+        self.data = {key: _coerce(key, data[key], kind) if key in self.given
+                     else default
+                     for key, (default, kind) in self.DEFAULTS.items()}
         self._validate()
 
     @classmethod
@@ -148,39 +164,32 @@ class RunConfig:
             if not path.exists():
                 raise ConfigError(f"config file not found: {path}")
             try:
-                data.update(json.loads(path.read_text()))
+                data = json.loads(path.read_text())
             except json.JSONDecodeError as exc:
                 raise ConfigError(f"config file is not valid JSON: {exc}") from exc
-        for key in ("scenario", "grid", "dt", "bc", "output", "snapshot_stride",
-                    "self_test", "t_end", "density", "amplitude", "mode"):
-            val = getattr(args, key, None)
-            if val is not None and val is not False:
-                data[key] = val
-        if getattr(args, "epsilon", None):
-            try:
-                data["epsilon"] = [float(x) for x in args.epsilon.split(",")]
-            except ValueError as exc:
-                raise ConfigError(f"--epsilon takes comma-separated numbers: {exc}") from exc
-        return cls(data)
+            if not isinstance(data, dict):
+                raise ConfigError("config file must hold a JSON object")
+        flags = {key: val for key, val in vars(args).items()
+                 if key in cls.DEFAULTS and val is not None and val is not False}
+        if "epsilon" in flags:
+            flags["epsilon"] = flags["epsilon"].split(",")
+        return cls({**data, **flags})
 
     def _validate(self):
         d = self.data
-        if int(d["grid"]) < 4:
+        if d["grid"] < 4:
             raise ConfigError("grid resolution must be at least 4 cells")
-        for key in ("dt", "t_start", "t_end", "amplitude"):
-            if not math.isfinite(float(d[key])):
-                raise ConfigError(f"{key} must be finite, got {d[key]!r}")
-        if not float(d["dt"]) > 0:
+        if not d["dt"] > 0:
             raise ConfigError("dt must be positive")
+        if d["snapshot_stride"] < 0:
+            raise ConfigError("snapshot_stride must be 0 (no snapshots) or positive")
         if d["bc"] is not None and d["bc"] not in _BCS:
             raise ConfigError(f"bc must be one of {_BCS}")
-        if not isinstance(d["params"], dict):
-            raise ConfigError("params must be a JSON object")
-        for key, val in d["params"].items():
-            if _is_non_finite_number(val):
-                raise ConfigError(f"params.{key} must be finite, got {val!r}")
-        if not all(0 < float(e) < math.inf for e in d["epsilon"]):
-            raise ConfigError("epsilons must be positive and finite")
+        for key in ("epsilon", "samples"):
+            if not d[key]:
+                raise ConfigError(f"{key} needs at least one entry")
+        if not all(e > 0 for e in d["epsilon"]):
+            raise ConfigError("epsilons must be positive")
         if d["scenario"] not in _SCENARIOS:
             raise ConfigError(
                 f"unknown scenario {d['scenario']!r}; available: "
@@ -198,14 +207,6 @@ class RunConfig:
 
     def __getitem__(self, key):
         return self.data[key]
-
-
-def _is_non_finite_number(value) -> bool:
-    """True for NaN or infinite numbers, also when written as strings."""
-    try:
-        return not math.isfinite(float(value))
-    except (TypeError, ValueError):
-        return False
 
 
 # -- output helpers -----------------------------------------------------------
@@ -284,7 +285,8 @@ class Manifest:
     def check(self, name: str, value: float, tolerance: float,
               larger_ok: bool = False) -> bool:
         value = float(value)
-        ok = bool(value >= tolerance if larger_ok else value <= tolerance)
+        ok = math.isfinite(value) and bool(
+            value >= tolerance if larger_ok else value <= tolerance)
         self.doc["summary"].append({
             "name": name, "value": value, "tolerance": tolerance,
             "passed": ok,
@@ -297,9 +299,6 @@ class Manifest:
     def write(self, outdir: Path) -> int:
         self.doc["passed"] = ("error" not in self.doc
                               and all(e["passed"] for e in self.doc["summary"]))
-        for entry in self.doc["summary"]:
-            if not np.isfinite(entry["value"]):
-                self.doc["passed"] = False
         path = outdir / "manifest.json"
         path.parent.mkdir(parents=True, exist_ok=True)
         self.doc["files"].append("manifest.json")
@@ -321,7 +320,7 @@ def _check_steps(span: float, dt: float) -> None:
 
 def _check_span(config: RunConfig, scenario) -> None:
     lo, hi = scenario.family.window
-    t0, t1 = float(config["t_start"]), float(config["t_end"])
+    t0, t1 = config["t_start"], config["t_end"]
     if not lo <= t0 <= t1 <= hi:
         raise ConfigError(
             f"time span [{t0:g}, {t1:g}] is not an ordered span inside the "
@@ -331,17 +330,17 @@ def _check_span(config: RunConfig, scenario) -> None:
 def run_scenario(config: RunConfig) -> int:
     outdir = Path(config["output"])
     manifest = Manifest(config, "run")
-    scenario = _build_scenario(config)
+    scenario = _construct(config["scenario"], config["params"])
     _check_span(config, scenario)
-    _check_steps(float(config["t_end"]) - float(config["t_start"]), float(config["dt"]))
+    _check_steps(config["t_end"] - config["t_start"], config["dt"])
     bc = config["bc"] or scenario.bc
-    grid = scenario.grid(int(config["grid"]))
-    v0 = scenario.build_initial(grid, float(config["t_start"]))
-    refs = scenario.reference_states(grid, float(config["t_start"]))
+    grid = scenario.grid(config["grid"])
+    v0 = scenario.build_initial(grid, config["t_start"])
+    refs = scenario.reference_states(grid, config["t_start"])
     cfg = PropagatorConfig(
-        dt=float(config["dt"]), t_start=float(config["t_start"]),
-        t_end=float(config["t_end"]), solver_tol=float(config["solver_tol"]),
-        snapshot_stride=int(config["snapshot_stride"]), observables=refs)
+        dt=config["dt"], t_start=config["t_start"], t_end=config["t_end"],
+        solver_tol=config["solver_tol"],
+        snapshot_stride=config["snapshot_stride"], observables=refs)
 
     if bc == NAIVE_NEUMANN:
         naive, magnetic = neumann_drift_diagnostic(
@@ -350,12 +349,11 @@ def run_scenario(config: RunConfig) -> int:
         _write_trace_csv(outdir / "magnetic_trace.csv", magnetic)
         manifest.add_file("magnetic_trace.csv")
         manifest.check("magnetic_norm_drift", magnetic.norm_drift(),
-                       float(config["norm_drift_tol"]))
+                       config["norm_drift_tol"])
         manifest.note("naive_final_norm_sq", float(trace.norms[-1] ** 2))
     else:
         trace = evolve(scenario.family, scenario.coeffs, bc, v0, cfg, grid)
-        manifest.check("norm_drift", trace.norm_drift(),
-                       float(config["norm_drift_tol"]))
+        manifest.check("norm_drift", trace.norm_drift(), config["norm_drift_tol"])
 
     _write_trace_csv(outdir / "trace.csv", trace)
     manifest.add_file("trace.csv")
@@ -363,11 +361,11 @@ def run_scenario(config: RunConfig) -> int:
         manifest.add_file(f)
 
     if config["self_test"] and scenario.self_test is not None:
-        report = scenario.self_test(cells=int(config["grid"]))
+        report = scenario.self_test(cells=config["grid"])
         for name, value in report.items():
             manifest.check(f"self_test/{name}", value, 1e-12)
     if config["self_test"] and scenario.reduced is not None:
-        rep = gauge_equivalence_check(scenario, cfg, int(config["grid"]))
+        rep = gauge_equivalence_check(scenario, cfg, config["grid"])
         manifest.check("gauge_fidelity", rep["fidelity"], 1 - 1e-5,
                        larger_ok=True)
     return manifest.write(outdir)
@@ -379,14 +377,14 @@ def run_adiabatic(config: RunConfig) -> int:
                           "the scenario window scaled by 1/epsilon")
     outdir = Path(config["output"])
     manifest = Manifest(config, "adiabatic")
-    scenario = _build_smooth_scenario(config)
+    scenario = _build_smooth_scenario(config, "adiabatic")
     lo, hi = scenario.family.window
-    eps, dt = [float(e) for e in config["epsilon"]], float(config["dt"])
+    eps, dt = config["epsilon"], config["dt"]
     _check_steps((hi - lo) / min(eps), dt)
     if not (hi - lo) / max(eps) >= dt:
         raise ConfigError(f"epsilon={max(eps):g} sweeps the window in "
                           f"{(hi - lo) / max(eps):g}, less than one dt={dt:g}")
-    grid = scenario.grid(int(config["grid"]))
+    grid = scenario.grid(config["grid"])
     run = adiabatic_experiment(scenario.family, scenario.coeffs, 0, eps, grid,
                                dt=dt, bc=config["bc"] or scenario.bc)
 
@@ -411,16 +409,13 @@ def run_adiabatic(config: RunConfig) -> int:
 def run_moser(config: RunConfig) -> int:
     outdir = Path(config["output"])
     manifest = Manifest(config, "moser")
-    n = int(config["grid"])
-    density_name = config["density"]
-    amp = float(config["amplitude"])
-    if density_name == "sine1d":
+    n = config["grid"]
+    if config["density"] == "sine1d":
         grid = ReferenceGrid.interval(n)
     else:
         grid = ReferenceGrid.rectangle(n)
-    f, df = _DENSITIES[density_name](amp)
-    density = DensityFamily(f, df)
-    samples = [float(t) for t in config["samples"]]
+    density = DensityFamily(*_DENSITIES[config["density"]](config["amplitude"]))
+    samples = config["samples"]
     try:
         density.validate(grid, samples)
     except NonPositiveDensityError as exc:
@@ -439,7 +434,7 @@ def run_moser(config: RunConfig) -> int:
     for fpath in files:
         manifest.add_file(fpath)
     worst = max(mm.det_residual for mm in maps)
-    manifest.check("det_residual", worst, float(config["det_residual_tol"]))
+    manifest.check("det_residual", worst, config["det_residual_tol"])
     _write_report(outdir, {"samples": samples,
                            "det_residuals": [mm.det_residual for mm in maps]},
                   manifest)
@@ -458,18 +453,20 @@ def run_converge(config: RunConfig) -> int:
             else [25, 50, 100, 200]
     if len(ladder) < 2:
         raise ConfigError("a refinement ladder needs at least two rungs")
+    if mode == "spatial":
+        ladder = [int(n) for n in ladder]
 
-    scenario = _build_smooth_scenario(config)
+    scenario = _build_smooth_scenario(config, "converge")
     _check_span(config, scenario)
     bc = config["bc"] or scenario.bc
     rows = []
     if mode == "temporal":
-        span = (float(config["t_start"]), float(config["t_end"]))
-        if not span[1] - span[0] >= max(float(dt) for dt in ladder):
+        span = (config["t_start"], config["t_end"])
+        if not span[1] - span[0] >= max(ladder):
             raise ConfigError(f"time span [{span[0]:g}, {span[1]:g}] is shorter "
                               "than the ladder's coarsest dt")
-        grid = scenario.grid(int(config["grid"]))
-        v0 = scenario.build_initial(grid, float(config["t_start"]))
+        grid = scenario.grid(config["grid"])
+        v0 = scenario.build_initial(grid, config["t_start"])
 
         def rung(dt):
             return PropagatorConfig(dt=dt, t_start=span[0], t_end=span[1])
@@ -480,17 +477,15 @@ def run_converge(config: RunConfig) -> int:
 
         # each rung against its dt/4 reference, each distinct dt evolved
         # once, on every usable CPU
-        dts = list(dict.fromkeys(
-            x for dt in ladder for x in (float(dt), float(dt) / 4.0)))
+        dts = list(dict.fromkeys(x for dt in ladder for x in (dt, dt / 4.0)))
         finals = dict(zip(dts, map_jobs(final, dts,
                                         cost=lambda dt: rung(dt).n_steps)))
         errs = []
         for dt in ladder:
-            err = float(np.linalg.norm(finals[float(dt)]
-                                       - finals[float(dt) / 4.0]))
+            err = float(np.linalg.norm(finals[dt] - finals[dt / 4.0]))
             errs.append(err)
             rows.append([dt, err])
-        xs = np.log([float(d) for d in ladder])
+        xs = np.log(ladder)
     else:
         def ground(n):
             H = frozen_hamiltonian(scenario.family, scenario.family.window[1],
@@ -501,15 +496,14 @@ def run_converge(config: RunConfig) -> int:
         # process: the largest grid's dense eigensolve is most of the work
         # and runs on every CPU's BLAS thread, which forked workers would
         # contend for
-        cells = list(dict.fromkeys(
-            x for n in ladder for x in (int(n), 4 * int(n))))
+        cells = list(dict.fromkeys(x for n in ladder for x in (n, 4 * n)))
         lowest = dict(zip(cells, map(ground, cells)))
         errs = []
         for n in ladder:
-            err = float(abs(lowest[int(n)] - lowest[4 * int(n)]))
+            err = float(abs(lowest[n] - lowest[4 * n]))
             errs.append(err)
-            rows.append([int(n), err])
-        xs = np.log([1.0 / float(n) for n in ladder])
+            rows.append([n, err])
+        xs = np.log([1.0 / n for n in ladder])
 
     order = float(np.polyfit(xs, np.log(errs), 1)[0])
     _write_csv(outdir / "trace.csv",

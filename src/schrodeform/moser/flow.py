@@ -144,8 +144,8 @@ def moser_flow(density: DensityFamily, grid: ReferenceGrid, time_samples,
     run's.
     """
     time_samples = [float(t) for t in time_samples]
-    if sorted(time_samples) != time_samples:
-        raise InvalidInputError("time samples must be ascending")
+    if not time_samples or sorted(time_samples) != time_samples:
+        raise InvalidInputError("time samples must be one or more ascending times")
     density.validate(grid, time_samples)
     t0 = time_samples[0]
 

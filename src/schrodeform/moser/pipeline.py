@@ -26,7 +26,8 @@ from typing import Callable
 import numpy as np
 from scipy.ndimage import gaussian_filter
 
-from ..errors import ContractionBoundExceededError, PipelineFailedError
+from ..errors import (ContractionBoundExceededError, InvalidInputError,
+                      PipelineFailedError)
 from ..geometry import smallmat
 from ..geometry.diffeo import (DiffeoFamily, box_fd_jacobian,
                                det_and_log_derivative)
@@ -112,6 +113,8 @@ def moser_combined(density: DensityFamily, grid: ReferenceGrid, time_samples):
     The first smoothing width is two grid spacings.
     """
     time_samples = [float(t) for t in time_samples]
+    if not time_samples:
+        raise InvalidInputError("moser_combined needs at least one time sample")
     density.validate(grid, time_samples)
     t0 = time_samples[0]
 

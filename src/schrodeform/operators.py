@@ -66,6 +66,11 @@ MAGNETIC_NEUMANN = "magnetic-neumann"
 NAIVE_NEUMANN = "naive-neumann"
 _BCS = (DIRICHLET, MAGNETIC_NEUMANN, NAIVE_NEUMANN)
 
+# largest component of A and of D^-t A_h the form takes: it squares them and
+# scales them by det J and the quadrature weights, which stays finite below
+# this bound
+_POTENTIAL_BOUND = 1e150
+
 _log = logging.getLogger(__name__)
 
 
@@ -165,6 +170,13 @@ class EffectivePotentials:
         V = np.asarray(self.coeffs.electric(self.t, x), dtype=float)
         dit_ah = smallmat.solve(np.swapaxes(D, -1, -2),
                                 self.pulled_motion_potential(y))
+        if max(np.abs(dit_ah).max(), np.abs(A).max()) > _POTENTIAL_BOUND:
+            size = np.maximum(np.abs(dit_ah), np.abs(A))
+            k = np.unravel_index(np.argmax(size), size.shape)[:-1]
+            t = np.broadcast_to(self.t, size.shape[:-1])[k]
+            raise InvalidInputError(
+                f"magnetic or motion potential {size[k].max():.3e} exceeds "
+                f"{_POTENTIAL_BOUND:g} at t={t}, y={np.broadcast_to(y, size.shape)[k]}")
         atil = A + dit_ah
         vtil = V - (dit_ah * (dit_ah + 2 * A)).sum(axis=-1)
         return atil, vtil

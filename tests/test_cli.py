@@ -372,3 +372,66 @@ def test_help_exits_0(capsys):
         main(["run", "--help"])
     assert exc.value.code == 0
     assert "--bc" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command, text, message", [
+    ("run", '{"dt": "x"}', "dt must be a number, got 'x'"),
+    ("run", '{"grid": "abc"}', "grid must be a number, got 'abc'"),
+    ("run", '{"grid": 1e400}', "grid must be finite, got inf"),
+    ("run", '{"snapshot_stride": "q"}', "snapshot_stride must be a number, got 'q'"),
+    ("adiabatic", '{"epsilon": ["a"]}', "epsilon[0] must be a number, got 'a'"),
+    ("moser", '{"samples": [0, "a"]}', "samples[1] must be a number, got 'a'"),
+    ("converge", '{"ladder": ["x", 2]}', "ladder[0] must be a number, got 'x'"),
+    ("run", '{"solver_tol": "nan"}', "solver_tol must be finite, got 'nan'"),
+    ("run", '{"norm_drift_tol": "nan"}', "norm_drift_tol must be finite, got 'nan'"),
+    ("run", '{"self_test": "yes"}', "self_test must be a JSON boolean, got 'yes'"),
+    ("run", '{"snapshot_stride": -3}', "snapshot_stride must be 0"),
+    ("run", '{"t_end": true}', "t_end must be a number, got True"),
+    ("run", '{"params": []}', "params must be a JSON object, got []"),
+    ("moser", '{"samples": []}', "samples needs at least one entry"),
+    ("run", '[1, 2]', "config file must hold a JSON object"),
+])
+def test_malformed_config_value_exit_3_without_manifest(tmp_path, capsys, command,
+                                                        text, message):
+    # each of these used to end in a raw ValueError, OverflowError, TypeError
+    # or IndexError traceback, be misreported as a solver or invariant
+    # failure, or be accepted (a string "yes" as true, a negative stride)
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(text)
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--output", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and message in err
+    assert "Traceback" not in err
+    assert not (out / "manifest.json").exists()
+
+
+def test_config_echo_holds_the_coerced_values(tmp_path):
+    cfg = tmp_path / "ints.json"
+    cfg.write_text(json.dumps({"grid": 8.9, "dt": "0.01", "t_end": 0,
+                               "ladder": [25, 50]}))
+    assert main(["run", "--config", str(cfg), "--output", str(tmp_path / "out")]) == 0
+    echo = _manifest(tmp_path / "out")["config"]
+    assert (echo["grid"], echo["dt"], echo["t_end"]) == (8, 0.01, 0.0)
+    assert isinstance(echo["t_end"], float) and echo["ladder"] == [25.0, 50.0]
+
+
+@pytest.mark.parametrize("command", ["adiabatic", "converge"])
+def test_explicit_unsmooth_interval_exit_3_with_manifest(tmp_path, capsys, command):
+    # an explicit smooth: false used to be overwritten with true
+    cfg = tmp_path / "rough.json"
+    cfg.write_text(json.dumps({"params": {"smooth": False}}))
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--grid", "8",
+                 "--output", str(out)]) == 3
+    assert f"{command} takes no params.smooth: false" in capsys.readouterr().err
+    assert _manifest(out)["error"]["type"] == "ConfigError"
+
+
+def test_non_finite_summary_value_fails_its_entry(tmp_path):
+    manifest = cli.Manifest(cli.RunConfig({}), "run")
+    assert manifest.check("fidelity", np.inf, 0.5, larger_ok=True) is False
+    assert manifest.check("drift", -np.inf, 1e-8) is False
+    assert manifest.check("drift", np.nan, 1e-8) is False
+    assert manifest.write(tmp_path) == 2
+    assert [e["passed"] for e in _manifest(tmp_path)["summary"]] == [False] * 3

@@ -184,6 +184,13 @@ def test_flow_names_a_non_finite_stage_density(nan_rate, name):
         moser_flow(dens, grid, [0.0, 1.0])
 
 
+@pytest.mark.parametrize("construct", [moser_flow, moser_combined])
+def test_no_time_samples_is_invalid_input(construct):
+    # an empty sample list used to end in a raw IndexError
+    with pytest.raises(InvalidInputError, match="time sample"):
+        construct(_sine_density_2d(0.1), ReferenceGrid.rectangle(8), [])
+
+
 def test_flow_stage_table_reads_each_stage_time_once(monkeypatch):
     grid = ReferenceGrid.rectangle(8)
     base = _sine_density_2d(0.1)

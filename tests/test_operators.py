@@ -1,4 +1,5 @@
 import logging
+import warnings
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import scipy.sparse as sp
 
 from schrodeform.errors import (
     EllipticityViolatedError,
+    InvalidInputError,
     NonRealEnergyError,
     SolverDivergenceError,
 )
@@ -161,6 +163,21 @@ def test_effective_coefficients_rotation_repulsive_potential():
     _, vt = EffectivePotentials(fam, free_coefficients(2), 0.3).pulled_pair(pts)
     r2 = np.sum(fam.map(0.3, pts) ** 2, axis=-1)
     assert np.allclose(vt, -1.2 ** 2 * r2 / 4, atol=1e-14)
+
+
+@pytest.mark.parametrize("family, t, grid, bc", [
+    (interval_family(lambda t: 1 + 1e200 * t, lambda t: 1e200), 1e-200,
+     ReferenceGrid.interval(16), DIRICHLET),
+    (warped_2d_family(b=1e300), 0.5, ReferenceGrid.rectangle(8), MAGNETIC_NEUMANN),
+], ids=["interval_1d", "warped_2d"])
+def test_overflowing_motion_potential_is_invalid_input(family, t, grid, bc):
+    # squaring these potentials used to overflow into a NaN matrix, with
+    # RuntimeWarnings on the way
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(InvalidInputError, match=r"motion potential .* at t=.*, y=\["):
+            assemble_hamiltonian(family, free_coefficients(grid.dim), t, grid, bc)
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 def test_ellipticity_guard():
