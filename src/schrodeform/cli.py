@@ -190,6 +190,13 @@ class RunConfig:
                 raise ConfigError(f"{key} needs at least one entry")
         if not all(e > 0 for e in d["epsilon"]):
             raise ConfigError("epsilons must be positive")
+        if d["samples"] != sorted(d["samples"]):
+            raise ConfigError("samples must be in ascending order")
+        if d["ladder"] is not None:
+            if not all(r > 0 for r in d["ladder"]):
+                raise ConfigError("ladder rungs must be positive")
+            if d["mode"] == "spatial" and not all(int(r) >= 2 for r in d["ladder"]):
+                raise ConfigError("spatial ladder rungs need at least 2 cells")
         if d["scenario"] not in _SCENARIOS:
             raise ConfigError(
                 f"unknown scenario {d['scenario']!r}; available: "

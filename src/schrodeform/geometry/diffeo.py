@@ -215,7 +215,8 @@ def jacobian_at(family: DiffeoFamily, t: float, y: np.ndarray) -> JacobianData:
 
 def jacobian_field(family: DiffeoFamily, t, pts: np.ndarray):
     """Vectorized (J, det, J^{-1}) over many points; det must stay positive
-    and finite.
+    and finite.  A determinant that would overflow counts as +inf, and is
+    never computed.
 
     ``t`` is a float or an array of times that broadcasts to the points; the
     error names the scalar time and the point of the first entry, in
@@ -223,7 +224,15 @@ def jacobian_field(family: DiffeoFamily, t, pts: np.ndarray):
     """
     family.check_time(t)
     J = family.jacobian_matrix(t, pts)
-    det = smallmat.det(J)
+    dim = J.shape[-1]
+    if dim > 1 and smallmat.abs_max(J) > smallmat.SAFE_PRODUCT ** (1 / dim):
+        # det J could overflow: where it would, it counts as +inf, and the
+        # other points' determinants are taken as usual
+        over = smallmat.log_row_bound(J) > np.log(smallmat.SAFE_PRODUCT)
+        det = smallmat.det(np.where(over[..., None, None], 1.0, J))
+        det[over] = np.inf
+    else:
+        det = smallmat.det(J)
     # written so that a NaN or infinite determinant fails the guard
     failed = ~((det > 0.0) & (det < np.inf))
     if failed.any():

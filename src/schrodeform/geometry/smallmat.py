@@ -5,6 +5,27 @@ larger n falls back to ``np.linalg`` here and nowhere else."""
 
 import numpy as np
 
+# the largest product of one entry per row that the closed-form
+# determinants (and numpy's LU one) compute without overflow, with room for
+# the sum of the products
+SAFE_PRODUCT = 1e300
+
+
+def abs_max(M: np.ndarray) -> float:
+    """The largest ``|entry|`` of an array, 0 for an empty one; NaN entries
+    may be skipped.  Two reductions, no temporary array."""
+    if M.size == 0:
+        return 0.0
+    return max(float(M.max()), -float(M.min()))
+
+
+def log_row_bound(M: np.ndarray) -> np.ndarray:
+    """``sum_i log(max_j |M_ij|)`` per matrix, ``(...)``: the log of a bound
+    on every product of one entry per row, computed without overflow (a NaN
+    entry gives NaN; a zero row counts as the smallest normal float)."""
+    rows = np.maximum(np.abs(M).max(axis=-1), np.finfo(float).tiny)
+    return np.log(rows).sum(axis=-1)
+
 
 def det(M: np.ndarray) -> np.ndarray:
     """Determinants of a stack of square matrices, shape ``(...)``."""

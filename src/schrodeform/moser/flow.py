@@ -35,10 +35,6 @@ _STAGE_BLOCK = 25
 _FORK_WORK = 90_000
 
 
-def _in_process(fn, jobs, cost):
-    return [fn(job) for job in jobs]
-
-
 class _FlowField:
     """Velocity U = -(1/g) L^{-1}(df/dt / f(t0)) of the re-anchored density.
 
@@ -169,7 +165,7 @@ def moser_flow(density: DensityFamily, grid: ReferenceGrid, time_samples,
     for (ta, tb), n in zip(spans, counts):
         h = (tb - ta) / n if n else 0.0
         times += [ta + k * h + dh for k in range(n) for dh in (h / 2, h)]
-    run = map_jobs if grid.n_nodes * len(times) >= _FORK_WORK else _in_process
+    work = grid.n_nodes * len(times)
     # the workers write their stages' samples into one shared mapping (at
     # least one byte: a one-sample flow has an empty schedule); pickled
     # back, their buffers would outlive the fits and raise peak memory.  The
@@ -184,8 +180,9 @@ def moser_flow(density: DensityFamily, grid: ReferenceGrid, time_samples,
         for i in block:
             samples[i] = field.samples(times[i])
 
-    run(fill, [range(i, min(i + _STAGE_BLOCK, len(times)))
-               for i in range(0, len(times), _STAGE_BLOCK)], cost=len)
+    map_jobs(fill, [range(i, min(i + _STAGE_BLOCK, len(times)))
+                    for i in range(0, len(times), _STAGE_BLOCK)], cost=len,
+             work=work, fork_work=_FORK_WORK)
     table = []
     for row in samples:
         row[...] = spline_coefficients(grid, row).reshape(row.shape)
@@ -213,8 +210,9 @@ def moser_flow(density: DensityFamily, grid: ReferenceGrid, time_samples,
 
     # job 0 is the forward pass, job k the backward pass from sample k, each
     # costing its RK4 steps; their workers fork now and inherit the table
-    passes = run(trajectory, range(len(time_samples)),
-                 cost=lambda k: int(steps[k or -1]))
+    passes = map_jobs(trajectory, range(len(time_samples)),
+                      cost=lambda k: int(steps[k or -1]), work=work,
+                      fork_work=_FORK_WORK)
     forward_pts = passes[0]
     maps = [build_moser_map(grid, t0, start, start_inverse, density(t0, grid.nodes),
                             method="flow", flow_consistency=0.0)]

@@ -70,6 +70,9 @@ _BCS = (DIRICHLET, MAGNETIC_NEUMANN, NAIVE_NEUMANN)
 # scales them by det J and the quadrature weights, which stays finite below
 # this bound
 _POTENTIAL_BOUND = 1e150
+# largest entry of the metric factor C = D J^-t the form takes: it squares C
+# into theta = C^t C, which stays finite below this bound
+_METRIC_BOUND = 1e150
 
 _log = logging.getLogger(__name__)
 
@@ -270,6 +273,25 @@ def form_points(grid: ReferenceGrid) -> np.ndarray:
         [face_coords(grid, a) for a in range(grid.dim)] + [grid.nodes]))
 
 
+def _check_metric(t, y: np.ndarray, D: np.ndarray, Jinv: np.ndarray) -> None:
+    """Raise :class:`InvalidInputError` naming t and y where an entry of
+    ``C = D J^-t`` could pass ``_METRIC_BOUND``, before C is computed.  Two
+    bounds on the whole stack decide almost every call; the per-point bound
+    is only taken when they do not."""
+    dim = D.shape[-1]
+    if dim * smallmat.abs_max(D) * smallmat.abs_max(Jinv) <= _METRIC_BOUND:
+        return
+    size = (np.log(dim) + np.log(np.maximum(np.abs(D).max(axis=(-2, -1)), 1e-300))
+            + np.log(np.maximum(np.abs(Jinv).max(axis=(-2, -1)), 1e-300)))
+    over = size > np.log(_METRIC_BOUND)
+    if over.any():
+        k = np.unravel_index(np.argmax(over), over.shape)
+        raise InvalidInputError(
+            f"metric D J^-t may reach {np.exp(min(size[k], 700.0)):.3e} > "
+            f"{_METRIC_BOUND:g} at t={np.broadcast_to(t, over.shape)[k]}, "
+            f"y={np.broadcast_to(y, over.shape + y.shape[-1:])[k]}")
+
+
 def _form_pieces(grid: ReferenceGrid, family: DiffeoFamily,
                  coeffs: CoefficientSet, times, bc: str) -> _FormPieces:
     """Per-face metric and magnetic arrays of the pulled-back form.
@@ -286,6 +308,7 @@ def _form_pieces(grid: ReferenceGrid, family: DiffeoFamily,
     _, det, Jinv = jacobian_field(family, t, y)
     x = np.asarray(family.map(t, y), dtype=float)
     D = np.asarray(coeffs.diffusion(t, x), dtype=float)
+    _check_metric(t, y, D, Jinv)
     C = smallmat.matmul(D, np.swapaxes(Jinv, -1, -2))
     theta = smallmat.matmul(np.swapaxes(C, -1, -2), C)
     atil, vtil = EffectivePotentials(family, coeffs, t).pulled_pair(y, x, D)

@@ -8,18 +8,34 @@ naive-Neumann realization the recorded norm drift is the diagnostic output.
 
 :func:`evolve` walks the steps in chunks: it assembles the Hamiltonians of K
 consecutive midpoints in one pass (K chosen so that one chunk evaluates
-about ``CHUNK_POINTS`` points) and hands them to a :class:`CayleyStepper`.
+about ``CHUNK_POINTS`` points) and hands them to a :class:`CayleyStepper`,
+which factors them (:meth:`CayleyStepper.prepare`, no state needed) and
+then steps the state through them (:meth:`CayleyStepper.solve`).
+
+On the sparse-LU path that split lets the chunks run as a relay on every
+usable CPU (``parallel.relay``): worker j of W owns the chunks c = j
+(mod W), assembles and factors chunk c while the chunks before it solve,
+then waits for chunk c - 1's state, solves, and passes the token on.  The
+states and energies go through a ring of shared memory that the parent
+drains, in chunk order, into the trace.  Each LU is solved in the process
+that built it.  The relay stays off, and :func:`evolve` runs in-process,
+with one usable CPU, inside another parallel worker, on the ``zgtsv`` band
+path (every 1D evolution: a step there is cheaper than a token's trip),
+with fewer than two chunks, and below ``_FORK_WORK`` dof-steps.  Both ways
+run the same arithmetic and give the same trace, bit for bit, and the same
+error.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import Callable, List, NamedTuple, Optional
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import lapack
 
+from . import parallel
 from .errors import (InvalidInputError, InverseUnavailableError,
                      SnapshotMissingError, SolverDivergenceError)
 from .geometry.calculus import pushforward_sharp
@@ -43,6 +59,10 @@ from .sparse_lu import factor
 CHUNK_POINTS = 16384
 # largest |t_k - t| at which EvolutionTrace.snapshot_at returns snapshot k
 _SNAPSHOT_TOL = 1e-9
+# the fewest dof-steps (dofs x steps) an evolution runs its chunks as a relay
+# for: on 2 CPUs 100 steps on 14^2 (22 500) ran faster in-process, on 16^2
+# (28 900) in the relay; 40 steps on 24^2 (25 000) in the relay too
+_FORK_WORK = 25_000
 
 
 @dataclass
@@ -106,6 +126,14 @@ class EvolutionTrace:
         return self.snapshots[-1]
 
 
+class _Prepared(NamedTuple):
+    """A chunk made ready by :meth:`CayleyStepper.prepare`."""
+
+    finite: np.ndarray              # (K,), True where a row is finite
+    kernels: Optional[tuple]        # (solve, apply), or None on a failure
+    error: Optional[SolverDivergenceError]  # a failed factor, held
+
+
 class CayleyStepper:
     """Cayley steps ``v' = (I + z H)^{-1} (I - z H) v = 2 w - v``, where
     ``w = (I + z H)^{-1} v`` and ``z = i dt / 2`` (an identity for any H),
@@ -119,9 +147,12 @@ class CayleyStepper:
     order of ``(grid, bc)``, folded into the scatter from the CSR rows to
     SuperLU's CSC layout, so SuperLU keeps its natural order.
 
+    :meth:`advance` is :meth:`prepare`, which needs no state (on the LU
+    path it takes every factor of the chunk), then :meth:`solve`.
     Non-finite rows or state, a singular factor and a residual above
     tolerance raise :class:`SolverDivergenceError` naming the failed chunk
-    ``step``; the residuals are checked once per chunk, after its last solve.
+    ``step``, in that order; the residuals are checked once per chunk, after
+    its last solve.  ``banded`` tells the two kernels apart.
     """
 
     def __init__(self, indptr: np.ndarray, indices: np.ndarray,
@@ -130,7 +161,8 @@ class CayleyStepper:
         self.z = 0.5j * dt
         self.solver_tol = solver_tol
         rows = np.repeat(np.arange(n), np.diff(indptr))
-        if np.all(np.abs(rows - indices) <= 1):
+        self.banded = bool(np.all(np.abs(rows - indices) <= 1))
+        if self.banded:
             self._order = self._inv = slice(None)
             self._band_pos = (1 + rows - indices) * n + indices
             self._kernels = self._band_kernels
@@ -163,17 +195,38 @@ class CayleyStepper:
         Returns the states after each step, ``(K, n)``, and the step
         energies ``<H_k v_k, v_k>``, ``(K,)``.
         """
+        return self.solve(self.prepare(rows), v)
+
+    def prepare(self, rows: np.ndarray) -> _Prepared:
+        """The half of :meth:`advance` that needs no state: the rows'
+        finiteness and the chunk's kernels, with every sparse LU factored.
+        A failure is held for :meth:`solve` to raise in its turn."""
         finite = np.isfinite(rows).all(axis=1)
+        if not finite.all():
+            return _Prepared(finite, None, None)
+        try:
+            return _Prepared(finite, self._kernels(rows), None)
+        except SolverDivergenceError as exc:
+            return _Prepared(finite, None, exc)
+
+    def solve(self, prepared: _Prepared, v: np.ndarray):
+        """The half of :meth:`advance` that takes the state: checks it,
+        solves, checks every step's residual and returns states and
+        energies.  A non-finite row or state comes first, then a failed
+        factor, then a residual above tolerance."""
+        finite = prepared.finite.copy()
         finite[0] &= np.isfinite(v).all()
         if not finite.all():
             raise SolverDivergenceError(
                 "Cayley system has non-finite entries (generator or state)",
                 step=int(np.argmin(finite)))
-        solve, apply = self._kernels(rows)
-        states = np.empty((len(rows) + 1, self.n), dtype=complex)
+        if prepared.error is not None:
+            raise prepared.error
+        solve, apply = prepared.kernels
+        states = np.empty((len(finite) + 1, self.n), dtype=complex)
         states[0] = v[self._order]
         w = np.empty_like(states[1:])
-        for k in range(len(rows)):
+        for k in range(len(finite)):
             w[k] = solve(k, states[k])
             states[k + 1] = 2 * w[k] - states[k]
         # every step's residual |w + z H w - v| and state, checked at once
@@ -209,8 +262,8 @@ class CayleyStepper:
         return solve, lambda x: _band_matvec(bands, x)
 
     def _lu_kernels(self, data):
-        """A chunk's sparse-LU solves and its ``H`` product, one matvec per
-        step, on the permuted system."""
+        """A chunk's sparse-LU solves, every factor taken here, and its ``H``
+        product, one matvec per step, on the permuted system."""
         slots, absent, indices, indptr, diag = self._lu
         shape = (self.n, self.n)
         h = np.take(data, slots, axis=1)
@@ -218,16 +271,19 @@ class CayleyStepper:
         cayley = np.ascontiguousarray(self.z * h)   # SuperLU takes C rows
         cayley[:, diag] += 1.0
 
-        def solve(k, v):
+        lus = []
+        for k, ck in enumerate(cayley):
             try:
                 # threshold pivoting takes these diagonal pivots too: for
                 # Hermitian H, I + zH has Hermitian part I
-                lu = factor(sp.csc_matrix((cayley[k], indices, indptr), shape=shape),
-                            "NATURAL", diagonal_pivots=True)
+                lus.append(factor(sp.csc_matrix((ck, indices, indptr), shape=shape),
+                                  "NATURAL", diagonal_pivots=True))
             except RuntimeError as exc:
                 raise SolverDivergenceError(
                     f"Cayley factorization failed: {exc}", step=k) from exc
-            return lu.solve(v)
+
+        def solve(k, v):
+            return lus[k].solve(v)
 
         H = [sp.csc_matrix((hk, indices, indptr), shape=shape) for hk in h]
         return solve, lambda x: np.stack([Hk @ xk for Hk, xk in zip(H, x)])
@@ -262,6 +318,18 @@ def steps_per_pass(grid: ReferenceGrid) -> int:
     return max(1, CHUNK_POINTS // len(form_points(grid)))
 
 
+def _solve_chunk(stepper: CayleyStepper, prepared: _Prepared, v: np.ndarray,
+                 done: np.ndarray, mids: np.ndarray):
+    """:meth:`CayleyStepper.solve` with a failure's chunk step renamed as
+    the global step ``done[step]`` and its midpoint time."""
+    try:
+        return stepper.solve(prepared, v)
+    except SolverDivergenceError as exc:
+        k = int(done[exc.step])
+        raise SolverDivergenceError(
+            f"step {k} (t={mids[exc.step]:.12g}): {exc}", step=k) from exc
+
+
 def evolve(family: DiffeoFamily, coeffs: CoefficientSet, bc: str,
            v0: GridFunction, config: PropagatorConfig,
            grid: Optional[ReferenceGrid] = None) -> EvolutionTrace:
@@ -272,6 +340,12 @@ def evolve(family: DiffeoFamily, coeffs: CoefficientSet, bc: str,
     degenerate Jacobian, say) raises before any of its steps run.  A step
     that fails raises :class:`SolverDivergenceError` naming the step, counted
     from 1, and its midpoint time.
+
+    On the sparse-LU path, with two or more chunks, at least ``_FORK_WORK``
+    dof-steps and more than one usable CPU, the chunks run as a relay on
+    forked workers (module docstring): the trace and the error raised are
+    the same, bit for bit and word for word.  A worker that dies raises
+    :class:`WorkerLostError`; none outlives the call.
     """
     grid = grid or v0.grid
     H0 = assemble_hamiltonian(family, coeffs, config.t_start, grid, bc)
@@ -290,18 +364,17 @@ def evolve(family: DiffeoFamily, coeffs: CoefficientSet, bc: str,
     overlaps = [np.abs(v[None] @ obs) ** 2]
     energies = [np.array([np.real(np.vdot(v, H0.matrix @ v))])]
     snap_steps, snapshots = [0], [H0.from_dofs(v)]
-    chunk = steps_per_pass(grid)
-    for k0 in range(0, n, chunk):
-        done = np.arange(k0 + 1, min(k0 + chunk, n) + 1)  # steps this chunk ends
-        mids = config.t_start + (done - 0.5) * dt
-        data = hamiltonian_data(family, coeffs, mids, grid, bc)
-        try:
-            states, chunk_energies = stepper.advance(v, data)
-        except SolverDivergenceError as exc:
-            k = int(done[exc.step])
-            raise SolverDivergenceError(
-                f"step {k} (t={mids[exc.step]:.12g}): {exc}", step=k) from exc
-        v = states[-1]
+    K = steps_per_pass(grid)
+    chunks = []                 # (steps each chunk ends, their midpoints)
+    for k0 in range(0, n, K):
+        done = np.arange(k0 + 1, min(k0 + K, n) + 1)
+        chunks.append((done, config.t_start + (done - 0.5) * dt))
+
+    def prepare(c):
+        return stepper.prepare(hamiltonian_data(family, coeffs, chunks[c][1], grid, bc))
+
+    def record(c, states, chunk_energies):
+        done = chunks[c][0]
         norms.append(np.linalg.norm(states, axis=1))
         overlaps.append(np.abs(states @ obs) ** 2)
         energies.append(chunk_energies)
@@ -309,6 +382,16 @@ def evolve(family: DiffeoFamily, coeffs: CoefficientSet, bc: str,
         for i in np.flatnonzero(want):
             snap_steps.append(int(done[i]))
             snapshots.append(H0.from_dofs(states[i]))
+
+    workers = 1 if stepper.banded else parallel.worker_count(
+        len(chunks), pattern.dofs.size * n, _FORK_WORK)
+    if workers == 1:
+        for c, (done, mids) in enumerate(chunks):
+            states, chunk_energies = _solve_chunk(stepper, prepare(c), v, done, mids)
+            record(c, states, chunk_energies)
+            v = states[-1]
+    else:
+        _relay(stepper, chunks, prepare, record, v, workers)
 
     times = config.t_start + np.arange(n + 1) * dt
     return EvolutionTrace(
@@ -321,6 +404,36 @@ def evolve(family: DiffeoFamily, coeffs: CoefficientSet, bc: str,
         metadata={"bc": bc, "dt": dt, "n_steps": n, "family": family.name,
                   "grid": grid.cells},
     )
+
+
+def _relay(stepper: CayleyStepper, chunks: list, prepare: Callable,
+           record: Callable, v: np.ndarray, workers: int) -> None:
+    """Run :func:`evolve`'s chunks through ``parallel.relay``.  A ring slot
+    holds a chunk's ``(K, n)`` states, then its ``(K,)`` energies; the
+    parent copies both out before the slot is reused."""
+    K, n = len(chunks[0][0]), stepper.n
+    every = np.arange(n)
+
+    def views(slot):
+        return (np.ndarray((K, n), complex, buffer=slot),
+                np.ndarray(K, float, buffer=slot, offset=K * n * 16))
+
+    def advance(c, prepared, last, slot):
+        done, mids = chunks[c]
+        start = views(last)[0][K - 1] if c else v  # only the last chunk is short
+        states, chunk_energies = _solve_chunk(stepper, prepared, start, done, mids)
+        out, out_energies = views(slot)
+        out[:len(done)] = states
+        out_energies[:len(done)] = chunk_energies
+
+    def drain(c, slot):
+        states, chunk_energies = views(slot)
+        m = len(chunks[c][0])
+        # copied out by a fancy index like solve's un-permuting one, so that
+        # the copy has its memory layout and the norms reduce in its order
+        record(c, states[:m][:, every], chunk_energies[:m].copy())
+
+    parallel.relay(prepare, advance, drain, len(chunks), workers, K * n * 24)
 
 
 def transport_solution(trace: EvolutionTrace, family: DiffeoFamily):

@@ -87,6 +87,22 @@ def test_bad_config_file_exit_3(tmp_path):
     assert main(["run", "--config", str(cfg2)]) == 3
 
 
+@pytest.mark.parametrize("command, config, message", [
+    ("moser", {"samples": [1, 0]}, "samples must be in ascending order"),
+    ("converge", {"mode": "spatial", "ladder": [0, 4]}, "ladder rungs must be positive"),
+    ("converge", {"ladder": [-0.001, 0.002]}, "ladder rungs must be positive"),
+], ids=["descending_samples", "zero_cell_rung", "negative_dt_rung"])
+def test_malformed_config_list_exit_3(tmp_path, capsys, command, config, message):
+    # these ran as far as the library and exited 1 with a manifest
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--grid", "8",
+                 "--output", str(out)]) == 3
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()
+
+
 def test_rotation_self_test(tmp_path):
     out = tmp_path / "rot"
     code = main(["run", "--scenario", "rotation", "--grid", "32",

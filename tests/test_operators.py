@@ -6,6 +6,7 @@ import pytest
 import scipy.sparse as sp
 
 from schrodeform.errors import (
+    DegenerateJacobianError,
     EllipticityViolatedError,
     InvalidInputError,
     NonRealEnergyError,
@@ -32,6 +33,7 @@ from schrodeform.operators import (
 from schrodeform.scenarios import warped_2d_family
 from schrodeform.scenarios.families import (
     diagonal_family,
+    homothety_family,
     interval_family,
     rotation_family,
 )
@@ -177,6 +179,41 @@ def test_overflowing_motion_potential_is_invalid_input(family, t, grid, bc):
         warnings.simplefilter("always")
         with pytest.raises(InvalidInputError, match=r"motion potential .* at t=.*, y=\["):
             assemble_hamiltonian(family, free_coefficients(grid.dim), t, grid, bc)
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+def _const(value):
+    return lambda t: np.full(np.shape(t), value)
+
+
+@pytest.mark.parametrize("bc", [DIRICHLET, MAGNETIC_NEUMANN])
+@pytest.mark.parametrize("family, error, match", [
+    # J^-1 = diag(1e160, 1): theta = C^t C used to overflow into a NaN matrix
+    (diagonal_family([_const(1e-160), _const(1.0)], [_const(0.0)] * 2),
+     InvalidInputError,
+     r"metric D J\^-t may reach 2\.000e\+160 > 1e\+150 at t=0\.5, y=\["),
+    # det J = 1e400: smallmat.det used to overflow before the guard saw inf
+    (homothety_family(_const(1e200), _const(0.0), dim=2),
+     DegenerateJacobianError, r"det J = inf .* at t=0\.5, y=\["),
+], ids=["tiny_axis", "huge_homothety"])
+def test_overflowing_metric_raises_before_any_warning(bc, family, error, match):
+    grid = ReferenceGrid.rectangle(8)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(error, match=match):
+            assemble_hamiltonian(family, free_coefficients(2), 0.5, grid, bc)
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+def test_a_large_jacobian_with_a_finite_determinant_is_not_degenerate():
+    # entries of 1e200 and 1e-200: det J = 1 is taken as usual; its inverse
+    # is what overflows the metric
+    family = diagonal_family([_const(1e200), _const(1e-200)], [_const(0.0)] * 2)
+    grid = ReferenceGrid.rectangle(6)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(InvalidInputError, match=r"metric D J\^-t"):
+            assemble_hamiltonian(family, free_coefficients(2), 0.5, grid, DIRICHLET)
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 

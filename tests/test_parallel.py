@@ -1,6 +1,8 @@
 import json
 import os
 import pickle
+import re
+import signal
 import subprocess
 import sys
 import time
@@ -9,26 +11,34 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from schrodeform import cli, errors, parallel
+from schrodeform import cli, errors, parallel, propagator, sparse_lu
 from schrodeform.cli import main
 from schrodeform.errors import (DegenerateJacobianError, FlowLeftDomainError,
                                 SolverDivergenceError, WorkerLostError)
-from schrodeform.geometry import ReferenceGrid
+from schrodeform.geometry import GridFunction, ReferenceGrid
 from schrodeform.moser import DensityFamily, moser_flow, normalize_diffeo
 from schrodeform.moser import flow as flow_module
-from schrodeform.operators import free_coefficients
-from schrodeform.propagator import PropagatorConfig, evolve
+from schrodeform.operators import MAGNETIC_NEUMANN, free_coefficients
+from schrodeform.propagator import PropagatorConfig, evolve, steps_per_pass
 from schrodeform.scenarios import adiabatic, adiabatic_experiment, moving_interval_scenario
-from schrodeform.scenarios.families import interval_family, stretch_warp_family
+from schrodeform.scenarios.families import (diagonal_family, interval_family,
+                                            stretch_warp_family, warped_2d_family)
 
 
 @pytest.fixture
 def cpus(monkeypatch):
-    """Pretend the affinity mask holds n CPUs (never more than two here)."""
+    """Pretend the affinity mask holds n CPUs."""
     def use(n):
         monkeypatch.setattr(parallel.os, "sched_getaffinity",
                             lambda pid: set(range(n)))
     return use
+
+
+@pytest.fixture
+def forking(monkeypatch):
+    """Fork workers for a Moser flow or a relay however small its work."""
+    monkeypatch.setattr(flow_module, "_FORK_WORK", 0)
+    monkeypatch.setattr(propagator, "_FORK_WORK", 0)
 
 
 def _pid(_job):
@@ -200,12 +210,6 @@ def _sine2d():
     return DensityFamily(*cli._DENSITIES["sine2d"](0.1))
 
 
-@pytest.fixture
-def forking_flows(monkeypatch):
-    """Fork workers for a flow however small it is."""
-    monkeypatch.setattr(flow_module, "_FORK_WORK", 0)
-
-
 def _on_one_and_two_cpus(cpus, build):
     cpus(1)
     serial = build()
@@ -227,7 +231,7 @@ def _assert_maps_equal(serial, forked):
     ("sine2d", ReferenceGrid.rectangle(8), [0.0]),
     ("sine1d", ReferenceGrid.interval(64), [0.0, 1.0])],
     ids=["one_span", "repeated_sample", "one_sample", "interval"])
-def test_flow_on_two_cpus_equals_one_cpu(cpus, forking_flows, density, grid,
+def test_flow_on_two_cpus_equals_one_cpu(cpus, forking, density, grid,
                                          samples):
     # the repeated sample is a zero-step span between two backward jobs; on
     # the interval u has one component, so the stage table has three columns
@@ -237,7 +241,7 @@ def test_flow_on_two_cpus_equals_one_cpu(cpus, forking_flows, density, grid,
 
 
 def test_static_anchor_normalization_on_two_cpus_equals_one_cpu(cpus,
-                                                                 forking_flows):
+                                                                 forking):
     grid = ReferenceGrid.rectangle(8)
     _assert_maps_equal(*_on_one_and_two_cpus(
         cpus, lambda: normalize_diffeo(stretch_warp_family(), grid,
@@ -245,7 +249,7 @@ def test_static_anchor_normalization_on_two_cpus_equals_one_cpu(cpus,
 
 
 def test_flow_leaving_the_domain_in_a_worker_raises_the_serial_error(
-        cpus, forking_flows, monkeypatch):
+        cpus, forking, monkeypatch):
     rk4 = flow_module._rk4_span
 
     def escaping(velocity, pts, ta, tb, n, grid):
@@ -266,19 +270,240 @@ def test_flow_leaving_the_domain_in_a_worker_raises_the_serial_error(
 
 
 def test_a_flow_forks_from_its_fork_work_up(cpus, monkeypatch):
-    calls = []
+    counts = []
 
-    def counting(fn, jobs, cost):
-        calls.append(fn)
-        return [fn(job) for job in jobs]
+    def counting(units, work=0, fork_work=0):
+        counts.append(worker_count(units, work, fork_work))
+        return counts[-1]
 
-    monkeypatch.setattr(flow_module, "map_jobs", counting)
+    worker_count = parallel.worker_count
+    monkeypatch.setattr(parallel, "worker_count", counting)
     cpus(2)
     grid = ReferenceGrid.rectangle(8)
     node_stages = grid.n_nodes * (2 * flow_module._MIN_STEPS + 1)
     assert node_stages < flow_module._FORK_WORK
     moser_flow(_sine2d(), grid, [0.0, 1.0])
-    assert calls == []
+    assert counts == [1, 1]
     monkeypatch.setattr(flow_module, "_FORK_WORK", node_stages)
     moser_flow(_sine2d(), grid, [0.0, 1.0])
-    assert len(calls) == 2      # the stage table and the passes
+    assert counts[2:] == [2, 2]     # the stage table and the passes
+
+
+# -- the Cayley relay ---------------------------------------------------------
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids this process forks from here on."""
+    pids = []
+    fork = os.fork
+
+    def counted():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(parallel.os, "fork", counted)
+    return pids
+
+
+def _assert_no_children():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _warped(cells, n_steps, family=None, values=None):
+    """A magnetic-Neumann evolution of n_steps on cells^2, with observables
+    and snapshots every 7 steps."""
+    grid = ReferenceGrid.rectangle(cells)
+    y = grid.nodes
+    v0 = GridFunction(grid, np.cos(np.pi * y[:, 0]) * (1 + 0.5j * y[:, 1])
+                      if values is None else values)
+    obs = [GridFunction.constant(grid, 1.0 + 0j),
+           GridFunction(grid, np.sin(np.pi * y[:, 1]) + 0j)]
+    cfg = PropagatorConfig(dt=1 / 160, t_start=0.0, t_end=n_steps / 160,
+                           snapshot_stride=7, observables=obs)
+    return lambda: evolve(family or warped_2d_family(), free_coefficients(2),
+                          MAGNETIC_NEUMANN, v0, cfg)
+
+
+@pytest.fixture
+def deadline():
+    """Fail a test, rather than hang, if it runs past 60 s."""
+    def expire(signum, frame):
+        raise TimeoutError("the test ran past its 60 s deadline")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(60)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+# chunks of K = 72 at 8^2 and K = 19 at 16^2: one chunk (in-process), three
+# with a short last one, and six, more than the ring's four slots
+@pytest.mark.parametrize("cells, n_steps, relayed", [
+    (8, 30, False), (8, 150, True), (16, 100, True)])
+def test_relay_trace_equals_the_serial_trace(cpus, forking, forks, deadline,
+                                             cells, n_steps, relayed):
+    run = _warped(cells, n_steps)
+    serial, forked = _on_one_and_two_cpus(cpus, run)
+    assert len(forks) == (2 if relayed else 0)
+    for name in ("times", "norms", "energies", "overlaps"):
+        assert np.array_equal(getattr(serial, name), getattr(forked, name))
+    assert serial.snapshot_times == forked.snapshot_times
+    assert len(serial.snapshots) == 1 + n_steps // 7 + (n_steps % 7 > 0)
+    for a, b in zip(serial.snapshots, forked.snapshots):
+        assert np.array_equal(a.values, b.values)
+    _assert_no_children()
+
+
+def test_relay_on_more_workers_than_cores_equals_the_serial_trace(
+        cpus, forking, forks, deadline):
+    # 20 chunks of K = 8 on 4 workers: each of the ring's 8 slots is reused
+    run = _warped(24, 160)
+    cpus(1)
+    serial = run()
+    cpus(4)
+    for _ in range(2):
+        forked = run()
+        for name in ("norms", "energies", "overlaps"):
+            assert np.array_equal(getattr(serial, name), getattr(forked, name))
+        for a, b in zip(serial.snapshots, forked.snapshots):
+            assert np.array_equal(a.values, b.values)
+    assert len(forks) == 8
+    _assert_no_children()
+
+
+def _errors_on_one_and_two_cpus(cpus, run, error=SolverDivergenceError):
+    def raised():
+        with pytest.raises(error) as info:
+            run()
+        return info.value
+
+    serial, forked = _on_one_and_two_cpus(cpus, raised)
+    assert type(forked) is type(serial)
+    assert str(forked) == str(serial)
+    _assert_no_children()
+    return serial, forked
+
+
+def test_relay_raises_a_later_chunks_degenerate_jacobian(cpus, forking, forks,
+                                                        deadline):
+    def scale(t):       # det J < 0 from t = 1/4: step 41, chunk 2 of K = 19
+        return np.where(np.asarray(t) > 0.25, -1.0, 1.0)
+
+    def zero(t):
+        return np.zeros(np.shape(t))
+
+    family = diagonal_family((scale, lambda t: 1.0 + 0 * zero(t)), (zero, zero))
+    serial, forked = _errors_on_one_and_two_cpus(
+        cpus, _warped(16, 60, family), DegenerateJacobianError)
+    assert len(forks) == 2
+    assert serial.t == forked.t == pytest.approx(40.5 / 160)
+    assert np.array_equal(serial.y, forked.y) and serial.det == forked.det
+
+
+def test_relay_raises_a_non_finite_initial_state(cpus, forking, deadline):
+    values = np.ones(ReferenceGrid.rectangle(16).n_nodes, dtype=complex)
+    values[5] = np.nan
+    serial, _ = _errors_on_one_and_two_cpus(cpus, _warped(16, 60, values=values))
+    assert serial.step == 1 and "non-finite" in str(serial)
+
+
+def _fingerprints(cpus, cells, n_steps):
+    """The entry sum of each Cayley factor's matrix, in step order."""
+    cpus(1)
+    sums = []
+    real = sparse_lu.spla
+
+    class Recording:
+        @staticmethod
+        def splu(A, *args, **kwargs):
+            sums.append(complex(A.data.sum()))
+            return real.splu(A, *args, **kwargs)
+
+    sparse_lu.spla = Recording
+    try:
+        _warped(cells, n_steps)()
+    finally:
+        sparse_lu.spla = real
+    return sums
+
+
+class _SpoiledLU:
+    def __init__(self, lu):
+        self.lu = lu
+
+    def solve(self, rhs):
+        return self.lu.solve(rhs) * (1 + 1e-4)
+
+
+def _singular(lu):
+    raise RuntimeError("Factor is exactly singular")
+
+
+@pytest.mark.parametrize("spoil, message", [
+    (_singular, r"step 45 \(t=0\.278125\): Cayley factorization failed"),
+    (_SpoiledLU, r"step 45 \(t=0\.278125\): linear solve residual"),
+], ids=["singular_factor", "residual"])
+def test_relay_raises_a_failed_step_at_its_step(cpus, forking, forks, deadline,
+                                                monkeypatch, spoil, message):
+    # step 45 is the seventh of chunk 2 (K = 19), one of worker 0's; the
+    # factor is picked by its matrix, the same in every process
+    target = _fingerprints(cpus, 16, 60)[44]
+    real = sparse_lu.spla
+
+    class Spoiling:
+        @staticmethod
+        def splu(A, *args, **kwargs):
+            lu = real.splu(A, *args, **kwargs)
+            return spoil(lu) if complex(A.data.sum()) == target else lu
+
+    monkeypatch.setattr(sparse_lu, "spla", Spoiling)
+    serial, forked = _errors_on_one_and_two_cpus(cpus, _warped(16, 60))
+    assert re.match(message, str(serial))
+    assert serial.step == forked.step == 45
+    assert len(forks) == 2
+
+
+def test_a_killed_relay_worker_raises_worker_lost(cpus, forking, forks,
+                                                  deadline, monkeypatch):
+    data = propagator.hamiltonian_data
+    parent = os.getpid()
+
+    def dying(family, coeffs, times, grid, bc):
+        if os.getpid() != parent and times[0] > 0.2:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return data(family, coeffs, times, grid, bc)
+
+    monkeypatch.setattr(propagator, "hamiltonian_data", dying)
+    cpus(2)
+    with pytest.raises(WorkerLostError):
+        _warped(16, 60)()
+    assert len(forks) == 2
+    _assert_no_children()
+
+
+def test_the_band_path_never_relays(cpus, forking, forks):
+    grid = ReferenceGrid.interval(64)
+    v0 = GridFunction(grid, np.sin(np.pi * grid.nodes[:, 0]) + 0j)
+    cfg = PropagatorConfig(dt=1e-3, t_start=0.0, t_end=0.5)
+    assert cfg.n_steps > 3 * steps_per_pass(grid)       # four chunks
+    cpus(2)
+    evolve(interval_family(lambda t: 1 + 0.5 * t, lambda t: 0.5),
+           free_coefficients(1), "dirichlet", v0, cfg)
+    assert forks == []
+
+
+def test_an_evolution_in_a_map_jobs_worker_never_relays(cpus, forking, forks):
+    run = _warped(16, 100)
+
+    def job(_k):
+        before = len(forks)
+        run()
+        return os.getpid(), len(forks) - before
+
+    cpus(2)
+    results = parallel.map_jobs(job, range(2), cost=lambda k: 1)
+    assert all(pid != os.getpid() and relays == 0 for pid, relays in results)
