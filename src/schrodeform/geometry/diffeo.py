@@ -15,6 +15,7 @@ in time.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
@@ -216,7 +217,9 @@ def jacobian_at(family: DiffeoFamily, t: float, y: np.ndarray) -> JacobianData:
 def jacobian_field(family: DiffeoFamily, t, pts: np.ndarray):
     """Vectorized (J, det, J^{-1}) over many points; det must stay positive
     and finite.  A determinant that would overflow counts as +inf, and is
-    never computed.
+    never computed.  An inverse whose entries could pass ``SAFE_PRODUCT``
+    (a tiny det J, or one small next to |J|) raises
+    :class:`InvalidInputError` before it is computed.
 
     ``t`` is a float or an array of times that broadcasts to the points; the
     error names the scalar time and the point of the first entry, in
@@ -225,7 +228,8 @@ def jacobian_field(family: DiffeoFamily, t, pts: np.ndarray):
     family.check_time(t)
     J = family.jacobian_matrix(t, pts)
     dim = J.shape[-1]
-    if dim > 1 and smallmat.abs_max(J) > smallmat.SAFE_PRODUCT ** (1 / dim):
+    big = smallmat.abs_max(J)
+    if dim > 1 and big > smallmat.SAFE_PRODUCT ** (1 / dim):
         # det J could overflow: where it would, it counts as +inf, and the
         # other points' determinants are taken as usual
         over = smallmat.log_row_bound(J) > np.log(smallmat.SAFE_PRODUCT)
@@ -237,12 +241,30 @@ def jacobian_field(family: DiffeoFamily, t, pts: np.ndarray):
     failed = ~((det > 0.0) & (det < np.inf))
     if failed.any():
         k = int(np.argmax(failed))
-        pts = np.asarray(pts, dtype=float)
-        point = np.broadcast_to(pts, det.shape + pts.shape[-1:]).reshape(
-            -1, pts.shape[-1])[k]
-        raise DegenerateJacobianError(float(np.broadcast_to(t, det.shape).flat[k]),
-                                      point, float(det.flat[k]))
+        raise DegenerateJacobianError(*_time_and_point(t, pts, det.shape, k),
+                                      float(det.flat[k]))
+    # an entry of J^-1 = adj J / det J is at most (dim - 1)! max|J|^(dim - 1)
+    # / det J, in logs: bounded on the whole stack, then point by point
+    log_safe = np.log(smallmat.SAFE_PRODUCT)
+    if det.size and ((dim - 1) * math.log(big) + math.lgamma(dim)
+                     - math.log(det.min())) > log_safe:
+        size = ((dim - 1) * np.log(np.abs(J).max(axis=(-2, -1)))
+                + math.lgamma(dim) - np.log(det))
+        k = int(np.argmax(size > log_safe))
+        t_k, y_k = _time_and_point(t, pts, det.shape, k)
+        raise InvalidInputError(
+            f"J^-1 may reach 10^{size.flat[k] / np.log(10):.1f} > "
+            f"{smallmat.SAFE_PRODUCT:g} (det J = {det.flat[k]:.3e}) at t={t_k}, "
+            f"y={y_k}")
     return J, det, smallmat.inv(J)
+
+
+def _time_and_point(t, pts, shape, k):
+    """The scalar time and the point of entry ``k``, in row-major order, of
+    a ``shape`` stack of points."""
+    pts = np.asarray(pts, dtype=float)
+    point = np.broadcast_to(pts, shape + pts.shape[-1:]).reshape(-1, pts.shape[-1])[k]
+    return float(np.broadcast_to(t, shape).flat[k]), point
 
 
 def validate_family(family: DiffeoFamily, grid, times) -> None:

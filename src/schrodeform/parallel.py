@@ -13,16 +13,15 @@ rungs) and the stage table and RK4 passes of a Moser flow.  A job that
 calls ``map_jobs`` itself runs the inner jobs in-process, in its own
 worker.
 
-``relay(prepare, advance, record, units, workers, slot_bytes)`` runs a
+``relay(prepare, advance, record, units, slot_bytes, ...)`` runs a
 sequential recurrence of units, each in two halves: ``prepare(c)``, which
 does not need unit c - 1's result, and ``advance(c, ...)``, which does.
-Worker j owns the units c = j (mod workers) and prepares each one while
-the other workers advance the units before it; then it waits for a
-one-byte token from unit c - 1, advances, and passes the token on.
-Results go through a ring of ``2 * workers`` slots in shared memory, and
-only tokens through pipes.  The parent only records each slot, in unit
-order, and hands it back.  The Cayley steps of a 2D evolution run so
-(``propagator.evolve``): a step's factor does not depend on the state.
+Forked, worker j of W owns the units c = j (mod W) and prepares each one
+while the units before it advance; then it waits for unit c's token,
+advances, and sends the parent a status byte.  The parent is the only
+dispatcher: on unit c's status it sends unit c + 1's token, then records
+unit c.  So two slots of shared memory hold every result, and only
+one-byte tokens go through pipes.  Cayley steps run so (``propagator``).
 
 Workers are forked, not spawned, because the jobs are closures over
 families and coefficient sets, which cannot be pickled: a forked worker
@@ -133,15 +132,14 @@ def map_jobs(fn, jobs, cost, work: float = 0, fork_work: float = 0):
     return [result for result, _ in timed]
 
 
-# relay status bytes, worker to parent, one per unit
+# relay status bytes, worker to parent, one per unit (_DONE is the token)
 _DONE, _FAILED = b"\0", b"\1"
 
 
 def _serve(j, workers, units, prepare, advance, slots, pipes, parent):
     """Worker j of a relay; never returns."""
-    go, done, free = pipes
-    keep = {go[j][0], go[(j + 1) % workers][1], done[j][1], free[j][0]}
-    for fd in {fd for pair in go + done + free for fd in pair} - keep:
+    go, done = pipes
+    for fd in {fd for pair in go + done for fd in pair} - {go[j][0], done[j][1]}:
         os.close(fd)
     code = 1
     try:
@@ -153,16 +151,13 @@ def _serve(j, workers, units, prepare, advance, slots, pipes, parent):
                 prepared, error = prepare(c), None
             except Exception as exc:    # held until every earlier unit ran
                 prepared, error = None, exc
-            # unit c - 1's token, then the slot that unit c - len(slots)
-            # held; EOF (b"") means the worker upstream or the parent is gone
+            # unit c's token; EOF (b"") means the parent is gone
             if c and not os.read(go[j][0], 1):
-                return
-            if c >= len(slots) and not os.read(free[j][0], 1):
                 return
             if error is None:
                 try:
-                    advance(c, prepared, slots[(c - 1) % len(slots)] if c else None,
-                            slots[c % len(slots)])
+                    advance(c, prepared, slots[(c - 1) % 2] if c else None,
+                            slots[c % 2])
                 except Exception as exc:
                     error = exc
             if error is not None:
@@ -174,8 +169,6 @@ def _serve(j, workers, units, prepare, advance, slots, pipes, parent):
                 _write(done[j][1], _FAILED + payload)
                 code = 0
                 return
-            if c + 1 < units:
-                os.write(go[(j + 1) % workers][1], _DONE)
             os.write(done[j][1], _DONE)
         code = 0
     finally:
@@ -187,28 +180,34 @@ def _write(fd, data):
         data = data[os.write(fd, data):]
 
 
-def relay(prepare, advance, record, units: int, workers: int,
-          slot_bytes: int) -> None:
-    """Run ``units`` dependent units on ``workers`` forked processes.
+def relay(prepare, advance, record, units: int, slot_bytes: int,
+          work: float = 0, fork_work: float = 0) -> None:
+    """Run ``units`` dependent units in order, on forked workers when
+    :func:`worker_count` allows.
 
-    For each unit c in order, in a worker: ``prepared = prepare(c)``, then
-    ``advance(c, prepared, last, slot)``, where ``slot`` is a writable
+    For each unit c, in a worker or in-process: ``prepared = prepare(c)``,
+    then ``advance(c, prepared, last, slot)``, where ``slot`` is a writable
     memoryview of ``slot_bytes`` bytes for unit c's result and ``last`` is
-    unit c - 1's slot (None for unit 0).  In the parent, in order:
-    ``record(c, slot)``, after which the slot goes back to the ring.  An
+    unit c - 1's slot (None for unit 0); then, here, ``record(c, slot)``.
+    Unit c + 1 writes into unit c - 1's slot, recorded by then.  An
     exception raised by ``prepare(c)`` or ``advance`` is raised here, once
     every earlier unit has been recorded; a worker that dies raises
-    :class:`WorkerLostError`.
+    :class:`WorkerLostError`.  ``work`` and ``fork_work`` are passed on to
+    :func:`worker_count`.
     """
     stride = -(-slot_bytes // 64) * 64  # every slot starts 64-byte aligned
     # unmapped once no view of it is left (an array built on a slot may
     # outlive the call in a traceback, so it is not closed here)
-    ring = memoryview(mmap.mmap(-1, 2 * workers * stride))
-    slots = [ring[i * stride:i * stride + slot_bytes] for i in range(2 * workers)]
-    # go[j]: unit c - 1 is done, to worker j; done[j]: worker j's status
-    # bytes; free[j]: the parent has recorded a unit of worker j's
-    pipes = tuple([os.pipe() for _ in range(workers)] for _ in range(3))
-    _, done, free = pipes
+    ring = memoryview(mmap.mmap(-1, 2 * stride))
+    slots = [ring[:slot_bytes], ring[stride:stride + slot_bytes]]
+    workers = worker_count(units, work, fork_work)
+    if workers == 1:
+        for c in range(units):
+            advance(c, prepare(c), slots[(c - 1) % 2] if c else None, slots[c % 2])
+            record(c, slots[c % 2])
+        return
+    # go[j]: the parent's tokens to worker j; done[j]: worker j's status
+    go, done = pipes = tuple([os.pipe() for _ in range(workers)] for _ in range(2))
     fds = {fd for group in pipes for pair in group for fd in pair}
     parent, pids = os.getpid(), []
     try:
@@ -217,7 +216,7 @@ def relay(prepare, advance, record, units: int, workers: int,
             if pid == 0:
                 _serve(j, workers, units, prepare, advance, slots, pipes, parent)
             pids.append(pid)
-        mine = {r for r, _ in done} | {w for _, w in free}
+        mine = {r for r, _ in done} | {w for _, w in go}
         for fd in fds - mine:
             os.close(fd)
         fds = mine
@@ -229,13 +228,13 @@ def relay(prepare, advance, record, units: int, workers: int,
                     raise pickle.load(rest)
             if status != _DONE:
                 raise WorkerLostError(f"relay worker {j} died before unit {c}")
-            record(c, slots[c % len(slots)])
-            if c + len(slots) < units:
+            if c + 1 < units:   # unit c + 1 reads unit c's slot meanwhile
                 try:
-                    os.write(free[j][1], _DONE)
+                    os.write(go[(c + 1) % workers][1], _DONE)
                 except BrokenPipeError:
-                    raise WorkerLostError(
-                        f"relay worker {j} died after unit {c}") from None
+                    raise WorkerLostError(f"relay worker {(c + 1) % workers} "
+                                          f"died before unit {c + 1}") from None
+            record(c, slots[c % 2])
     finally:
         for pid in pids:
             # a worker may have exited already; a SIGCHLD set to SIG_IGN

@@ -12,24 +12,21 @@ about ``CHUNK_POINTS`` points) and hands them to a :class:`CayleyStepper`,
 which factors them (:meth:`CayleyStepper.prepare`, no state needed) and
 then steps the state through them (:meth:`CayleyStepper.solve`).
 
-On the sparse-LU path that split lets the chunks run as a relay on every
-usable CPU (``parallel.relay``): worker j of W owns the chunks c = j
-(mod W), assembles and factors chunk c while the chunks before it solve,
-then waits for chunk c - 1's state, solves, and passes the token on.  The
-states and energies go through a ring of shared memory that the parent
-drains, in chunk order, into the trace.  Each LU is solved in the process
-that built it.  The relay stays off, and :func:`evolve` runs in-process,
-with one usable CPU, inside another parallel worker, on the ``zgtsv`` band
-path (every 1D evolution: a step there is cheaper than a token's trip),
-with fewer than two chunks, and below ``_FORK_WORK`` dof-steps.  Both ways
-run the same arithmetic and give the same trace, bit for bit, and the same
-error.
+The chunks run through ``parallel.relay``: on the sparse-LU path, as a
+relay on every usable CPU, where worker j of W owns the chunks c = j
+(mod W) and assembles and factors chunk c while the chunks before it
+solve, then solves on the parent's token; each LU is solved in the
+process that built it.  Otherwise in-process: with one usable CPU, inside
+another parallel worker, on the ``zgtsv`` band path (every 1D evolution: a
+step there is cheaper than a token's trip), with one chunk, and below
+``_FORK_WORK`` dof-steps.  Both ways give the same trace, bit for bit, and
+the same error.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, NamedTuple, Optional
+from typing import List, NamedTuple, Optional
 
 import numpy as np
 import scipy.sparse as sp
@@ -318,18 +315,6 @@ def steps_per_pass(grid: ReferenceGrid) -> int:
     return max(1, CHUNK_POINTS // len(form_points(grid)))
 
 
-def _solve_chunk(stepper: CayleyStepper, prepared: _Prepared, v: np.ndarray,
-                 done: np.ndarray, mids: np.ndarray):
-    """:meth:`CayleyStepper.solve` with a failure's chunk step renamed as
-    the global step ``done[step]`` and its midpoint time."""
-    try:
-        return stepper.solve(prepared, v)
-    except SolverDivergenceError as exc:
-        k = int(done[exc.step])
-        raise SolverDivergenceError(
-            f"step {k} (t={mids[exc.step]:.12g}): {exc}", step=k) from exc
-
-
 def evolve(family: DiffeoFamily, coeffs: CoefficientSet, bc: str,
            v0: GridFunction, config: PropagatorConfig,
            grid: Optional[ReferenceGrid] = None) -> EvolutionTrace:
@@ -341,10 +326,9 @@ def evolve(family: DiffeoFamily, coeffs: CoefficientSet, bc: str,
     that fails raises :class:`SolverDivergenceError` naming the step, counted
     from 1, and its midpoint time.
 
-    On the sparse-LU path, with two or more chunks, at least ``_FORK_WORK``
-    dof-steps and more than one usable CPU, the chunks run as a relay on
-    forked workers (module docstring): the trace and the error raised are
-    the same, bit for bit and word for word.  A worker that dies raises
+    The chunks run through one ``parallel.relay`` call (module docstring),
+    on forked workers or in-process; the trace and the error are the same,
+    bit for bit and word for word.  A worker that dies raises
     :class:`WorkerLostError`; none outlives the call.
     """
     grid = grid or v0.grid
@@ -370,28 +354,45 @@ def evolve(family: DiffeoFamily, coeffs: CoefficientSet, bc: str,
         done = np.arange(k0 + 1, min(k0 + K, n) + 1)
         chunks.append((done, config.t_start + (done - 0.5) * dt))
 
+    # an identity index of the kind solve un-permutes with (none on the band
+    # path): the states read out of a slot get the memory layout solve
+    # returns, so their norms reduce in the same order
+    same = slice(None) if stepper.banded else np.arange(stepper.n)
+
+    def views(slot):            # a chunk's (K, n) states, then its energies
+        return (np.ndarray((K, stepper.n), complex, buffer=slot),
+                np.ndarray(K, float, buffer=slot, offset=K * stepper.n * 16))
+
     def prepare(c):
         return stepper.prepare(hamiltonian_data(family, coeffs, chunks[c][1], grid, bc))
 
-    def record(c, states, chunk_energies):
+    def advance(c, prepared, last, slot):
+        done, mids = chunks[c]
+        start = views(last)[0][K - 1] if c else v  # only the last chunk is short
+        try:
+            states, chunk_energies = stepper.solve(prepared, start)
+        except SolverDivergenceError as exc:
+            k = int(done[exc.step])
+            raise SolverDivergenceError(
+                f"step {k} (t={mids[exc.step]:.12g}): {exc}", step=k) from exc
+        out, out_energies = views(slot)
+        out[:len(done)] = states
+        out_energies[:len(done)] = chunk_energies
+
+    def record(c, slot):
         done = chunks[c][0]
+        states, chunk_energies = views(slot)
+        states = states[:len(done)][:, same]
         norms.append(np.linalg.norm(states, axis=1))
         overlaps.append(np.abs(states @ obs) ** 2)
-        energies.append(chunk_energies)
+        energies.append(chunk_energies[:len(done)].copy())
         want = (done == n) | ((done % stride == 0) if stride else False)
         for i in np.flatnonzero(want):
             snap_steps.append(int(done[i]))
             snapshots.append(H0.from_dofs(states[i]))
 
-    workers = 1 if stepper.banded else parallel.worker_count(
-        len(chunks), pattern.dofs.size * n, _FORK_WORK)
-    if workers == 1:
-        for c, (done, mids) in enumerate(chunks):
-            states, chunk_energies = _solve_chunk(stepper, prepare(c), v, done, mids)
-            record(c, states, chunk_energies)
-            v = states[-1]
-    else:
-        _relay(stepper, chunks, prepare, record, v, workers)
+    parallel.relay(prepare, advance, record, len(chunks), K * stepper.n * 24,
+                   pattern.dofs.size * n, np.inf if stepper.banded else _FORK_WORK)
 
     times = config.t_start + np.arange(n + 1) * dt
     return EvolutionTrace(
@@ -404,36 +405,6 @@ def evolve(family: DiffeoFamily, coeffs: CoefficientSet, bc: str,
         metadata={"bc": bc, "dt": dt, "n_steps": n, "family": family.name,
                   "grid": grid.cells},
     )
-
-
-def _relay(stepper: CayleyStepper, chunks: list, prepare: Callable,
-           record: Callable, v: np.ndarray, workers: int) -> None:
-    """Run :func:`evolve`'s chunks through ``parallel.relay``.  A ring slot
-    holds a chunk's ``(K, n)`` states, then its ``(K,)`` energies; the
-    parent copies both out before the slot is reused."""
-    K, n = len(chunks[0][0]), stepper.n
-    every = np.arange(n)
-
-    def views(slot):
-        return (np.ndarray((K, n), complex, buffer=slot),
-                np.ndarray(K, float, buffer=slot, offset=K * n * 16))
-
-    def advance(c, prepared, last, slot):
-        done, mids = chunks[c]
-        start = views(last)[0][K - 1] if c else v  # only the last chunk is short
-        states, chunk_energies = _solve_chunk(stepper, prepared, start, done, mids)
-        out, out_energies = views(slot)
-        out[:len(done)] = states
-        out_energies[:len(done)] = chunk_energies
-
-    def drain(c, slot):
-        states, chunk_energies = views(slot)
-        m = len(chunks[c][0])
-        # copied out by a fancy index like solve's un-permuting one, so that
-        # the copy has its memory layout and the norms reduce in its order
-        record(c, states[:m][:, every], chunk_energies[:m].copy())
-
-    parallel.relay(prepare, advance, drain, len(chunks), workers, K * n * 24)
 
 
 def transport_solution(trace: EvolutionTrace, family: DiffeoFamily):

@@ -12,7 +12,7 @@ from schrodeform.errors import (
     NonRealEnergyError,
     SolverDivergenceError,
 )
-from schrodeform.geometry import GridFunction, ReferenceGrid, identity_family
+from schrodeform.geometry import DiffeoFamily, GridFunction, ReferenceGrid, identity_family
 from schrodeform.operators import (
     DIRICHLET,
     MAGNETIC_NEUMANN,
@@ -202,6 +202,36 @@ def test_overflowing_metric_raises_before_any_warning(bc, family, error, match):
         warnings.simplefilter("always")
         with pytest.raises(error, match=match):
             assemble_hamiltonian(family, free_coefficients(2), 0.5, grid, bc)
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+def _sheared(a):
+    """The constant linear map y -> A y."""
+    a = np.asarray(a, dtype=float)
+    return DiffeoFamily(
+        map=lambda t, y: np.asarray(y, dtype=float) @ a.T,
+        dmap_dt=lambda t, y: np.zeros_like(np.asarray(y, dtype=float)),
+        jacobian=lambda t, y: np.broadcast_to(a, np.shape(y)[:-1] + a.shape).copy(),
+        jacobian_dt=lambda t, y: np.zeros(np.shape(y)[:-1] + a.shape))
+
+
+@pytest.mark.parametrize("bc", [DIRICHLET, MAGNETIC_NEUMANN])
+@pytest.mark.parametrize("family, grid, match", [
+    # a positive subnormal det J: 1 / det used to overflow in smallmat.inv
+    (diagonal_family([_const(1e-310), _const(1.0)], [_const(0.0)] * 2),
+     ReferenceGrid.rectangle(8), r"10\^310\.0 > 1e\+300 \(det J = 1\.000e-310\)"),
+    (interval_family(_const(1e-310), _const(0.0)), ReferenceGrid.interval(16),
+     r"10\^310\.0 > 1e\+300 \(det J = 1\.000e-310\)"),
+    # a normal det J = 1e-150, small next to the entry 1e200: J^-1 has -1e350
+    (_sheared([[1.0, 1e200], [0.0, 1e-150]]), ReferenceGrid.rectangle(8),
+     r"10\^350\.0 > 1e\+300 \(det J = 1\.000e-150\)"),
+], ids=["subnormal_det_2d", "subnormal_det_1d", "small_det_next_to_J"])
+def test_an_overflowing_inverse_jacobian_raises_before_any_warning(bc, family,
+                                                                  grid, match):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(InvalidInputError, match=match + r" at t=0\.5, y=\["):
+            assemble_hamiltonian(family, free_coefficients(grid.dim), 0.5, grid, bc)
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 

@@ -341,7 +341,7 @@ def deadline():
 
 
 # chunks of K = 72 at 8^2 and K = 19 at 16^2: one chunk (in-process), three
-# with a short last one, and six, more than the ring's four slots
+# with a short last one, and six, three in each of the two slots
 @pytest.mark.parametrize("cells, n_steps, relayed", [
     (8, 30, False), (8, 150, True), (16, 100, True)])
 def test_relay_trace_equals_the_serial_trace(cpus, forking, forks, deadline,
@@ -360,7 +360,7 @@ def test_relay_trace_equals_the_serial_trace(cpus, forking, forks, deadline,
 
 def test_relay_on_more_workers_than_cores_equals_the_serial_trace(
         cpus, forking, forks, deadline):
-    # 20 chunks of K = 8 on 4 workers: each of the ring's 8 slots is reused
+    # 20 chunks of K = 8 on 4 workers: each of the two slots serves ten
     run = _warped(24, 160)
     cpus(1)
     serial = run()

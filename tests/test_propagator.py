@@ -6,7 +6,7 @@ import scipy.sparse as sp
 
 from schrodeform.errors import SnapshotMissingError, SolverDivergenceError
 from schrodeform.geometry import GridFunction, ReferenceGrid, identity_family
-from schrodeform import operators, propagator, sparse_lu
+from schrodeform import operators, parallel, propagator, sparse_lu
 from schrodeform.operators import (
     DIRICHLET,
     MAGNETIC_NEUMANN,
@@ -346,6 +346,59 @@ def test_evolve_chunk_edges(steps):
     assert len(trace.times) == n + 1 and trace.overlaps.shape == (n + 1, 2)
     _assert_matches_reference(trace, _stepped_reference(fam, coeffs, DIRICHLET,
                                                         v0, cfg, grid))
+
+
+def _chunked_reference(family, coeffs, bc, v0, config, grid):
+    """evolve's norms, energies, overlaps and final state from a plain loop
+    of CayleyStepper.advance, one call per assembly pass, in the same
+    arithmetic."""
+    H0 = assemble_hamiltonian(family, coeffs, config.t_start, grid, bc)
+    v = H0.to_dofs(v0)
+    obs = np.array([H0.to_dofs(o) for o in config.observables],
+                   dtype=complex).reshape(-1, H0.n_dofs).conj().T
+    pattern = form_pattern(grid, bc)
+    stepper = CayleyStepper(pattern.indptr, pattern.indices, grid, bc,
+                            config.dt_effective, config.solver_tol)
+    n, K = config.n_steps, steps_per_pass(grid)
+    norms, overlaps = [np.linalg.norm(v[None], axis=1)], [np.abs(v[None] @ obs) ** 2]
+    energies = [np.array([np.real(np.vdot(v, H0.matrix @ v))])]
+    for k0 in range(0, n, K):
+        done = np.arange(k0 + 1, min(k0 + K, n) + 1)
+        mids = config.t_start + (done - 0.5) * config.dt_effective
+        states, chunk_energies = stepper.advance(
+            v, hamiltonian_data(family, coeffs, mids, grid, bc))
+        norms.append(np.linalg.norm(states, axis=1))
+        overlaps.append(np.abs(states @ obs) ** 2)
+        energies.append(chunk_energies)
+        v = states[-1]
+    return (np.concatenate(norms), np.concatenate(energies),
+            np.concatenate(overlaps), H0.from_dofs(v).values)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_evolve_in_process_equals_a_chunked_advance_loop_bitwise(monkeypatch, dim):
+    # the band path (1D) and the sparse-LU path (2D) over several chunks; the
+    # norms see the memory layout of the states evolve reads back
+    monkeypatch.setattr(parallel.os, "sched_getaffinity", lambda pid: {0})
+    if dim == 1:
+        grid = ReferenceGrid.interval(200)
+        fam, bc = interval_family(lambda t: 1 + 0.5 * t, lambda t: 0.5), DIRICHLET
+    else:
+        grid = ReferenceGrid.rectangle(12)
+        fam, bc = warped_2d_family(), MAGNETIC_NEUMANN
+    y = grid.nodes
+    v0 = GridFunction(grid, np.cos(np.pi * y[:, 0]) * (1 + 0.5j * y[:, -1]))
+    obs = [GridFunction(grid, np.sin(np.pi * y[:, -1]) + 0j)]
+    cfg = PropagatorConfig(dt=1e-3, t_start=0.0, t_end=0.3, observables=obs)
+    assert cfg.n_steps > 2 * steps_per_pass(grid)
+    coeffs = free_coefficients(dim)
+    trace = evolve(fam, coeffs, bc, v0, cfg)
+    norms, energies, overlaps, final = _chunked_reference(fam, coeffs, bc, v0,
+                                                          cfg, grid)
+    assert np.array_equal(trace.norms, norms)
+    assert np.array_equal(trace.energies, energies)
+    assert np.array_equal(trace.overlaps, overlaps)
+    assert np.array_equal(trace.final_state.values, final)
 
 
 def test_degenerate_jacobian_in_a_chunk_names_its_time():
