@@ -472,6 +472,7 @@ def run_converge(config: RunConfig) -> int:
         if not span[1] - span[0] >= max(ladder):
             raise ConfigError(f"time span [{span[0]:g}, {span[1]:g}] is shorter "
                               "than the ladder's coarsest dt")
+        _check_steps(span[1] - span[0], min(ladder) / 4.0)  # the finest rung
         grid = scenario.grid(config["grid"])
         v0 = scenario.build_initial(grid, config["t_start"])
 

@@ -6,22 +6,20 @@ a worker of this module (whose CPUs are already busy), and when the
 caller's measure of the work reaches its threshold.  Otherwise everything
 runs in-process, in order.
 
-``map_jobs(fn, jobs, cost)`` returns ``[fn(job) for job in jobs]``.  Forked,
-it runs them on ``min(len(jobs), usable CPUs)`` workers, largest ``cost``
-first.  The jobs are evolutions (adiabatic epsilons, temporal convergence
-rungs) and the stage table and RK4 passes of a Moser flow.  A job that
-calls ``map_jobs`` itself runs the inner jobs in-process, in its own
-worker.
+Forked, both calls run on one engine: W workers, each with a pipe from the
+parent and a pipe back.  The parent is the only dispatcher, and a worker
+answers what it is sent with a status byte and a pickle.
 
-``relay(prepare, advance, record, units, slot_bytes, ...)`` runs a
-sequential recurrence of units, each in two halves: ``prepare(c)``, which
-does not need unit c - 1's result, and ``advance(c, ...)``, which does.
-Forked, worker j of W owns the units c = j (mod W) and prepares each one
-while the units before it advance; then it waits for unit c's token,
-advances, and sends the parent a status byte.  The parent is the only
-dispatcher: on unit c's status it sends unit c + 1's token, then records
-unit c.  So two slots of shared memory hold every result, and only
-one-byte tokens go through pipes.  Cayley steps run so (``propagator``).
+- ``map_jobs(fn, jobs, cost)``: the parent sends job indices, and the first
+  free worker takes the next-largest job by ``cost``.  The jobs are
+  evolutions (adiabatic epsilons, temporal convergence rungs) and the stage
+  table and RK4 passes of a Moser flow; a job that calls ``map_jobs`` runs
+  the inner jobs in-process, in its own worker.
+- ``relay(prepare, advance, record, units, ...)``: worker j of W owns the
+  units c = j (mod W) of a recurrence and prepares each one while the units
+  before it advance.  On unit c's reply the parent sends unit c + 1's
+  one-byte token, then records unit c, so two slots of shared memory hold
+  every result.  Cayley steps run so (``propagator``).
 
 Workers are forked, not spawned, because the jobs are closures over
 families and coefficient sets, which cannot be pickled: a forked worker
@@ -29,7 +27,8 @@ inherits its functions and receives only indices.  The library starts no
 threads of its own, and OpenBLAS quiesces its thread pool around a fork
 (Python 3.12+ still warns that a process with BLAS threads forks).
 Results of ``map_jobs`` and exceptions come back pickled, so they must be
-picklable (a float, an array).  The error raised is the one a serial loop
+picklable (a float, an array); an error that is not comes back as a
+``RuntimeError`` naming it.  The error raised is the one a serial loop
 would raise: that of the first failing job or unit in order.  A worker that
 dies raises ``WorkerLostError``.  Every worker is reaped before ``map_jobs``
 or ``relay`` returns or raises, and is killed if the parent dies first.
@@ -42,12 +41,10 @@ import logging
 import mmap
 import os
 import pickle
+import select
 import signal
 import time
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
-from contextlib import suppress
-from multiprocessing import get_context
+from contextlib import contextmanager, suppress
 
 from .errors import WorkerLostError
 
@@ -55,9 +52,10 @@ _log = logging.getLogger(__name__)
 
 _PR_SET_PDEATHSIG = 1   # <linux/prctl.h>
 
-# the function a forked worker serves; set once per worker by _install or
-# _serve, never in the parent
-_task = None
+_in_worker = False      # True in a forked worker, never in the parent
+
+# a reply's status byte, before its pickle; _DONE is also the relay's token
+_DONE, _FAILED = b"\0", b"\1"
 
 
 def worker_count(units: int, work: float = 0, fork_work: float = 0) -> int:
@@ -66,15 +64,14 @@ def worker_count(units: int, work: float = 0, fork_work: float = 0) -> int:
     (outside Linux), inside a worker, or when ``work`` is below
     ``fork_work``, the caller's measured threshold in its own unit."""
     affinity = getattr(os, "sched_getaffinity", None)
-    if affinity is None or _task is not None or work < fork_work:
+    if affinity is None or _in_worker or work < fork_work:
         return 1
     return max(1, min(units, len(affinity(0))))
 
 
 def _die_with(parent):
-    # die with the parent, even one killed by SIGKILL, rather than wait on a
-    # pipe forever: a worker may hold that pipe's write end too, so it never
-    # reads EOF
+    # die with the parent, even one killed by SIGKILL, rather than run on
+    # with a job whose result no one will read
     prctl = ctypes.CDLL(None, use_errno=True).prctl
     prctl.argtypes = (ctypes.c_int,) + (ctypes.c_ulong,) * 4
     prctl.restype = ctypes.c_int
@@ -83,10 +80,67 @@ def _die_with(parent):
         os._exit(1)
 
 
-def _install(fn, jobs, parent):
-    _die_with(parent)
-    global _task
-    _task = (fn, jobs)
+@contextmanager
+def _forked(workers, serve):
+    """Fork worker j < ``workers`` to run ``serve(j, inbox, outbox)`` and
+    yield the parent's pipe ends ``to[j]`` and ``back[j]``.  A worker's EOF
+    or broken pipe raises :class:`WorkerLostError`; every worker is killed
+    and reaped on the way out."""
+    global _in_worker
+    pipes = [(os.pipe(), os.pipe()) for _ in range(workers)]
+    fds = {fd for pair in pipes for ends in pair for fd in ends}
+    parent, pids = os.getpid(), []
+    try:
+        for j, ((inbox, _), (_, outbox)) in enumerate(pipes):
+            pid = os.fork()
+            if pid == 0:
+                try:        # the parent reads EOF, not the exit status
+                    for fd in fds - {inbox, outbox}:
+                        os.close(fd)
+                    _die_with(parent)
+                    _in_worker = True
+                    serve(j, inbox, outbox)
+                finally:
+                    os._exit(0)
+            pids.append(pid)
+        to, back = [w for (_, w), _ in pipes], [r for _, (r, _) in pipes]
+        for fd in fds - set(to + back):
+            os.close(fd)
+        fds = set(to + back)
+        yield to, back
+    except (BrokenPipeError, EOFError, pickle.UnpicklingError):
+        raise WorkerLostError("a worker process died") from None
+    finally:
+        for pid in pids:
+            # a worker may have exited already; a SIGCHLD set to SIG_IGN
+            # reaps it on its own
+            with suppress(ProcessLookupError, ChildProcessError):
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+        for fd in fds:
+            os.close(fd)
+
+
+def _reply(fd, work):
+    """In a worker: send ``_DONE`` and ``work()`` pickled, or ``_FAILED`` and
+    the error it raised."""
+    try:
+        reply = _DONE + pickle.dumps(work())
+    except Exception as exc:
+        try:
+            reply = _FAILED + pickle.dumps(exc)
+        except Exception:
+            reply = _FAILED + pickle.dumps(RuntimeError(
+                f"{type(exc).__name__}: {exc}"))
+    while reply:            # a pipe takes a large write in parts
+        reply = reply[os.write(fd, reply):]
+
+
+def _receive(fd):
+    """In the parent: a worker's reply, as (failed, result or error); after
+    a dead worker's EOF, ``pickle.load`` raises EOFError."""
+    with open(fd, "rb", closefd=False) as stream:
+        return stream.read(1) == _FAILED, pickle.load(stream)
 
 
 def _timed(fn, job):
@@ -95,19 +149,14 @@ def _timed(fn, job):
     return result, time.perf_counter() - start
 
 
-def _run(index):
-    fn, jobs = _task
-    return _timed(fn, jobs[index])
-
-
 def map_jobs(fn, jobs, cost, work: float = 0, fork_work: float = 0):
     """``[fn(job) for job in jobs]``, on forked workers when
     :func:`worker_count` allows.
 
-    ``cost(job)`` orders the submission (largest first), so the longest
-    job starts at once; results are returned in job order.  ``work`` and
-    ``fork_work`` are the caller's threshold, passed on to
-    :func:`worker_count`.
+    ``cost(job)`` orders the dispatch: each free worker takes the largest
+    job left, so the longest job starts at once; results are returned in
+    job order.  ``work`` and ``fork_work`` are the caller's threshold,
+    passed on to :func:`worker_count`.
     """
     jobs = list(jobs)
     costs = [cost(job) for job in jobs]
@@ -116,68 +165,37 @@ def map_jobs(fn, jobs, cost, work: float = 0, fork_work: float = 0):
     if workers == 1:
         timed = [_timed(fn, job) for job in jobs]
     else:
-        order = sorted(range(len(jobs)), key=lambda i: -costs[i])
-        pool = ProcessPoolExecutor(workers, mp_context=get_context("fork"),
-                                   initializer=_install,
-                                   initargs=(fn, jobs, os.getpid()))
-        try:
-            futures = {i: pool.submit(_run, i) for i in order}
-            timed = [futures[i].result() for i in range(len(jobs))]
-        except BrokenProcessPool as exc:
-            raise WorkerLostError(f"a worker process died: {exc}") from None
-        finally:
-            pool.shutdown(wait=True, cancel_futures=True)
+        def serve(_j, inbox, outbox):
+            while index := os.read(inbox, 4):       # EOF: no more jobs
+                job = jobs[int.from_bytes(index, "little")]
+                _reply(outbox, lambda: _timed(fn, job))
+
+        def give(fd):   # the largest job left, to the worker replying on fd
+            busy[fd] = order.pop()
+            os.write(sends[fd], busy[fd].to_bytes(4, "little"))
+            ready.register(fd, select.POLLIN)
+
+        order = sorted(range(len(jobs)), key=lambda i: costs[i])
+        timed, failed, busy, ready = [None] * len(jobs), {}, {}, select.poll()
+        with _forked(workers, serve) as (to, back):
+            sends = dict(zip(back, to))
+            for fd in back:
+                give(fd)
+            while busy:
+                for fd, _ in ready.poll():
+                    i = busy.pop(fd)
+                    ready.unregister(fd)
+                    failure, timed[i] = _receive(fd)
+                    if failure:     # the jobs after it are not needed
+                        failed[i] = timed[i]
+                        order = [k for k in order if k < min(failed)]
+                    if order:
+                        give(fd)
+        if failed:
+            raise failed[min(failed)]
     for i, (c, (_, seconds)) in enumerate(zip(costs, timed)):
         _log.debug("job %d: cost %d, %.3f s", i, c, seconds)
     return [result for result, _ in timed]
-
-
-# relay status bytes, worker to parent, one per unit (_DONE is the token)
-_DONE, _FAILED = b"\0", b"\1"
-
-
-def _serve(j, workers, units, prepare, advance, slots, pipes, parent):
-    """Worker j of a relay; never returns."""
-    go, done = pipes
-    for fd in {fd for pair in go + done for fd in pair} - {go[j][0], done[j][1]}:
-        os.close(fd)
-    code = 1
-    try:
-        _die_with(parent)
-        global _task
-        _task = advance
-        for c in range(j, units, workers):
-            try:
-                prepared, error = prepare(c), None
-            except Exception as exc:    # held until every earlier unit ran
-                prepared, error = None, exc
-            # unit c's token; EOF (b"") means the parent is gone
-            if c and not os.read(go[j][0], 1):
-                return
-            if error is None:
-                try:
-                    advance(c, prepared, slots[(c - 1) % 2] if c else None,
-                            slots[c % 2])
-                except Exception as exc:
-                    error = exc
-            if error is not None:
-                try:
-                    payload = pickle.dumps(error)
-                except Exception:
-                    payload = pickle.dumps(RuntimeError(
-                        f"{type(error).__name__}: {error}"))
-                _write(done[j][1], _FAILED + payload)
-                code = 0
-                return
-            os.write(done[j][1], _DONE)
-        code = 0
-    finally:
-        os._exit(code)
-
-
-def _write(fd, data):
-    while data:             # a pipe takes a large write in parts
-        data = data[os.write(fd, data):]
 
 
 def relay(prepare, advance, record, units: int, slot_bytes: int,
@@ -200,47 +218,38 @@ def relay(prepare, advance, record, units: int, slot_bytes: int,
     # outlive the call in a traceback, so it is not closed here)
     ring = memoryview(mmap.mmap(-1, 2 * stride))
     slots = [ring[:slot_bytes], ring[stride:stride + slot_bytes]]
+
+    def step(c, prepared, error=None):
+        if error is not None:
+            raise error
+        advance(c, prepared, slots[(c - 1) % 2] if c else None, slots[c % 2])
+
     workers = worker_count(units, work, fork_work)
     if workers == 1:
         for c in range(units):
-            advance(c, prepare(c), slots[(c - 1) % 2] if c else None, slots[c % 2])
+            step(c, prepare(c))
             record(c, slots[c % 2])
         return
-    # go[j]: the parent's tokens to worker j; done[j]: worker j's status
-    go, done = pipes = tuple([os.pipe() for _ in range(workers)] for _ in range(2))
-    fds = {fd for group in pipes for pair in group for fd in pair}
-    parent, pids = os.getpid(), []
-    try:
-        for j in range(workers):
-            pid = os.fork()
-            if pid == 0:
-                _serve(j, workers, units, prepare, advance, slots, pipes, parent)
-            pids.append(pid)
-        mine = {r for r, _ in done} | {w for _, w in go}
-        for fd in fds - mine:
-            os.close(fd)
-        fds = mine
+
+    def serve(j, inbox, outbox):
+        for c in range(j, units, workers):
+            try:
+                held = prepare(c), None
+            except Exception as exc:    # held until every earlier unit ran
+                held = None, exc
+            # unit c's token; EOF (b"") means the parent is gone.  After a
+            # failure no token comes: the parent kills the workers
+            if c and not os.read(inbox, 1):
+                return
+            _reply(outbox, lambda: step(c, *held))
+
+    with _forked(workers, serve) as (to, back):
         for c in range(units):
-            j = c % workers
-            status = os.read(done[j][0], 1)
-            if status == _FAILED:
-                with open(done[j][0], "rb", closefd=False) as rest:
-                    raise pickle.load(rest)
-            if status != _DONE:
-                raise WorkerLostError(f"relay worker {j} died before unit {c}")
+            failure, error = _receive(back[c % workers])
+            if failure:
+                break
             if c + 1 < units:   # unit c + 1 reads unit c's slot meanwhile
-                try:
-                    os.write(go[(c + 1) % workers][1], _DONE)
-                except BrokenPipeError:
-                    raise WorkerLostError(f"relay worker {(c + 1) % workers} "
-                                          f"died before unit {c + 1}") from None
+                os.write(to[(c + 1) % workers], _DONE)
             record(c, slots[c % 2])
-    finally:
-        for pid in pids:
-            # a worker may have exited already; a SIGCHLD set to SIG_IGN
-            # reaps it on its own
-            with suppress(ProcessLookupError, ChildProcessError):
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
-        for fd in fds:
-            os.close(fd)
+    if failure:
+        raise error

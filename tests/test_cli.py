@@ -244,7 +244,24 @@ def test_converge_span_shorter_than_its_coarsest_dt_exit_3(tmp_path, capsys, t_e
     assert "coarsest dt" in err and "Warning" not in err
 
 
-@pytest.mark.parametrize("epsilon", ["1e300", "1e8", "0.5,2000"])
+def test_converge_ladder_past_the_step_bound_exit_3(tmp_path, capsys,
+                                                    monkeypatch):
+    # the dt/4 reference of 1e-9 is 4e9 steps; this ladder used to reach
+    # map_jobs, whose evolutions would have run out of memory
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the ladder reached map_jobs")
+
+    monkeypatch.setattr(cli, "map_jobs", unreachable)
+    cfg = tmp_path / "fine.json"
+    cfg.write_text(json.dumps({"ladder": [1e-9, 2e-9], "grid": 8}))
+    out = tmp_path / "c"
+    assert main(["converge", "--config", str(cfg), "--output", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "takes more than 1e+07 steps" in err
+    assert _manifest(out)["error"]["type"] == "ConfigError"
+
+
+@pytest.mark.parametrize("epsilon",["1e300", "1e8", "0.5,2000"])
 def test_adiabatic_epsilon_sweeping_less_than_one_dt_exit_3(tmp_path, capsys, epsilon):
     # 1e300 used to overflow the slowed family's velocity (exit 1), 1e8 to
     # fail the overlap check after one step (exit 2)

@@ -5,6 +5,7 @@ import re
 import signal
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -81,6 +82,56 @@ def test_results_come_back_in_job_order_and_equal_a_serial_loop(cpus):
     finals = parallel.map_jobs(final, dts, cost=lambda dt: round(1 / dt))
     for dt, got in zip(dts, finals):
         assert np.array_equal(got, final(dt))
+
+
+def test_forked_jobs_start_no_thread(cpus, deadline, monkeypatch):
+    def refuse(thread):
+        raise AssertionError(f"map_jobs started a thread: {thread.name}")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    cpus(2)
+    pids = parallel.map_jobs(_pid, range(3), cost=lambda job: 1)
+    assert all(pid != os.getpid() for pid in pids)
+
+
+def _mebibyte(k):
+    return np.random.default_rng(k).standard_normal(2 ** 17)
+
+
+def test_results_larger_than_a_pipe_buffer_equal_a_serial_loop(cpus, deadline):
+    # each result is 1 MiB, 16 pipe buffers; the costs put job 1 first
+    cpus(2)
+    got = parallel.map_jobs(_mebibyte, range(3), cost=lambda k: [1, 3, 2][k])
+    assert len(got) == 3
+    for k, result in enumerate(got):
+        assert result.nbytes == 2 ** 20
+        assert np.array_equal(result, _mebibyte(k))
+
+
+class _Unpicklable(Exception):
+    def __init__(self):
+        super().__init__("holds a lock")
+        self.lock = threading.Lock()
+
+
+def _lock(_k):
+    return threading.Lock()
+
+
+def _raise_unpicklable(_k):
+    raise _Unpicklable()
+
+
+@pytest.mark.parametrize("job, error, message", [
+    (_lock, TypeError, "cannot pickle '_thread.lock' object"),
+    (_raise_unpicklable, RuntimeError, "_Unpicklable: holds a lock")],
+    ids=["result", "error"])
+def test_an_unpicklable_reply_raises_in_the_parent(cpus, deadline, job, error,
+                                                   message):
+    cpus(2)
+    with pytest.raises(error, match=message):
+        parallel.map_jobs(job, range(3), cost=lambda k: 1)
+    _assert_no_children()
 
 
 def _dipping_interval():

@@ -1,8 +1,9 @@
 """Guards on the package source: every import sits at module level,
-SuperLU is called from ``sparse_lu`` only, processes are started from
-``parallel`` only, the Moser code keys nothing by a rounded time, and no
-module touches numpy's legacy global RNG (outputs are deterministic because
-every random draw comes from a seeded ``np.random.default_rng``)."""
+SuperLU is called from ``sparse_lu`` only, processes are forked by
+``parallel`` only and through no process pool, the Moser code keys nothing
+by a rounded time, and no module touches numpy's legacy global RNG (outputs
+are deterministic because every random draw comes from a seeded
+``np.random.default_rng``)."""
 
 import ast
 from pathlib import Path
@@ -72,17 +73,25 @@ def test_only_default_rng_is_drawn_from_numpy_random():
 
 
 def _forks(node):
-    """True if a node imports a process pool or calls ``os.fork``."""
-    pools = ("multiprocessing", "concurrent")
-    if isinstance(node, ast.Import):
-        return any(alias.name.split(".")[0] in pools for alias in node.names)
+    """True if a node calls ``os.fork`` or imports it."""
     if isinstance(node, ast.ImportFrom):
-        return ((node.module or "").split(".")[0] in pools
-                or (node.module == "os"
-                    and any(a.name.startswith("fork") for a in node.names)))
+        return node.module == "os" and any(a.name.startswith("fork")
+                                           for a in node.names)
     if isinstance(node, ast.Attribute):
         return (_dotted(node) or "").startswith("os.fork")
     return False
+
+
+def _imports_a_pool(node):
+    """True if a node imports ``multiprocessing`` or ``concurrent``."""
+    if isinstance(node, ast.Import):
+        modules = [alias.name for alias in node.names]
+    elif isinstance(node, ast.ImportFrom):
+        modules = [node.module or ""]
+    else:
+        return False
+    return any(m.split(".")[0] in ("multiprocessing", "concurrent")
+               for m in modules)
 
 
 def test_only_parallel_starts_processes():
@@ -94,6 +103,16 @@ def test_only_parallel_starts_processes():
         forking += [f"{path.relative_to(SRC)}:{node.lineno}"
                     for node in ast.walk(tree) if _forks(node)]
     assert not forking, f"processes started outside parallel.py: {forking}"
+
+
+def test_no_module_imports_a_process_pool():
+    # parallel.py forks its workers itself; a pool would be a second engine
+    pools = []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        pools += [f"{path.relative_to(SRC)}:{node.lineno}"
+                  for node in ast.walk(tree) if _imports_a_pool(node)]
+    assert not pools, f"multiprocessing or concurrent imported: {pools}"
 
 
 def test_moser_code_never_rounds():
