@@ -27,7 +27,7 @@ from .geometry import ReferenceGrid
 from .moser import DensityFamily, moser_combined
 from .operators import _BCS, NAIVE_NEUMANN, eigenpairs
 from .parallel import map_jobs
-from .propagator import PropagatorConfig, evolve, neumann_drift_diagnostic
+from .propagator import _MAX_STEPS, PropagatorConfig, evolve, neumann_drift_diagnostic
 from .scenarios import (
     adiabatic_experiment,
     cylinder_scenario,
@@ -314,10 +314,6 @@ class Manifest:
 
 
 # -- subcommands ----------------------------------------------------------------
-
-# the most steps one evolution may take; its trace keeps a record per step
-_MAX_STEPS = 10 ** 7
-
 
 def _check_steps(span: float, dt: float) -> None:
     if not span / dt <= _MAX_STEPS:

@@ -1,15 +1,5 @@
-"""Reference grids, diffeomorphism families, and the pullback calculus."""
+"""Reference grids and diffeomorphism families (the calculus is in `.calculus`)."""
 
-from .calculus import (
-    moving_norm_squared,
-    pullback,
-    pullback_sharp,
-    pulled_divergence,
-    pulled_gradient,
-    pulled_laplacian,
-    pushforward,
-    pushforward_sharp,
-)
 from .diffeo import (
     DiffeoFamily,
     JacobianData,
@@ -30,12 +20,4 @@ __all__ = [
     "jacobian_at",
     "jacobian_field",
     "jacobian_log_derivative",
-    "moving_norm_squared",
-    "pullback",
-    "pullback_sharp",
-    "pulled_divergence",
-    "pulled_gradient",
-    "pulled_laplacian",
-    "pushforward",
-    "pushforward_sharp",
 ]

@@ -19,10 +19,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import EvaluationOutsideDomainError, InvalidInputError
+from ..errors import (EvaluationOutsideDomainError, InvalidInputError,
+                      InverseUnavailableError)
 from .diffeo import DiffeoFamily, jacobian_field
 from .fields import GridFunction
 from .grid import ReferenceGrid
+from .interp import nodal_spline
 from .stencils import node_derivative, node_gradient
 
 
@@ -47,7 +49,9 @@ def pullback(family: DiffeoFamily, t: float, field, grid: ReferenceGrid) -> Grid
 def pushforward(family: DiffeoFamily, t: float, g: GridFunction):
     """(h_* psi)(x) = psi(h^{-1}(t, x)) as an evaluator on the moving domain."""
     family.check_time(t)
-    interp = g.interpolator()
+    if g.is_vector:
+        raise InvalidInputError("pushforward expects a scalar field")
+    interp = nodal_spline(g.grid, g.values)
 
     def field(x):
         y = family.inverse_map(t, x)
@@ -66,7 +70,9 @@ def pullback_sharp(family: DiffeoFamily, t: float, field, grid: ReferenceGrid) -
 def pushforward_sharp(family: DiffeoFamily, t: float, g: GridFunction):
     """Inverse of the unitary pullback: (psi / sqrt(det J)) o h^{-1}."""
     family.check_time(t)
-    interp = g.interpolator()
+    if g.is_vector:
+        raise InvalidInputError("pushforward_sharp expects a scalar field")
+    interp = nodal_spline(g.grid, g.values)
 
     def field(x):
         y = family.inverse_map(t, x)
@@ -74,6 +80,20 @@ def pushforward_sharp(family: DiffeoFamily, t: float, g: GridFunction):
         return interp(y) / np.sqrt(det)
 
     return field
+
+
+def transport_solution(trace, family: DiffeoFamily):
+    """Evaluator u(t, x) on the moving domain from an evolution's snapshots."""
+
+    def u(t: float, x: np.ndarray) -> np.ndarray:
+        snap = trace.snapshot_at(t)
+        if family.inverse is None and family.jacobian is None:
+            raise InverseUnavailableError(
+                "transporting a snapshot needs an inverse map (or Jacobian "
+                "data for Newton inversion)")
+        return pushforward_sharp(family, t, snap)(x)
+
+    return u
 
 
 def pulled_gradient(family: DiffeoFamily, t: float, g: GridFunction) -> GridFunction:

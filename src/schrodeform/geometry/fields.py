@@ -6,7 +6,6 @@ import numpy as np
 
 from ..errors import InvalidInputError
 from .grid import ReferenceGrid
-from .interp import nodal_spline
 
 
 class GridFunction:
@@ -54,12 +53,6 @@ class GridFunction:
 
     def copy(self) -> "GridFunction":
         return GridFunction(self.grid, self.values.copy())
-
-    def interpolator(self):
-        """Spline interpolant of the samples over the closed domain."""
-        if self.is_vector:
-            raise InvalidInputError("interpolator() expects a scalar field")
-        return nodal_spline(self.grid, self.values)
 
     def __repr__(self):
         kind = "vector" if self.is_vector else "scalar"

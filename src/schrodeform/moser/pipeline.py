@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.ndimage import gaussian_filter
 
 from ..errors import (ContractionBoundExceededError, InvalidInputError,
                       PipelineFailedError)
@@ -58,6 +57,16 @@ def _static_flow(f_nodal: np.ndarray, grid: ReferenceGrid, t: float) -> MoserMap
                            method="static_flow")
 
 
+def _gaussian_matrix(n: int, sigma: float) -> np.ndarray:
+    """``scipy.ndimage.gaussian_filter1d(mode="nearest")`` as an n x n matrix:
+    the sampled Gaussian (Lindeberg, *Scale-Space Theory*, 1994), cut at 4 sigma."""
+    offsets = np.arange(-int(4.0 * sigma + 0.5), int(4.0 * sigma + 0.5) + 1)
+    weights = np.exp(-0.5 / sigma ** 2 * offsets ** 2)
+    G, rows = np.zeros((n, n)), np.arange(n)[:, None]
+    np.add.at(G, (rows, np.clip(rows + offsets, 0, n - 1)), weights / weights.sum())
+    return G
+
+
 class _SmoothedDensity:
     """Gaussian-smoothed, average-normalized view of a density family.
 
@@ -68,13 +77,16 @@ class _SmoothedDensity:
     def __init__(self, density: DensityFamily, grid: ReferenceGrid, width: float):
         self.density = density
         self.grid = grid
-        self.sigma = [width / s for s in grid.spacing]
+        self._gauss = [_gaussian_matrix(n, width / s)
+                       for n, s in zip(grid.shape, grid.spacing)]
         self._t = None
         self._latest = None
 
     def _smooth(self, nodal: np.ndarray) -> np.ndarray:
-        shaped = self.grid.reshape(nodal)
-        return gaussian_filter(shaped, self.sigma, mode="nearest").reshape(-1)
+        out = self.grid.reshape(nodal)
+        for a, G in enumerate(self._gauss):
+            out = np.moveaxis(np.tensordot(G, out, axes=(1, a)), 0, a)
+        return out.reshape(-1)
 
     def _entry(self, t: float):
         if t != self._t:

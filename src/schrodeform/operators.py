@@ -547,8 +547,16 @@ def assemble_hamiltonian(family: DiffeoFamily, coeffs: CoefficientSet,
     """Discrete conjugated Hamiltonian at one time slice.
 
     The K = 1 case of :func:`hamiltonian_data`, wrapped in the pattern's
-    CSR index arrays.
+    CSR index arrays.  Non-finite data raise :class:`InvalidInputError`.
     """
+    H = _hamiltonian_at(family, coeffs, t, grid, bc)
+    if not np.isfinite(H.matrix.data).all():
+        raise InvalidInputError(f"the Hamiltonian at t={t} has non-finite entries")
+    return H
+
+
+def _hamiltonian_at(family, coeffs, t, grid, bc) -> DiscreteHamiltonian:
+    """:func:`assemble_hamiltonian` unchecked, for evolve: bad rows fail step 1."""
     pattern = form_pattern(grid, bc)
     data = hamiltonian_data(family, coeffs, [t], grid, bc)
     n = pattern.dofs.size
@@ -621,11 +629,14 @@ def eigenpairs(H: DiscreteHamiltonian, k: int = 5):
     Eigenvectors are columns, orthonormal in the dof (= quadrature) inner
     product.  Small problems are solved densely; larger ones by shift-invert
     Lanczos at a shift that :func:`_certified_shift` proves lies below the
-    spectrum.  Non-finite data raise :class:`SolverDivergenceError`.
+    spectrum.  Non-finite data raise :class:`SolverDivergenceError`, and a k
+    that is not an integer in 1..n :class:`InvalidInputError`.
     """
+    n = H.matrix.shape[0]
+    if not (isinstance(k, (int, np.integer)) and 1 <= k <= n):
+        raise InvalidInputError(f"k={k} eigenpairs asked of a {n}-dof Hamiltonian")
     if not np.isfinite(H.matrix.data).all():
         raise SolverDivergenceError("Hamiltonian has non-finite entries")
-    n = H.matrix.shape[0]
     if n <= 800 or k >= n - 2:
         dense = H.matrix.toarray()
         vals, vecs = np.linalg.eigh(dense)

@@ -33,9 +33,7 @@ import scipy.sparse as sp
 from scipy.linalg import lapack
 
 from . import parallel
-from .errors import (InvalidInputError, InverseUnavailableError,
-                     SnapshotMissingError, SolverDivergenceError)
-from .geometry.calculus import pushforward_sharp
+from .errors import InvalidInputError, SnapshotMissingError, SolverDivergenceError
 from .geometry.diffeo import DiffeoFamily
 from .geometry.fields import GridFunction
 from .geometry.grid import ReferenceGrid
@@ -44,7 +42,7 @@ from .operators import (
     NAIVE_NEUMANN,
     CoefficientSet,
     DiscreteHamiltonian,
-    assemble_hamiltonian,
+    _hamiltonian_at,
     form_pattern,
     form_points,
     hamiltonian_data,
@@ -60,6 +58,9 @@ _SNAPSHOT_TOL = 1e-9
 # for: on 2 CPUs 100 steps on 14^2 (22 500) ran faster in-process, on 16^2
 # (28 900) in the relay; 40 steps on 24^2 (25 000) in the relay too
 _FORK_WORK = 25_000
+# the most steps one evolution may take; its trace keeps a record per step
+_MAX_STEPS = 10 ** 7
+_STATE_BOUND = 1e150     # largest |entry| of an initial state; its squared norm stays finite
 
 
 @dataclass
@@ -78,6 +79,10 @@ class PropagatorConfig:
             raise InvalidInputError("dt must be positive")
         if not self.t_end >= self.t_start:
             raise InvalidInputError("t_end must not precede t_start")
+        if not (self.t_end - self.t_start) / self.dt <= _MAX_STEPS:
+            raise InvalidInputError(f"dt={self.dt:g} takes more than {_MAX_STEPS:g} steps")
+        if not 0 < self.solver_tol < np.inf:
+            raise InvalidInputError(f"solver_tol={self.solver_tol} is not finite and positive")
 
     @property
     def n_steps(self) -> int:
@@ -331,8 +336,13 @@ def evolve(family: DiffeoFamily, coeffs: CoefficientSet, bc: str,
     bit for bit and word for word.  A worker that dies raises
     :class:`WorkerLostError`; none outlives the call.
     """
+    size = float(np.abs(v0.values).max(initial=0.0))
+    if not size <= _STATE_BOUND:    # written so that a NaN fails it
+        raise SolverDivergenceError(
+            f"step 1 (t={config.t_start:.12g}): initial state entry {size:.3e} "
+            f"is non-finite or above {_STATE_BOUND:g}", step=1)
     grid = grid or v0.grid
-    H0 = assemble_hamiltonian(family, coeffs, config.t_start, grid, bc)
+    H0 = _hamiltonian_at(family, coeffs, config.t_start, grid, bc)
     v = H0.to_dofs(v0)
     obs = np.array([H0.to_dofs(o) for o in config.observables],
                    dtype=complex).reshape(-1, H0.n_dofs).conj().T
@@ -405,20 +415,6 @@ def evolve(family: DiffeoFamily, coeffs: CoefficientSet, bc: str,
         metadata={"bc": bc, "dt": dt, "n_steps": n, "family": family.name,
                   "grid": grid.cells},
     )
-
-
-def transport_solution(trace: EvolutionTrace, family: DiffeoFamily):
-    """Evaluator u(t, x) on the moving domain from stored snapshots."""
-
-    def u(t: float, x: np.ndarray) -> np.ndarray:
-        snap = trace.snapshot_at(t)
-        if family.inverse is None and family.jacobian is None:
-            raise InverseUnavailableError(
-                "transporting a snapshot needs an inverse map (or Jacobian "
-                "data for Newton inversion)")
-        return pushforward_sharp(family, t, snap)(x)
-
-    return u
 
 
 def neumann_drift_diagnostic(family: DiffeoFamily, coeffs: CoefficientSet,

@@ -13,8 +13,8 @@ from schrodeform.geometry import (
     ReferenceGrid,
     identity_family,
     jacobian_log_derivative,
-    pulled_laplacian,
 )
+from schrodeform.geometry.calculus import pulled_laplacian
 from schrodeform.moser import (
     DensityFamily,
     moser_fixed_point,

@@ -6,6 +6,8 @@ from schrodeform.geometry import (
     ReferenceGrid,
     identity_family,
     jacobian_field,
+)
+from schrodeform.geometry.calculus import (
     moving_norm_squared,
     pullback,
     pullback_sharp,

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.ndimage import gaussian_filter
 
 from schrodeform import parallel
 from schrodeform.errors import (
@@ -26,7 +27,8 @@ from schrodeform.moser import (
 from schrodeform.geometry.interp import nodal_spline
 from schrodeform.moser import flow as flow_module
 from schrodeform.moser.maps import build_moser_map
-from schrodeform.moser.pipeline import _static_flow, _volume_density
+from schrodeform.moser.pipeline import (_RETRIES, _SmoothedDensity, _static_flow,
+                                        _volume_density)
 from schrodeform.moser.right_inverse import (DivergenceRightInverse,
                                              build_divergence_right_inverse)
 from schrodeform.scenarios.families import diagonal_family, stretch_warp_family
@@ -273,6 +275,21 @@ def test_flow_field_matches_separate_splines(t0):
 
 
 # -- combined pipeline --------------------------------------------------------
+
+@pytest.mark.parametrize("grid", [
+    ReferenceGrid.interval(200), ReferenceGrid.interval(4), ReferenceGrid.rectangle(40),
+    ReferenceGrid.rectangle((64, 24), ((0.0, 1.0), (0.0, 2.0)))],
+    ids=["201", "5", "41x41", "65x25"])
+def test_smoothing_equals_gaussian_filter(grid):
+    # every width a pipeline attempt takes; on 5 nodes the kernel outgrows the grid
+    f = 0.5 + np.random.default_rng(3).random(grid.n_nodes)
+    for attempt in range(_RETRIES + 1):
+        width = 2.0 * grid.min_spacing * 0.5 ** attempt
+        smoothed = _SmoothedDensity(None, grid, width)._smooth(f)
+        expected = gaussian_filter(grid.reshape(f), [width / h for h in grid.spacing],
+                                   mode="nearest").reshape(-1)
+        assert np.max(np.abs(smoothed - expected)) <= 1e-14 * np.max(np.abs(expected))
+
 
 def test_combined_trivial_density():
     grid = ReferenceGrid.rectangle(12)

@@ -398,6 +398,25 @@ def test_eigenpairs_rejects_non_finite_data(cells, bc):
         eigenpairs(H, k=2)
 
 
+def test_assembly_rejects_a_nan_electric_potential():
+    # the 8^2 warped family used to assemble 81 NaN entries without a word
+    coeffs = isotropic_coefficients(
+        2, electric=lambda t, x: np.full(np.shape(x)[:-1], np.nan))
+    with pytest.raises(InvalidInputError, match=r"t=0\.25 has non-finite entries"):
+        assemble_hamiltonian(WARPED, coeffs, 0.25, ReferenceGrid.rectangle(8),
+                             MAGNETIC_NEUMANN)
+
+
+@pytest.mark.parametrize("k", [-1, 0, "n + 1", 2.5])
+def test_eigenpairs_rejects_k_outside_one_to_n(k):
+    # k = -1 used to return n - 1 pairs, k = 0 none, k = 2.5 a raw TypeError
+    H = _warped(DIRICHLET, cells=8)
+    k = H.n_dofs + 1 if k == "n + 1" else k
+    with pytest.raises(InvalidInputError, match=f"k={k} eigenpairs"):
+        eigenpairs(H, k=k)
+    assert len(eigenpairs(H, k=H.n_dofs)[0]) == H.n_dofs
+
+
 def _assert_matches_dense(H, k=3):
     vals, vecs = eigenpairs(H, k=k)
     ref = np.linalg.eigvalsh(H.matrix.toarray())[:k]

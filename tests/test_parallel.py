@@ -378,19 +378,6 @@ def _warped(cells, n_steps, family=None, values=None):
                           MAGNETIC_NEUMANN, v0, cfg)
 
 
-@pytest.fixture
-def deadline():
-    """Fail a test, rather than hang, if it runs past 60 s."""
-    def expire(signum, frame):
-        raise TimeoutError("the test ran past its 60 s deadline")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.alarm(60)
-    yield
-    signal.alarm(0)
-    signal.signal(signal.SIGALRM, previous)
-
-
 # chunks of K = 72 at 8^2 and K = 19 at 16^2: one chunk (in-process), three
 # with a short last one, and six, three in each of the two slots
 @pytest.mark.parametrize("cells, n_steps, relayed", [

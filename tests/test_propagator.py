@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from schrodeform.errors import SnapshotMissingError, SolverDivergenceError
+from schrodeform.errors import (InvalidInputError, SnapshotMissingError,
+                                SolverDivergenceError)
 from schrodeform.geometry import GridFunction, ReferenceGrid, identity_family
 from schrodeform import operators, parallel, propagator, sparse_lu
 from schrodeform.operators import (
@@ -27,8 +28,8 @@ from schrodeform.propagator import (
     neumann_drift_diagnostic,
     step,
     steps_per_pass,
-    transport_solution,
 )
+from schrodeform.geometry.calculus import transport_solution
 from schrodeform.scenarios.families import (diagonal_family, interval_family,
                                             warped_2d_family)
 
@@ -176,7 +177,7 @@ def test_transport_stretched_interval():
 
 
 def test_transport_norm_consistency_2d():
-    from schrodeform.geometry import moving_norm_squared
+    from schrodeform.geometry.calculus import moving_norm_squared
     from schrodeform.scenarios.families import diagonal_family
     grid = ReferenceGrid.rectangle(24)
     fam = diagonal_family((lambda t: 1 + 0.3 * t, lambda t: 1 - 0.2 * t),
@@ -230,6 +231,21 @@ def test_trace_invariants():
         PropagatorConfig(dt=-1.0, t_start=0.0, t_end=1.0)
     with pytest.raises(ValueError):
         PropagatorConfig(dt=1e-2, t_start=1.0, t_end=0.0)
+
+
+@pytest.mark.parametrize("tol", [np.nan, 0.0, -1e-12, np.inf])
+def test_config_rejects_a_solver_tol_that_is_not_finite_and_positive(tol):
+    # a NaN tolerance used to fail step 1 with a message blaming the solver
+    with pytest.raises(InvalidInputError, match="solver_tol"):
+        PropagatorConfig(dt=1e-2, t_start=0.0, t_end=1.0, solver_tol=tol)
+
+
+@pytest.mark.parametrize("t_end", [1e300, np.inf, 1e7 + 1])
+def test_config_rejects_more_steps_than_the_bound(t_end, deadline):
+    # t_end = 1e300 used to be accepted, and evolve built chunks until memory ran out
+    with pytest.raises(InvalidInputError, match=r"dt=1 takes more than 1e\+07 steps"):
+        PropagatorConfig(dt=1.0, t_start=0.0, t_end=t_end)
+    assert PropagatorConfig(dt=1.0, t_start=0.0, t_end=1e7).n_steps == propagator._MAX_STEPS
 
 
 def test_non_finite_velocity_raises_typed_error_1d():
@@ -685,6 +701,27 @@ def test_non_finite_initial_state_raises_in_2d_evolve():
     with pytest.raises(SolverDivergenceError, match=r"step 1 .*non-finite"):
         evolve(warped_2d_family(), free_coefficients(2), MAGNETIC_NEUMANN,
                GridFunction(grid, values), cfg)
+
+
+@pytest.mark.parametrize("size", [1e300, np.inf], ids=["huge", "inf"])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_a_huge_or_infinite_initial_state_raises_before_any_warning(size, dim):
+    # 1e300 used to return inf norms after overflow warnings; inf raised only
+    # after two warnings in to_dofs / from_dofs
+    if dim == 1:
+        family, coeffs, bc, v0, cfg = _interval_run(5)
+    else:
+        grid = ReferenceGrid.rectangle(8)
+        family, coeffs, bc = warped_2d_family(), free_coefficients(2), MAGNETIC_NEUMANN
+        v0 = GridFunction.constant(grid, 1.0 + 0j)
+        cfg = PropagatorConfig(dt=1e-2, t_start=0.0, t_end=0.05)
+    v0.values[:] = size
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(SolverDivergenceError, match=r"step 1 .*initial state") as info:
+            evolve(family, coeffs, bc, v0, cfg)
+    assert info.value.step == 1
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 @pytest.mark.parametrize("grid", [ReferenceGrid.interval(32), ReferenceGrid.rectangle(6)],

@@ -1,11 +1,15 @@
 """Guards on the package source: every import sits at module level,
 SuperLU is called from ``sparse_lu`` only, processes are forked by
 ``parallel`` only and through no process pool, the Moser code keys nothing
-by a rounded time, and no module touches numpy's legacy global RNG (outputs
+by a rounded time, no module touches numpy's legacy global RNG (outputs
 are deterministic because every random draw comes from a seeded
-``np.random.default_rng``)."""
+``np.random.default_rng``), and the evolution path imports no spline or
+image module."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "schrodeform"
@@ -125,3 +129,26 @@ def test_moser_code_never_rounds():
                      for node in ast.walk(tree)
                      if isinstance(node, ast.Call) and "round" in _names(node.func)]
     assert not rounding, f"round( called under moser/: {rounding}"
+
+
+def _loaded_by(*modules):
+    """The names in ``sys.modules`` after a fresh interpreter imports `modules`."""
+    code = "".join(f"import {m}\n" for m in modules)
+    code += "import sys\nprint(' '.join(sys.modules))"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC.parent)] + sys.path))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    return set(out.split())
+
+
+def test_the_evolution_path_loads_no_spline_or_image_module():
+    # evolving needs assembly, Cayley steps and eigenpairs; splines and
+    # Gaussian filters are Moser and transport work
+    loaded = _loaded_by("schrodeform.operators", "schrodeform.propagator",
+                        "schrodeform.geometry", "schrodeform.scenarios")
+    assert not loaded & {"scipy.interpolate", "scipy.ndimage"}
+
+
+def test_the_cli_loads_no_image_module():
+    # the Moser smoothing is a matrix product per axis, not scipy.ndimage
+    assert "scipy.ndimage" not in _loaded_by("schrodeform.cli")
