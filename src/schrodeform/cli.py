@@ -24,6 +24,7 @@ import numpy as np
 from . import __version__
 from .errors import ConfigError, NonPositiveDensityError, SchrodeformError
 from .geometry import ReferenceGrid
+from .geometry.grid import _MAX_NODES
 from .moser import DensityFamily, moser_combined
 from .operators import _BCS, NAIVE_NEUMANN, eigenpairs
 from .parallel import map_jobs
@@ -197,6 +198,12 @@ class RunConfig:
                 raise ConfigError("ladder rungs must be positive")
             if d["mode"] == "spatial" and not all(int(r) >= 2 for r in d["ladder"]):
                 raise ConfigError("spatial ladder rungs need at least 2 cells")
+        # the grid and each spatial rung's 4n reference, before any is built
+        cells = max([d["grid"]] + [4 * int(r) for r in d["ladder"] or []
+                                   if d["mode"] == "spatial"])
+        if cells >= _MAX_NODES:
+            raise ConfigError(f"a grid of {cells} cells per axis holds more "
+                              f"than the {_MAX_NODES} nodes a grid may hold")
         if d["scenario"] not in _SCENARIOS:
             raise ConfigError(
                 f"unknown scenario {d['scenario']!r}; available: "

@@ -8,9 +8,14 @@ quadrature is the tensor trapezoid rule, and the boundary carries its own
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from ..errors import InvalidInputError
+
+# the most nodes one grid may hold (2048^2 cells' worth is just over it)
+_MAX_NODES = 2 ** 22
 
 
 def _trapezoid_weights(n_nodes: int, spacing: float) -> np.ndarray:
@@ -39,6 +44,9 @@ class ReferenceGrid:
             raise InvalidInputError("only 1D and 2D grids are supported")
         if any(c < 2 for c in cells):
             raise InvalidInputError("need at least 2 cells per axis")
+        nodes = math.prod(c + 1 for c in cells)
+        if nodes > _MAX_NODES:      # checked before any array is built
+            raise InvalidInputError(f"{nodes} nodes exceed the {_MAX_NODES} a grid may hold")
         if not np.isfinite(bounds).all():
             raise InvalidInputError("grid bounds must be finite")
         if not all(hi > lo for lo, hi in bounds):

@@ -2,24 +2,27 @@
 
 One rule decides whether to fork at all (:func:`worker_count`): workers are
 forked only with more than one CPU in the process's affinity mask, outside
-a worker of this module (whose CPUs are already busy), and when the
-caller's measure of the work reaches its threshold.  Otherwise everything
-runs in-process, in order.
+a worker of this module (whose CPUs are already busy), and when a measure
+of the work reaches its threshold (below).  Otherwise everything runs
+in-process, in order.
 
 Forked, both calls run on one engine: W workers, each with a pipe from the
 parent and a pipe back.  The parent is the only dispatcher, and a worker
 answers what it is sent with a status byte and a pickle.
 
-- ``map_jobs(fn, jobs, cost)``: the parent sends job indices, and the first
-  free worker takes the next-largest job by ``cost``.  The jobs are
+- ``map_jobs(fn, jobs, cost, work, fork_work)``: the parent sends job
+  indices, and the first free worker takes the next-largest job by
+  ``cost``; it forks for ``work`` at ``fork_work`` or more.  The jobs are
   evolutions (adiabatic epsilons, temporal convergence rungs) and the stage
   table and RK4 passes of a Moser flow; a job that calls ``map_jobs`` runs
   the inner jobs in-process, in its own worker.
-- ``relay(prepare, advance, record, units, ...)``: worker j of W owns the
-  units c = j (mod W) of a recurrence and prepares each one while the units
-  before it advance.  On unit c's reply the parent sends unit c + 1's
-  one-byte token, then records unit c, so two slots of shared memory hold
-  every result.  Cayley steps run so (``propagator``).
+- ``relay(prepare, advance, record, units, slot_bytes)``: the parent runs
+  unit 0 of a recurrence itself and times it; if units 1..U-1 would take
+  ``_FORK_SECONDS`` or more at that pace, worker j of W owns the units
+  c = 1 + j (mod W) and prepares each one while the units before it
+  advance.  On unit c's reply the parent sends unit c + 1's one-byte token,
+  then records unit c, so two slots of shared memory hold every result.
+  Cayley steps run so (``propagator``), on either solve kernel.
 
 Workers are forked, not spawned, because the jobs are closures over
 families and coefficient sets, which cannot be pickled: a forked worker
@@ -56,6 +59,9 @@ _in_worker = False      # True in a forked worker, never in the parent
 
 # a reply's status byte, before its pickle; _DONE is also the relay's token
 _DONE, _FAILED = b"\0", b"\1"
+# the least time a relay's units 1.. must take, at unit 0's pace, to fork (on
+# 2 CPUs, every evolution predicted at 0.1 s and up ran faster relayed)
+_FORK_SECONDS = 0.1
 
 
 def worker_count(units: int, work: float = 0, fork_work: float = 0) -> int:
@@ -198,20 +204,18 @@ def map_jobs(fn, jobs, cost, work: float = 0, fork_work: float = 0):
     return [result for result, _ in timed]
 
 
-def relay(prepare, advance, record, units: int, slot_bytes: int,
-          work: float = 0, fork_work: float = 0) -> None:
-    """Run ``units`` dependent units in order, on forked workers when
-    :func:`worker_count` allows.
+def relay(prepare, advance, record, units: int, slot_bytes: int) -> None:
+    """Run ``units`` dependent units in order: unit 0 here, timed, and the
+    rest on forked workers when :func:`worker_count` allows for that time.
 
-    For each unit c, in a worker or in-process: ``prepared = prepare(c)``,
-    then ``advance(c, prepared, last, slot)``, where ``slot`` is a writable
-    memoryview of ``slot_bytes`` bytes for unit c's result and ``last`` is
-    unit c - 1's slot (None for unit 0); then, here, ``record(c, slot)``.
-    Unit c + 1 writes into unit c - 1's slot, recorded by then.  An
-    exception raised by ``prepare(c)`` or ``advance`` is raised here, once
-    every earlier unit has been recorded; a worker that dies raises
-    :class:`WorkerLostError`.  ``work`` and ``fork_work`` are passed on to
-    :func:`worker_count`.
+    For each unit c: ``prepared = prepare(c)``, then ``advance(c, prepared,
+    last, slot)``, where ``slot`` is a writable memoryview of ``slot_bytes``
+    bytes for unit c's result and ``last`` is unit c - 1's slot (None for
+    unit 0); then, here, ``record(c, slot)``.  Unit c + 1 writes into unit
+    c - 1's slot, recorded by then.  An exception raised by ``prepare(c)``
+    or ``advance`` is raised here, once every earlier unit has been
+    recorded (unit 0's before any fork); a worker that dies raises
+    :class:`WorkerLostError`.
     """
     stride = -(-slot_bytes // 64) * 64  # every slot starts 64-byte aligned
     # unmapped once no view of it is left (an array built on a slot may
@@ -224,32 +228,39 @@ def relay(prepare, advance, record, units: int, slot_bytes: int,
             raise error
         advance(c, prepared, slots[(c - 1) % 2] if c else None, slots[c % 2])
 
-    workers = worker_count(units, work, fork_work)
-    if workers == 1:
-        for c in range(units):
-            step(c, prepare(c))
-            record(c, slots[c % 2])
+    start = time.perf_counter()
+    for c in range(units):
+        step(c, prepare(c))
+        record(c, slots[c % 2])
+        if c == 0:      # units 1.. at unit 0's pace
+            workers = worker_count(units - 1, (time.perf_counter() - start)
+                                   * (units - 1), _FORK_SECONDS)
+            if workers > 1:
+                break
+    else:
         return
 
     def serve(j, inbox, outbox):
-        for c in range(j, units, workers):
+        # worker j owns units c = 1 + j (mod W); unit 1 reads slot 0,
+        # recorded before the fork, so it needs no token
+        for c in range(1 + j, units, workers):
             try:
                 held = prepare(c), None
             except Exception as exc:    # held until every earlier unit ran
                 held = None, exc
             # unit c's token; EOF (b"") means the parent is gone.  After a
             # failure no token comes: the parent kills the workers
-            if c and not os.read(inbox, 1):
+            if c > 1 and not os.read(inbox, 1):
                 return
             _reply(outbox, lambda: step(c, *held))
 
     with _forked(workers, serve) as (to, back):
-        for c in range(units):
-            failure, error = _receive(back[c % workers])
+        for c in range(1, units):
+            failure, error = _receive(back[(c - 1) % workers])
             if failure:
                 break
             if c + 1 < units:   # unit c + 1 reads unit c's slot meanwhile
-                os.write(to[(c + 1) % workers], _DONE)
+                os.write(to[c % workers], _DONE)
             record(c, slots[c % 2])
     if failure:
         raise error

@@ -12,15 +12,11 @@ about ``CHUNK_POINTS`` points) and hands them to a :class:`CayleyStepper`,
 which factors them (:meth:`CayleyStepper.prepare`, no state needed) and
 then steps the state through them (:meth:`CayleyStepper.solve`).
 
-The chunks run through ``parallel.relay``: on the sparse-LU path, as a
-relay on every usable CPU, where worker j of W owns the chunks c = j
-(mod W) and assembles and factors chunk c while the chunks before it
-solve, then solves on the parent's token; each LU is solved in the
-process that built it.  Otherwise in-process: with one usable CPU, inside
-another parallel worker, on the ``zgtsv`` band path (every 1D evolution: a
-step there is cheaper than a token's trip), with one chunk, and below
-``_FORK_WORK`` dof-steps.  Both ways give the same trace, bit for bit, and
-the same error.
+The chunks run through one ``parallel.relay`` call, on either solve
+kernel, which times the first and decides whether to fork the rest.  A
+worker assembles and factors its chunk while the chunks before it solve,
+and solves each LU in the process that built it.  Forked or not, the trace
+is the same, bit for bit, and so is the error.
 """
 
 from __future__ import annotations
@@ -54,13 +50,9 @@ from .sparse_lu import factor
 CHUNK_POINTS = 16384
 # largest |t_k - t| at which EvolutionTrace.snapshot_at returns snapshot k
 _SNAPSHOT_TOL = 1e-9
-# the fewest dof-steps (dofs x steps) an evolution runs its chunks as a relay
-# for: on 2 CPUs 100 steps on 14^2 (22 500) ran faster in-process, on 16^2
-# (28 900) in the relay; 40 steps on 24^2 (25 000) in the relay too
-_FORK_WORK = 25_000
 # the most steps one evolution may take; its trace keeps a record per step
 _MAX_STEPS = 10 ** 7
-_STATE_BOUND = 1e150     # largest |entry| of an initial state; its squared norm stays finite
+_STATE_BOUND = 1e150     # largest |entry| of an initial state or observable
 
 
 @dataclass
@@ -154,7 +146,8 @@ class CayleyStepper:
     Non-finite rows or state, a singular factor and a residual above
     tolerance raise :class:`SolverDivergenceError` naming the failed chunk
     ``step``, in that order; the residuals are checked once per chunk, after
-    its last solve.  ``banded`` tells the two kernels apart.
+    its last solve.  States indexed by ``same``, an identity index of the
+    kind :meth:`solve` un-permutes with, get the layout :meth:`solve` returns.
     """
 
     def __init__(self, indptr: np.ndarray, indices: np.ndarray,
@@ -163,9 +156,8 @@ class CayleyStepper:
         self.z = 0.5j * dt
         self.solver_tol = solver_tol
         rows = np.repeat(np.arange(n), np.diff(indptr))
-        self.banded = bool(np.all(np.abs(rows - indices) <= 1))
-        if self.banded:
-            self._order = self._inv = slice(None)
+        if np.all(np.abs(rows - indices) <= 1):
+            self._order = self._inv = self.same = slice(None)
             self._band_pos = (1 + rows - indices) * n + indices
             self._kernels = self._band_kernels
             return
@@ -174,8 +166,9 @@ class CayleyStepper:
             raise InvalidInputError(
                 f"a pattern of {n} dofs cannot take the {self._order.size}-dof "
                 f"elimination order of {bc} on {grid.cells} cells")
+        self.same = np.arange(n)
         self._inv = np.empty(n, dtype=np.intp)
-        self._inv[self._order] = np.arange(n)
+        self._inv[self._order] = self.same
         # the CSC layout of P H P^t plus its whole diagonal, and the CSR
         # entry each slot reads (-1: a diagonal entry the pattern lacks,
         # zeroed after the read)
@@ -320,6 +313,12 @@ def steps_per_pass(grid: ReferenceGrid) -> int:
     return max(1, CHUNK_POINTS // len(form_points(grid)))
 
 
+def _overlaps(states: np.ndarray, obs: np.ndarray) -> np.ndarray:
+    """|<s, o>|^2 for each state row and observable column, by ``einsum``:
+    BLAS threads would spin on the CPUs a relay's workers need."""
+    return np.abs(np.einsum("kn,no->ko", states, obs)) ** 2
+
+
 def evolve(family: DiffeoFamily, coeffs: CoefficientSet, bc: str,
            v0: GridFunction, config: PropagatorConfig,
            grid: Optional[ReferenceGrid] = None) -> EvolutionTrace:
@@ -341,6 +340,11 @@ def evolve(family: DiffeoFamily, coeffs: CoefficientSet, bc: str,
         raise SolverDivergenceError(
             f"step 1 (t={config.t_start:.12g}): initial state entry {size:.3e} "
             f"is non-finite or above {_STATE_BOUND:g}", step=1)
+    for i, o in enumerate(config.observables):
+        size = float(np.abs(o.values).max(initial=0.0))
+        if not size <= _STATE_BOUND:
+            raise InvalidInputError(f"observable {i}: entry {size:.3e} is "
+                                    f"non-finite or above {_STATE_BOUND:g}")
     grid = grid or v0.grid
     H0 = _hamiltonian_at(family, coeffs, config.t_start, grid, bc)
     v = H0.to_dofs(v0)
@@ -355,7 +359,7 @@ def evolve(family: DiffeoFamily, coeffs: CoefficientSet, bc: str,
                             config.solver_tol)
 
     norms = [np.linalg.norm(v[None], axis=1)]
-    overlaps = [np.abs(v[None] @ obs) ** 2]
+    overlaps = [_overlaps(v[None], obs)]
     energies = [np.array([np.real(np.vdot(v, H0.matrix @ v))])]
     snap_steps, snapshots = [0], [H0.from_dofs(v)]
     K = steps_per_pass(grid)
@@ -363,11 +367,6 @@ def evolve(family: DiffeoFamily, coeffs: CoefficientSet, bc: str,
     for k0 in range(0, n, K):
         done = np.arange(k0 + 1, min(k0 + K, n) + 1)
         chunks.append((done, config.t_start + (done - 0.5) * dt))
-
-    # an identity index of the kind solve un-permutes with (none on the band
-    # path): the states read out of a slot get the memory layout solve
-    # returns, so their norms reduce in the same order
-    same = slice(None) if stepper.banded else np.arange(stepper.n)
 
     def views(slot):            # a chunk's (K, n) states, then its energies
         return (np.ndarray((K, stepper.n), complex, buffer=slot),
@@ -392,17 +391,17 @@ def evolve(family: DiffeoFamily, coeffs: CoefficientSet, bc: str,
     def record(c, slot):
         done = chunks[c][0]
         states, chunk_energies = views(slot)
-        states = states[:len(done)][:, same]
+        # read back in the layout solve returns, so norms reduce in its order
+        states = states[:len(done)][:, stepper.same]
         norms.append(np.linalg.norm(states, axis=1))
-        overlaps.append(np.abs(states @ obs) ** 2)
+        overlaps.append(_overlaps(states, obs))
         energies.append(chunk_energies[:len(done)].copy())
         want = (done == n) | ((done % stride == 0) if stride else False)
         for i in np.flatnonzero(want):
             snap_steps.append(int(done[i]))
             snapshots.append(H0.from_dofs(states[i]))
 
-    parallel.relay(prepare, advance, record, len(chunks), K * stepper.n * 24,
-                   pattern.dofs.size * n, np.inf if stepper.banded else _FORK_WORK)
+    parallel.relay(prepare, advance, record, len(chunks), K * stepper.n * 24)
 
     times = config.t_start + np.arange(n + 1) * dt
     return EvolutionTrace(

@@ -261,6 +261,23 @@ def test_converge_ladder_past_the_step_bound_exit_3(tmp_path, capsys,
     assert _manifest(out)["error"]["type"] == "ConfigError"
 
 
+@pytest.mark.parametrize("argv, config", [
+    (["run", "--grid", "1000000000"], {}),
+    (["converge"], {"mode": "spatial", "ladder": [1e9, 2e9]}),
+    (["converge"], {"mode": "spatial", "ladder": [25, 2 ** 20]}),
+], ids=["run_grid", "spatial_ladder", "spatial_reference"])
+def test_a_grid_past_the_node_bound_exit_3(tmp_path, capsys, deadline, argv, config):
+    # run --grid 1000000000 used to end in a raw _ArrayMemoryError traceback;
+    # the last ladder's rungs fit, but the 4n reference of 2^20 does not
+    cfg = tmp_path / "grid.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "g"
+    assert main(argv + ["--config", str(cfg), "--output", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "nodes a grid may hold" in err
+    assert "Traceback" not in err and not out.exists()
+
+
 @pytest.mark.parametrize("epsilon",["1e300", "1e8", "0.5,2000"])
 def test_adiabatic_epsilon_sweeping_less_than_one_dt_exit_3(tmp_path, capsys, epsilon):
     # 1e300 used to overflow the slowed family's velocity (exit 1), 1e8 to

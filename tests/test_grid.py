@@ -3,6 +3,7 @@ import pytest
 
 from schrodeform.errors import InvalidInputError
 from schrodeform.geometry import GridFunction, ReferenceGrid
+from schrodeform.geometry import grid as grid_module
 
 
 def test_interval_weights_sum_to_measure():
@@ -105,3 +106,20 @@ def test_grid_rejects_non_finite_bounds():
         ReferenceGrid.interval(4, 0.0, np.inf)
     with pytest.raises(InvalidInputError):
         ReferenceGrid.interval(4, -np.inf, 0.0)
+
+
+@pytest.mark.parametrize("make", [lambda: ReferenceGrid.interval(10 ** 9),
+                                  lambda: ReferenceGrid.rectangle(3000),
+                                  lambda: ReferenceGrid.rectangle((10 ** 9, 10 ** 9))],
+                         ids=["interval", "rectangle", "huge_rectangle"])
+def test_grid_rejects_more_nodes_than_its_bound_before_allocating(make, deadline):
+    # 10^9 cells used to end in a raw _ArrayMemoryError, or to start allocating
+    with pytest.raises(InvalidInputError, match="a grid may hold"):
+        make()
+
+
+def test_grid_bound_counts_nodes_not_cells(monkeypatch):
+    monkeypatch.setattr(grid_module, "_MAX_NODES", 9)
+    assert ReferenceGrid.rectangle(2).n_nodes == 9
+    with pytest.raises(InvalidInputError, match="10 nodes exceed the 9"):
+        ReferenceGrid.interval(9)

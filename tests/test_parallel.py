@@ -8,6 +8,7 @@ import sys
 import threading
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from schrodeform.geometry import GridFunction, ReferenceGrid
 from schrodeform.moser import DensityFamily, moser_flow, normalize_diffeo
 from schrodeform.moser import flow as flow_module
 from schrodeform.operators import MAGNETIC_NEUMANN, free_coefficients
-from schrodeform.propagator import PropagatorConfig, evolve, steps_per_pass
+from schrodeform.propagator import PropagatorConfig, evolve
 from schrodeform.scenarios import adiabatic, adiabatic_experiment, moving_interval_scenario
 from schrodeform.scenarios.families import (diagonal_family, interval_family,
                                             stretch_warp_family, warped_2d_family)
@@ -39,7 +40,7 @@ def cpus(monkeypatch):
 def forking(monkeypatch):
     """Fork workers for a Moser flow or a relay however small its work."""
     monkeypatch.setattr(flow_module, "_FORK_WORK", 0)
-    monkeypatch.setattr(propagator, "_FORK_WORK", 0)
+    monkeypatch.setattr(parallel, "_FORK_SECONDS", 0)
 
 
 def _pid(_job):
@@ -364,24 +365,32 @@ def _assert_no_children():
 
 
 def _warped(cells, n_steps, family=None, values=None):
-    """A magnetic-Neumann evolution of n_steps on cells^2, with observables
-    and snapshots every 7 steps."""
-    grid = ReferenceGrid.rectangle(cells)
+    """A magnetic-Neumann evolution of n_steps on cells^2 (sparse LU), or on
+    an interval of cells[0] cells for a 1-tuple (zgtsv bands), with
+    observables and snapshots every 7 steps."""
+    if np.isscalar(cells):
+        grid, family = ReferenceGrid.rectangle(cells), family or warped_2d_family()
+    else:
+        grid = ReferenceGrid.interval(*cells)
+        family = family or interval_family(lambda t: 1 + 0.5 * t, lambda t: 0.5)
     y = grid.nodes
-    v0 = GridFunction(grid, np.cos(np.pi * y[:, 0]) * (1 + 0.5j * y[:, 1])
+    v0 = GridFunction(grid, np.cos(np.pi * y[:, 0]) * (1 + 0.5j * y[:, -1])
                       if values is None else values)
     obs = [GridFunction.constant(grid, 1.0 + 0j),
-           GridFunction(grid, np.sin(np.pi * y[:, 1]) + 0j)]
+           GridFunction(grid, np.sin(np.pi * y[:, -1]) + 0j)]
     cfg = PropagatorConfig(dt=1 / 160, t_start=0.0, t_end=n_steps / 160,
                            snapshot_stride=7, observables=obs)
-    return lambda: evolve(family or warped_2d_family(), free_coefficients(2),
-                          MAGNETIC_NEUMANN, v0, cfg)
+    return lambda: evolve(family, free_coefficients(grid.dim), MAGNETIC_NEUMANN,
+                          v0, cfg)
 
 
-# chunks of K = 72 at 8^2 and K = 19 at 16^2: one chunk (in-process), three
-# with a short last one, and six, three in each of the two slots
+# chunks of K = 72 at 8^2, K = 19 at 16^2 and K = 40 on 200 cells: one chunk
+# (in-process), three with a short last one, six, three in each of the two
+# slots, and four on the band path; chunk 0 runs in the parent, the rest on
+# two workers
 @pytest.mark.parametrize("cells, n_steps, relayed", [
-    (8, 30, False), (8, 150, True), (16, 100, True)])
+    (8, 30, False), (8, 150, True), (16, 100, True),
+    pytest.param((200,), 130, True, id="interval-200-130-True")])
 def test_relay_trace_equals_the_serial_trace(cpus, forking, forks, deadline,
                                              cells, n_steps, relayed):
     run = _warped(cells, n_steps)
@@ -487,7 +496,7 @@ def _singular(lu):
 ], ids=["singular_factor", "residual"])
 def test_relay_raises_a_failed_step_at_its_step(cpus, forking, forks, deadline,
                                                 monkeypatch, spoil, message):
-    # step 45 is the seventh of chunk 2 (K = 19), one of worker 0's; the
+    # step 45 is the seventh of chunk 2 (K = 19), worker 1's first; the
     # factor is picked by its matrix, the same in every process
     target = _fingerprints(cpus, 16, 60)[44]
     real = sparse_lu.spla
@@ -523,15 +532,47 @@ def test_a_killed_relay_worker_raises_worker_lost(cpus, forking, forks,
     _assert_no_children()
 
 
-def test_the_band_path_never_relays(cpus, forking, forks):
-    grid = ReferenceGrid.interval(64)
-    v0 = GridFunction(grid, np.sin(np.pi * grid.nodes[:, 0]) + 0j)
-    cfg = PropagatorConfig(dt=1e-3, t_start=0.0, t_end=0.5)
-    assert cfg.n_steps > 3 * steps_per_pass(grid)       # four chunks
+def _chain(units, recorded, fail_at=None):
+    """A relay of ``units`` units where unit c writes c plus unit c - 1's
+    value, appended to ``recorded``; unit ``fail_at`` raises ValueError."""
+    def value(slot):
+        return np.ndarray(1, np.int64, buffer=slot)
+
+    def advance(c, prepared, last, slot):
+        if c == fail_at:
+            raise ValueError(f"unit {c} failed")
+        value(slot)[0] = prepared + (value(last)[0] if c else 0)
+
+    parallel.relay(lambda c: c, advance,
+                   lambda c, slot: recorded.append(int(value(slot)[0])), units, 8)
+
+
+@pytest.mark.parametrize("fork_seconds, forked", [(4.0, True), (4.5, False)])
+def test_a_relay_forks_only_when_unit_0_predicts_its_fork_seconds(
+        cpus, forks, deadline, monkeypatch, fork_seconds, forked):
+    # unit 0 takes 1 s on this clock, so units 1..4 are predicted at 4 s
+    clock = iter([10.0, 11.0])
+    monkeypatch.setattr(parallel, "time", SimpleNamespace(perf_counter=lambda: next(clock)))
+    monkeypatch.setattr(parallel, "_FORK_SECONDS", fork_seconds)
     cpus(2)
-    evolve(interval_family(lambda t: 1 + 0.5 * t, lambda t: 0.5),
-           free_coefficients(1), "dirichlet", v0, cfg)
-    assert forks == []
+    recorded = []
+    _chain(5, recorded)
+    assert recorded == [0, 1, 3, 6, 10]
+    assert len(forks) == (2 if forked else 0)
+    _assert_no_children()
+
+
+@pytest.mark.parametrize("fail_at", [0, 3])
+def test_a_relay_raises_a_units_error_after_the_units_before_it(
+        cpus, forking, forks, deadline, fail_at):
+    # unit 0 runs in the parent, so its error comes before any fork
+    cpus(2)
+    recorded = []
+    with pytest.raises(ValueError, match=f"unit {fail_at} failed"):
+        _chain(5, recorded, fail_at)
+    assert recorded == [0, 1, 3][:fail_at]
+    assert len(forks) == (0 if fail_at == 0 else 2)
+    _assert_no_children()
 
 
 def test_an_evolution_in_a_map_jobs_worker_never_relays(cpus, forking, forks):

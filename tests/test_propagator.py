@@ -367,7 +367,7 @@ def test_evolve_chunk_edges(steps):
 def _chunked_reference(family, coeffs, bc, v0, config, grid):
     """evolve's norms, energies, overlaps and final state from a plain loop
     of CayleyStepper.advance, one call per assembly pass, in the same
-    arithmetic."""
+    arithmetic (overlaps by einsum, as evolve takes them)."""
     H0 = assemble_hamiltonian(family, coeffs, config.t_start, grid, bc)
     v = H0.to_dofs(v0)
     obs = np.array([H0.to_dofs(o) for o in config.observables],
@@ -376,7 +376,8 @@ def _chunked_reference(family, coeffs, bc, v0, config, grid):
     stepper = CayleyStepper(pattern.indptr, pattern.indices, grid, bc,
                             config.dt_effective, config.solver_tol)
     n, K = config.n_steps, steps_per_pass(grid)
-    norms, overlaps = [np.linalg.norm(v[None], axis=1)], [np.abs(v[None] @ obs) ** 2]
+    norms = [np.linalg.norm(v[None], axis=1)]
+    overlaps = [np.abs(np.einsum("kn,no->ko", v[None], obs)) ** 2]
     energies = [np.array([np.real(np.vdot(v, H0.matrix @ v))])]
     for k0 in range(0, n, K):
         done = np.arange(k0 + 1, min(k0 + K, n) + 1)
@@ -384,7 +385,7 @@ def _chunked_reference(family, coeffs, bc, v0, config, grid):
         states, chunk_energies = stepper.advance(
             v, hamiltonian_data(family, coeffs, mids, grid, bc))
         norms.append(np.linalg.norm(states, axis=1))
-        overlaps.append(np.abs(states @ obs) ** 2)
+        overlaps.append(np.abs(np.einsum("kn,no->ko", states, obs)) ** 2)
         energies.append(chunk_energies)
         v = states[-1]
     return (np.concatenate(norms), np.concatenate(energies),
@@ -721,6 +722,22 @@ def test_a_huge_or_infinite_initial_state_raises_before_any_warning(size, dim):
         with pytest.raises(SolverDivergenceError, match=r"step 1 .*initial state") as info:
             evolve(family, coeffs, bc, v0, cfg)
     assert info.value.step == 1
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+@pytest.mark.parametrize("size", [1e300, np.inf, np.nan], ids=["huge", "inf", "nan"])
+def test_a_huge_or_non_finite_observable_raises_before_any_warning(size):
+    # inf used to give all-NaN overlaps after two RuntimeWarnings, in to_dofs
+    # and in the initial overlap, and 1e300 inf overlaps after an overflow
+    family, coeffs, bc, v0, cfg = _interval_run(5)
+    grid = v0.grid
+    values = np.ones(grid.n_nodes, dtype=complex)
+    values[7] = size
+    cfg.observables = [GridFunction.constant(grid, 1.0 + 0j), GridFunction(grid, values)]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(InvalidInputError, match=r"observable 1: entry .* non-finite or above"):
+            evolve(family, coeffs, bc, v0, cfg)
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
