@@ -41,14 +41,15 @@ from .scenarios import (
 from .scenarios.adiabatic import frozen_hamiltonian
 
 
-# scenario name -> (constructor, {accepted params key: type it is coerced to})
+# scenario name -> (constructor, {accepted params key: type it is coerced to},
+# dimension of its grid)
 _SCENARIOS = {
     "moving_interval": (moving_interval_scenario,
-                        {"l0": float, "l1": float, "smooth": bool}),
-    "translation": (translation_scenario, {}),
-    "rotation": (rotation_scenario, {"omega": float}),
-    "homothety": (homothety_scenario, {}),
-    "cylinder": (cylinder_scenario, {}),
+                        {"l0": float, "l1": float, "smooth": bool}, 1),
+    "translation": (translation_scenario, {}, 1),
+    "rotation": (rotation_scenario, {"omega": float}, 2),
+    "homothety": (homothety_scenario, {}, 1),
+    "cylinder": (cylinder_scenario, {}, 1),
 }
 
 
@@ -81,7 +82,7 @@ def _coerce(key: str, val, kind):
 
 def _construct(name: str, params: dict):
     """The named scenario, built from the given params only, each coerced."""
-    build, types = _SCENARIOS[name]
+    build, types, _ = _SCENARIOS[name]
     return build(**{key: _coerce(f"params.{key}", val, types[key])
                     for key, val in params.items()})
 
@@ -174,7 +175,26 @@ class RunConfig:
                  if key in cls.DEFAULTS and val is not None and val is not False}
         if "epsilon" in flags:
             flags["epsilon"] = flags["epsilon"].split(",")
-        return cls({**data, **flags})
+        config = cls({**data, **flags})
+        config._check_nodes(args.command)
+        return config
+
+    def grid_dim(self, command: str) -> int:
+        """The dimension of the grids ``command`` builds: the density's for
+        ``moser``, the scenario's otherwise."""
+        if command == "moser":
+            return 1 if self.data["density"] == "sine1d" else 2
+        return _SCENARIOS[self.data["scenario"]][2]
+
+    def _check_nodes(self, command: str):
+        # the grid and each spatial rung's 4n reference, before any is built
+        d = self.data
+        cells = max([d["grid"]] + [4 * int(r) for r in d["ladder"] or []
+                                   if d["mode"] == "spatial"])
+        dim = self.grid_dim(command)
+        if (cells + 1) ** dim > _MAX_NODES:
+            raise ConfigError(f"a {dim}D grid of {cells} cells per axis holds "
+                              f"more than the {_MAX_NODES} nodes a grid may hold")
 
     def _validate(self):
         d = self.data
@@ -198,12 +218,6 @@ class RunConfig:
                 raise ConfigError("ladder rungs must be positive")
             if d["mode"] == "spatial" and not all(int(r) >= 2 for r in d["ladder"]):
                 raise ConfigError("spatial ladder rungs need at least 2 cells")
-        # the grid and each spatial rung's 4n reference, before any is built
-        cells = max([d["grid"]] + [4 * int(r) for r in d["ladder"] or []
-                                   if d["mode"] == "spatial"])
-        if cells >= _MAX_NODES:
-            raise ConfigError(f"a grid of {cells} cells per axis holds more "
-                              f"than the {_MAX_NODES} nodes a grid may hold")
         if d["scenario"] not in _SCENARIOS:
             raise ConfigError(
                 f"unknown scenario {d['scenario']!r}; available: "
@@ -419,11 +433,8 @@ def run_adiabatic(config: RunConfig) -> int:
 def run_moser(config: RunConfig) -> int:
     outdir = Path(config["output"])
     manifest = Manifest(config, "moser")
-    n = config["grid"]
-    if config["density"] == "sine1d":
-        grid = ReferenceGrid.interval(n)
-    else:
-        grid = ReferenceGrid.rectangle(n)
+    grid = (ReferenceGrid.interval if config.grid_dim("moser") == 1
+            else ReferenceGrid.rectangle)(config["grid"])
     density = DensityFamily(*_DENSITIES[config["density"]](config["amplitude"]))
     samples = config["samples"]
     try:

@@ -108,7 +108,9 @@ def adiabatic_experiment(family: DiffeoFamily, coeffs: CoefficientSet,
     the branch eigenstate of the frozen generator at tau = 0 and occupations
     are measured against the frozen-branch projector at tau = 1.  The
     epsilons are independent evolutions and run on every usable CPU
-    (``parallel.map_jobs``).
+    (``parallel.map_jobs``), the smallest first; once no epsilon is left to
+    start, an evolution still running relays its steps onto the CPUs the
+    finished ones left idle (``parallel.relay``).
     """
     epsilons = sorted({float(e) for e in epsilons}, reverse=True)
     if not epsilons:

@@ -6,6 +6,7 @@ import pytest
 
 from schrodeform import cli, parallel
 from schrodeform.cli import main
+from schrodeform.errors import ConfigError
 
 
 def _manifest(outdir):
@@ -265,10 +266,14 @@ def test_converge_ladder_past_the_step_bound_exit_3(tmp_path, capsys,
     (["run", "--grid", "1000000000"], {}),
     (["converge"], {"mode": "spatial", "ladder": [1e9, 2e9]}),
     (["converge"], {"mode": "spatial", "ladder": [25, 2 ** 20]}),
-], ids=["run_grid", "spatial_ladder", "spatial_reference"])
+    (["run", "--scenario", "rotation", "--grid", "3000"], {}),
+    (["moser", "--grid", "3000"], {}),
+], ids=["run_grid", "spatial_ladder", "spatial_reference", "rotation_grid",
+        "moser_grid"])
 def test_a_grid_past_the_node_bound_exit_3(tmp_path, capsys, deadline, argv, config):
     # run --grid 1000000000 used to end in a raw _ArrayMemoryError traceback;
-    # the last ladder's rungs fit, but the 4n reference of 2^20 does not
+    # the last ladder's rungs fit, but the 4n reference of 2^20 does not; the
+    # 2D grids' 3001 nodes per axis fit, but their 3001^2 do not
     cfg = tmp_path / "grid.json"
     cfg.write_text(json.dumps(config))
     out = tmp_path / "g"
@@ -276,6 +281,32 @@ def test_a_grid_past_the_node_bound_exit_3(tmp_path, capsys, deadline, argv, con
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and "nodes a grid may hold" in err
     assert "Traceback" not in err and not out.exists()
+
+
+@pytest.mark.parametrize("argv, fits", [
+    (["run", "--grid", "3000"], True),
+    (["run", "--scenario", "rotation", "--grid", "2047"], True),
+    (["run", "--scenario", "rotation", "--grid", "2048"], False),
+    (["moser", "--density", "sine1d", "--grid", "3000"], True),
+    (["moser", "--grid", "2047"], True),
+    (["moser", "--grid", "2048"], False),
+])
+def test_the_node_bound_counts_the_grid_dimension_of_the_command(argv, fits):
+    # 2048^2 nodes is the bound; the interval of 3000 cells is far inside it
+    def parse():
+        return cli.RunConfig.from_args(cli.build_parser().parse_args(argv))
+
+    if fits:
+        parse()
+    else:
+        with pytest.raises(ConfigError, match="nodes a grid may hold"):
+            parse()
+
+
+@pytest.mark.parametrize("name", sorted(cli._SCENARIOS))
+def test_each_scenario_declares_its_grid_dimension(name):
+    build, _, dim = cli._SCENARIOS[name]
+    assert build().dim == dim == build().grid(4).dim
 
 
 @pytest.mark.parametrize("epsilon",["1e300", "1e8", "0.5,2000"])

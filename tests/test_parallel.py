@@ -7,6 +7,7 @@ import subprocess
 import sys
 import threading
 import time
+from contextlib import suppress
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -236,6 +237,8 @@ def test_workers_die_with_a_killed_parent(tmp_path):
     while any(map(_running, workers)) and time.monotonic() < deadline:
         time.sleep(0.05)
     assert not any(map(_running, workers))
+    for pid in workers:     # orphans come back to this process, a subreaper
+        os.waitpid(pid, 0)
 
 
 def _instance(cls):
@@ -345,18 +348,18 @@ def test_a_flow_forks_from_its_fork_work_up(cpus, monkeypatch):
 
 @pytest.fixture
 def forks(monkeypatch):
-    """The pids this process forks from here on."""
-    pids = []
+    """The monotonic time of each fork this process makes from here on."""
+    times = []
     fork = os.fork
 
-    def counted():
+    def stamped():
         pid = fork()
         if pid:
-            pids.append(pid)
+            times.append(time.monotonic())
         return pid
 
-    monkeypatch.setattr(parallel.os, "fork", counted)
-    return pids
+    monkeypatch.setattr(parallel.os, "fork", stamped)
+    return times
 
 
 def _assert_no_children():
@@ -364,9 +367,9 @@ def _assert_no_children():
         os.waitpid(-1, os.WNOHANG)
 
 
-def _warped(cells, n_steps, family=None, values=None):
-    """A magnetic-Neumann evolution of n_steps on cells^2 (sparse LU), or on
-    an interval of cells[0] cells for a 1-tuple (zgtsv bands), with
+def _warped(cells, n_steps, family=None, values=None, dt=1 / 160):
+    """A magnetic-Neumann evolution of n_steps of dt on cells^2 (sparse LU),
+    or on an interval of cells[0] cells for a 1-tuple (zgtsv bands), with
     observables and snapshots every 7 steps."""
     if np.isscalar(cells):
         grid, family = ReferenceGrid.rectangle(cells), family or warped_2d_family()
@@ -378,7 +381,7 @@ def _warped(cells, n_steps, family=None, values=None):
                       if values is None else values)
     obs = [GridFunction.constant(grid, 1.0 + 0j),
            GridFunction(grid, np.sin(np.pi * y[:, -1]) + 0j)]
-    cfg = PropagatorConfig(dt=1 / 160, t_start=0.0, t_end=n_steps / 160,
+    cfg = PropagatorConfig(dt=dt, t_start=0.0, t_end=n_steps * dt,
                            snapshot_stride=7, observables=obs)
     return lambda: evolve(family, free_coefficients(grid.dim), MAGNETIC_NEUMANN,
                           v0, cfg)
@@ -532,18 +535,23 @@ def test_a_killed_relay_worker_raises_worker_lost(cpus, forking, forks,
     _assert_no_children()
 
 
-def _chain(units, recorded, fail_at=None):
+def _chain(units, recorded, fail_at=None, pause=0.0):
     """A relay of ``units`` units where unit c writes c plus unit c - 1's
-    value, appended to ``recorded``; unit ``fail_at`` raises ValueError."""
+    value, appended to ``recorded``; unit ``fail_at`` raises ValueError.
+    Each unit's prepare sleeps ``pause`` seconds."""
     def value(slot):
         return np.ndarray(1, np.int64, buffer=slot)
+
+    def prepare(c):
+        time.sleep(pause)
+        return c
 
     def advance(c, prepared, last, slot):
         if c == fail_at:
             raise ValueError(f"unit {c} failed")
         value(slot)[0] = prepared + (value(last)[0] if c else 0)
 
-    parallel.relay(lambda c: c, advance,
+    parallel.relay(prepare, advance,
                    lambda c, slot: recorded.append(int(value(slot)[0])), units, 8)
 
 
@@ -575,14 +583,114 @@ def test_a_relay_raises_a_units_error_after_the_units_before_it(
     _assert_no_children()
 
 
-def test_an_evolution_in_a_map_jobs_worker_never_relays(cpus, forking, forks):
-    run = _warped(16, 100)
+# -- a relay inside a map_jobs worker ------------------------------------------
 
-    def job(_k):
+def _long_evolution():
+    """4000 steps on a 200-cell interval: 100 chunks of K = 40."""
+    return _warped((200,), 4000, dt=1 / 4000)
+
+
+def _arrays(trace):
+    return (trace.times, trace.norms, trace.energies, trace.overlaps,
+            np.array([s.values for s in trace.snapshots]))
+
+
+def test_an_evolution_in_a_map_jobs_worker_relays_once_the_other_job_is_done(
+        cpus, forking, forks, deadline):
+    run = _long_evolution()
+
+    def job(k):     # job 0 evolves; job 1 returns when it ended
+        if k:
+            return time.monotonic()
         before = len(forks)
-        run()
-        return os.getpid(), len(forks) - before
+        return _arrays(run()), forks[before:]
 
     cpus(2)
-    results = parallel.map_jobs(job, range(2), cost=lambda k: 1)
-    assert all(pid != os.getpid() and relays == 0 for pid, relays in results)
+    (relayed, relay_forks), done = parallel.map_jobs(job, range(2),
+                                                    cost=lambda k: 2 - k)
+    # one idle CPU taken: 1 + 1 workers, forked after job 1 had replied
+    assert len(forks) == 2 and len(relay_forks) == 2
+    assert min(relay_forks) > done
+    cpus(1)
+    (serial, serial_forks), _ = parallel.map_jobs(job, range(2),
+                                                  cost=lambda k: 2 - k)
+    assert serial_forks == [] and len(forks) == 2
+    for a, b in zip(serial, relayed):
+        assert np.array_equal(a, b)
+    _assert_no_children()
+
+
+@pytest.mark.parametrize("fail_at", [None, 50])
+def test_a_relay_in_a_map_jobs_worker_puts_the_idle_cpus_back(
+        cpus, forking, forks, deadline, fail_at):
+    def job(k):     # job 0 relays 60 units of 2 ms; job 1 returns at once
+        if k:
+            return None
+        before, recorded = len(forks), []
+        with suppress(ValueError):
+            _chain(60, recorded, fail_at, pause=2e-3)
+        return len(forks) - before, recorded, parallel._take(8)
+
+    cpus(2)
+    (relay_forks, recorded, idle), _ = parallel.map_jobs(
+        job, range(2), cost=lambda k: 2 - k)
+    assert relay_forks == 2 and idle == b"\0"     # job 1's CPU, back
+    assert recorded == [c * (c + 1) // 2 for c in range(fail_at or 60)]
+    _assert_no_children()
+
+
+def _pipes():
+    """The pipes this process holds an end of, as ``pipe:[inode]``."""
+    held = set()
+    for fd in os.listdir("/proc/self/fd"):
+        with suppress(FileNotFoundError):   # the listing's own descriptor
+            held.add(os.readlink(f"/proc/self/fd/{fd}"))
+    return {link for link in held if link.startswith("pipe:")}
+
+
+def test_a_relay_worker_in_a_map_jobs_worker_holds_only_its_own_pipes(
+        cpus, forking, deadline, monkeypatch, tmp_path):
+    # a relay worker inheriting its map_jobs worker's reply pipe would hold
+    # that worker's EOF open after it died
+    data = propagator.hamiltonian_data
+    parent, before = os.getpid(), _pipes()
+
+    def listing(family, coeffs, times, grid, bc):
+        if parent not in (os.getpid(), os.getppid()):      # a relay worker
+            (tmp_path / str(os.getpid())).write_text(
+                " ".join(sorted(_pipes() - before)))
+        return data(family, coeffs, times, grid, bc)
+
+    monkeypatch.setattr(propagator, "hamiltonian_data", listing)
+    run = _long_evolution()
+    cpus(2)
+    parallel.map_jobs(lambda k: run().norms[-1] if k == 0 else 0.0, range(2),
+                      cost=lambda k: 2 - k)
+    held = [path.read_text().split() for path in tmp_path.iterdir()]
+    assert len(held) == 2
+    assert all(len(pipes) == 2 for pipes in held)   # its inbox and outbox
+    _assert_no_children()
+
+
+def test_a_killed_map_jobs_worker_raises_worker_lost_while_it_relays(
+        cpus, forking, deadline, monkeypatch):
+    parent = os.getpid()
+    fork = os.fork
+
+    def fork_then_die():
+        pid = fork()
+        if pid and os.getpid() != parent:   # a map_jobs worker's relay forked
+            os.kill(os.getpid(), signal.SIGKILL)
+        return pid
+
+    monkeypatch.setattr(parallel.os, "fork", fork_then_die)
+    run = _long_evolution()
+    cpus(2)
+    with pytest.raises(WorkerLostError):
+        parallel.map_jobs(lambda k: run().norms[-1] if k == 0 else 0.0,
+                          range(2), cost=lambda k: 2 - k)
+    # the orphaned relay worker comes back to this process (a subreaper) and
+    # must die, not run on: reap it, or fail at the deadline
+    with suppress(ChildProcessError):
+        while True:
+            os.waitpid(-1, 0)
